@@ -135,12 +135,38 @@ def _load_algebra(ref):
     return data
 
 
-def _coerce_algebra(loaded, kind: str, ref: str):
+def _dense_size_exceeds(dim: int, arity: int, cap: int) -> bool:
+    """Whether dim^(arity+1) > cap, without raising the power.
+
+    A one-dimensional space counts as two, so that the arity is bounded as
+    well: every identity loops over the argument slots.
+    """
+    size = 1
+    for _ in range(arity + 1):
+        size *= max(dim, 2)
+        if size > cap:
+            return True
+    return False
+
+
+def _coerce_algebra(loaded, kind: str, ref: str, cap: int):
     """Shape the loaded input into what an identity checker consumes.
 
     kind is "product" (MultiMap; a bracket's underlying map is accepted),
     "bracket" (BracketAlgebra), or "comultiplication" (Comultiplication).
+    A structure whose dense size dim^(arity+1) exceeds cap is rejected.
     """
+    algebra = _coerce_kind(loaded, kind, ref)
+    base = algebra.bracket if isinstance(algebra, BracketAlgebra) else algebra
+    if _dense_size_exceeds(base.dim, base.arity, cap):
+        raise InputError(
+            f"{ref}: dim {base.dim} and arity {base.arity} give a structure "
+            f"larger than the cap {cap}"
+        )
+    return algebra
+
+
+def _coerce_kind(loaded, kind: str, ref: str):
     if isinstance(loaded, BracketAlgebra):
         if kind == "bracket":
             return loaded
@@ -166,12 +192,12 @@ def _coerce_algebra(loaded, kind: str, ref: str):
         return MultiMap.from_json_dict(data)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed algebra file {ref}: {e}") from None
 
 
-def _algebra_for_kind(ref: str, kind: str):
-    return _coerce_algebra(_load_algebra(ref), kind, ref)
+def _algebra_for_kind(ref: str, kind: str, cap: int):
+    return _coerce_algebra(_load_algebra(ref), kind, ref, cap)
 
 
 # ------------------------------------------------------------------ check
@@ -225,7 +251,7 @@ def cmd_check(args) -> int:
             f"unknown identity {args.identity!r}; "
             f"available: {', '.join(sorted(IDENTITY_CHECKS))}"
         ) from None
-    algebra = _algebra_for_kind(args.algebra, kind)
+    algebra = _algebra_for_kind(args.algebra, kind, _resolve_cap(None, DEFAULT_CAP))
     try:
         report = checker(algebra)
     except ValueError as e:
@@ -361,7 +387,7 @@ def cmd_free_export(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cap = _resolve_cap(args.cap, DEFAULT_CAP)
-    mu = _algebra_for_kind(args.algebra, "product")
+    mu = _algebra_for_kind(args.algebra, "product", cap)
     try:
         table = cohomology_dims(mu, args.slot, args.steps, cap)
     except ValueError as e:

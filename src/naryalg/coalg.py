@@ -1,10 +1,10 @@
 """Comultiplications and their interplay with n-ary products.
 
-A Comultiplication stores Delta: M -> M^{otimes n} as exact structure
-constants. The module computes the signed coassociativity defect, checks
-total coassociativity, transposes structures between algebras and
-coalgebras in both directions, and builds the convolution product on
-Hom(M, A).
+A Comultiplication stores Delta: M -> M^{otimes n} as the transpose of the
+sparse structure constants of its dual product. The module computes the
+signed coassociativity defect, checks total coassociativity, transposes
+structures between algebras and coalgebras in both directions, and builds
+the convolution product on Hom(M, A).
 """
 
 from __future__ import annotations
@@ -12,13 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import (
-    DenseTensor,
-    flat_index,
-    normalize_scalar,
-    scalar_from_str,
-    scalar_to_str,
-)
+from .exactnum import normalize_scalar
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
@@ -27,65 +21,35 @@ from .gerstenhaber import (
 )
 
 
-class Comultiplication:
-    """Linear map M^{} -> M^{otimes arity} on a dim-dimensional space.
+class Comultiplication(MultiMap):
+    """Linear map Delta: M -> M^{otimes arity} on a dim-dimensional space.
 
-    coeffs[i, (j_1..j_n)] is the e_{j_1} ox ... ox e_{j_n} coefficient of
-    Delta(e_i). Stored dense (source index first), iterated sparsely.
+    A transpose view of the dual product: terms[(outs, i)] is the
+    e_{j_1} ox ... ox e_{j_n} coefficient of Delta(e_i) for outs = (j_1..j_n).
+    Arithmetic, equality and JSON are the MultiMap ones; items(), coef() and
+    from_entries() put the source index first.
     """
 
-    __slots__ = ("dim", "arity", "coeffs", "_items")
+    __slots__ = ()
 
-    def __init__(self, dim: int, arity: int, coeffs: DenseTensor):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        if arity < 2:
-            raise ValueError("arity must be at least 2")
-        expected = (dim,) + (dim,) * arity
-        if coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {coeffs.shape}, expected {expected}")
-        self.dim = dim
-        self.arity = arity
-        self.coeffs = coeffs
-        self._items = None
-
-    @classmethod
-    def zero(cls, dim: int, arity: int) -> "Comultiplication":
-        return cls(dim, arity, DenseTensor.zeros((dim,) + (dim,) * arity))
+    min_arity = 2
 
     @classmethod
     def from_entries(cls, dim: int, arity: int, entries) -> "Comultiplication":
         """entries: mapping (source index, output tuple) -> coefficient."""
-        shape = (dim,) + (dim,) * arity
-        flat = [0] * (dim ** (arity + 1))
-        for (i, outs), coef in entries.items():
-            if len(outs) != arity:
-                raise ValueError(f"output tuple {outs} has wrong length")
-            if not 0 <= i < dim or not all(0 <= j < dim for j in outs):
-                raise ValueError(f"index out of range in ({i}, {outs})")
-            flat[flat_index(shape, (i,) + tuple(outs))] += coef
-        return cls(dim, arity, DenseTensor(shape, [normalize_scalar(v) for v in flat]))
+        return super().from_entries(
+            dim, arity, {(outs, i): c for (i, outs), c in entries.items()}
+        )
 
     def items(self):
-        """Nonzero structure constants as (source index, output tuple, coef)."""
+        """Nonzero structure constants as (source index, output tuple, coef),
+        in lexicographic order of the flattened index, source index first."""
         if self._items is None:
-            d, n = self.dim, self.arity
-            tuples = tuple(product(range(d), repeat=n))
-            ent = self.coeffs.entries
-            out = []
-            pos = 0
-            for i in range(d):
-                for outs in tuples:
-                    c = ent[pos]
-                    if c:
-                        out.append((i, outs, c))
-                    pos += 1
-            self._items = out
+            self._items = sorted((i, outs, c) for (outs, i), c in self.terms.items())
         return self._items
 
     def coef(self, i: int, outs) -> int | Fraction:
-        shape = self.coeffs.shape
-        return self.coeffs.entries[flat_index(shape, (i,) + tuple(outs))]
+        return self.terms.get((tuple(outs), i), 0)
 
     def rows(self):
         """Per-source sparse rows: rows()[i] = list of (output tuple, coef)."""
@@ -93,75 +57,6 @@ class Comultiplication:
         for i, outs, c in self.items():
             table[i].append((outs, c))
         return table
-
-    def is_zero(self) -> bool:
-        return self.coeffs.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Comultiplication):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Comultiplication(self.dim, self.arity, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return Comultiplication(self.dim, self.arity, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Comultiplication(self.dim, self.arity, -self.coeffs)
-
-    def scale(self, c):
-        return Comultiplication(self.dim, self.arity, self.coeffs.scale(c))
-
-    def _check_compatible(self, other):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def first_nonzero(self):
-        """((source index,) + output tuple, value) of the first nonzero entry."""
-        shape = self.coeffs.shape
-        for pos, c in enumerate(self.coeffs.entries):
-            if c:
-                multi = []
-                rest = pos
-                for size in reversed(shape):
-                    rest, r = divmod(rest, size)
-                    multi.append(r)
-                return tuple(reversed(multi)), c
-        return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "arity": self.arity,
-            "entries": [
-                {"in": i, "out": list(outs), "coef": scalar_to_str(c)}
-                for i, outs, c in self.items()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Comultiplication":
-        entries = {}
-        for e in data.get("entries", []):
-            key = (e["in"], tuple(e["out"]))
-            entries[key] = entries.get(key, 0) + scalar_from_str(e["coef"])
-        return cls.from_entries(data["dim"], data["arity"], entries)
-
-    def __repr__(self):
-        nnz = sum(1 for v in self.coeffs.entries if v)
-        return f"Comultiplication(dim={self.dim}, arity={self.arity}, nnz={nnz})"
 
 
 def grouplike(dim: int, arity: int) -> Comultiplication:
@@ -216,20 +111,12 @@ def total_coassoc_check(delta: Comultiplication) -> IdentityReport:
 
 def dual_of_coalgebra(delta: Comultiplication) -> MultiMap:
     """Transpose: the product on the dual space with c_mu[outs, i] = c_delta[i, outs]."""
-    entries = {}
-    for i, outs, c in delta.items():
-        entries[(outs, i)] = c
-    return MultiMap.from_entries(delta.dim, delta.arity, entries)
+    return MultiMap(delta.dim, delta.arity, delta.terms)
 
 
 def dual_of_algebra(mu: MultiMap) -> Comultiplication:
     """Transpose: the comultiplication on the dual space of a product."""
-    if mu.arity < 2:
-        raise ValueError("arity must be at least 2")
-    entries = {}
-    for inputs, j, c in mu.items():
-        entries[(j, inputs)] = c
-    return Comultiplication.from_entries(mu.dim, mu.arity, entries)
+    return Comultiplication(mu.dim, mu.arity, mu.terms)
 
 
 class HomElement:

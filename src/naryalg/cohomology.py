@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactnum import SparseMatrix, rref
+from .exactnum import SparseMatrix, kernel_basis, rref
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
@@ -68,17 +68,31 @@ def odd_coboundary_checked(mu: MultiMap, phi: MultiMap) -> MultiMap:
     return out
 
 
-def _basis_cochain(d: int, arity: int, flat: int) -> MultiMap:
-    inputs_flat, j = divmod(flat, d)
+def _flatten(d: int, inputs, out: int) -> int:
+    """Matrix column of the cochain coordinate (inputs, out): row-major
+    over the inputs, then the output."""
+    flat = 0
+    for i in inputs:
+        flat = flat * d + i
+    return flat * d + out
+
+
+def _unflatten(d: int, arity: int, flat: int) -> tuple[tuple, int]:
+    """Inverse of _flatten: the (inputs, out) key of a matrix column."""
+    rest, out = divmod(flat, d)
     inputs = []
     for _ in range(arity):
-        inputs_flat, r = divmod(inputs_flat, d)
+        rest, r = divmod(rest, d)
         inputs.append(r)
-    return MultiMap.from_entries(d, arity, {(tuple(reversed(inputs)), j): 1})
+    return tuple(reversed(inputs)), out
+
+
+def _basis_cochain(d: int, arity: int, flat: int) -> MultiMap:
+    return MultiMap(d, arity, {_unflatten(d, arity, flat): 1})
 
 
 def _to_row(m: MultiMap) -> dict:
-    return {pos: c for pos, c in enumerate(m.coeffs.entries) if c}
+    return {_flatten(m.dim, x, j): c for x, j, c in m.items()}
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -96,27 +110,15 @@ def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap
     for col in range(space):
         e = _basis_cochain(d, arity, col)
         for a_idx, defect in enumerate(chi_defects(mu, e)):
-            for pos, c in enumerate(defect.coeffs.entries):
-                if c:
-                    equations.setdefault((a_idx, pos), {})[col] = c
+            for pos, c in _to_row(defect).items():
+                equations.setdefault((a_idx, pos), {})[col] = c
     if not equations:
         return [_basis_cochain(d, arity, col) for col in range(space)]
     m = SparseMatrix(space, [sorted(eq.items()) for eq in equations.values()])
-    from .exactnum import kernel_basis
-
-    basis = []
-    for vec in kernel_basis(m):
-        entries = {}
-        for col, v in enumerate(vec):
-            if v:
-                inputs_flat, j = divmod(col, d)
-                inputs = []
-                for _ in range(arity):
-                    inputs_flat, r = divmod(inputs_flat, d)
-                    inputs.append(r)
-                entries[(tuple(reversed(inputs)), j)] = v
-        basis.append(MultiMap.from_entries(d, arity, entries))
-    return basis
+    return [
+        MultiMap(d, arity, {_unflatten(d, arity, col): v for col, v in enumerate(vec) if v})
+        for vec in kernel_basis(m)
+    ]
 
 
 @dataclass(frozen=True)

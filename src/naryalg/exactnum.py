@@ -1,9 +1,9 @@
-"""Exact rational scalars, dense tensors, and sparse row reduction.
+"""Exact rational scalars and sparse row reduction.
 
 Everything downstream stores structure constants exactly, so "defect == 0"
-is decidable. Scalars are plain ints or fractions.Fraction; arithmetic mixes
-the two freely and results stay integral whenever they can, which keeps the
-hot loops on machine ints most of the time.
+is decidable. Scalars are plain ints or fractions.Fraction, and arithmetic
+mixes the two freely. Row reduction works over Fraction throughout and
+normalizes its results back to int where the denominator is 1.
 """
 
 from __future__ import annotations
@@ -45,95 +45,6 @@ def rational_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
             raise ZeroDivisionError("rational division by zero")
         return normalize_scalar(Fraction(a) / Fraction(b))
     raise ValueError(f"unknown op {op!r}")
-
-
-def flat_index(shape: tuple[int, ...], multi: tuple[int, ...]) -> int:
-    """Row-major multi-index to flat index, with bounds checks."""
-    if len(shape) != len(multi):
-        raise ValueError(f"index length {len(multi)} vs shape length {len(shape)}")
-    flat = 0
-    for size, idx in zip(shape, multi):
-        if not 0 <= idx < size:
-            raise IndexError(f"index {multi} out of bounds for shape {shape}")
-        flat = flat * size + idx
-    return flat
-
-
-def multi_index(shape: tuple[int, ...], flat: int) -> tuple[int, ...]:
-    total = 1
-    for size in shape:
-        total *= size
-    if not 0 <= flat < total:
-        raise IndexError(f"flat index {flat} out of bounds for shape {shape}")
-    out = []
-    for size in reversed(shape):
-        flat, r = divmod(flat, size)
-        out.append(r)
-    return tuple(reversed(out))
-
-
-class DenseTensor:
-    """Row-major tensor of exact scalars. Treated as immutable once built."""
-
-    __slots__ = ("shape", "entries")
-
-    def __init__(self, shape, entries):
-        shape = tuple(shape)
-        if not shape:
-            raise ValueError("shape must be nonempty")
-        total = 1
-        for size in shape:
-            if size <= 0:
-                raise ValueError(f"bad shape {shape}")
-            total *= size
-        entries = list(entries)
-        if len(entries) != total:
-            raise ValueError(f"{len(entries)} entries for shape {shape}")
-        self.shape = shape
-        self.entries = entries
-
-    @classmethod
-    def zeros(cls, shape):
-        shape = tuple(shape)
-        total = 1
-        for size in shape:
-            total *= size
-        return cls(shape, [0] * total)
-
-    def __getitem__(self, multi):
-        return self.entries[flat_index(self.shape, multi)]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for a, b in zip(self.entries, other.entries)
-        )
-
-    __hash__ = None  # unhashable; mutable list inside
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return DenseTensor(self.shape, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return DenseTensor(self.shape, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return DenseTensor(self.shape, [-a for a in self.entries])
-
-    def scale(self, c):
-        return DenseTensor(self.shape, [c * a for a in self.entries])
-
-    def __repr__(self):
-        nnz = sum(1 for v in self.entries if v)
-        return f"DenseTensor(shape={self.shape}, nnz={nnz})"
 
 
 class SparseMatrix:

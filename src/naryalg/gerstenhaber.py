@@ -1,6 +1,7 @@
 """Insertion calculus for multilinear maps on a finite-dimensional space.
 
-A MultiMap stores the structure constants of m: V^{otimes k} -> V exactly.
+A MultiMap stores the nonzero structure constants of m: V^{otimes k} -> V
+exactly, as a sparse dict; every kernel below accumulates into such a dict.
 The module implements the comb-insertion f at slot i, the signed insertion
 sum f * g, the partial associativity defect A(mu), the theta operator, the
 shuffle Jacobi sum, and the degree-7 composition identities for ternary
@@ -11,166 +12,155 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .exactnum import (
-    DenseTensor,
-    normalize_scalar,
-    scalar_from_str,
-    scalar_to_str,
-)
+from .exactnum import normalize_scalar, scalar_from_str, scalar_to_str
 
 
-@lru_cache(maxsize=None)
-def _index_tuples(d: int, k: int) -> tuple:
-    return tuple(product(range(d), repeat=k))
-
-
-def _tuple_flat(d: int, inputs) -> int:
-    flat = 0
-    for i in inputs:
-        flat = flat * d + i
-    return flat
+def _as_tuple(index) -> tuple:
+    return index if isinstance(index, tuple) else (index,)
 
 
 class MultiMap:
     """Multilinear map V^{otimes arity} -> V over a d-dimensional space.
 
-    coeffs[(i_1..i_k), j] is the e_j coefficient of m(e_{i_1},...,e_{i_k}).
-    Stored dense (row-major, inputs then output); iterated sparsely.
+    terms[(inputs, j)] is the e_j coefficient of m(e_{i_1},...,e_{i_k}) for
+    inputs = (i_1..i_k). Only nonzero structure constants are stored; the
+    constructor trusts its keys to be in range, from_entries checks them.
     """
 
-    __slots__ = ("dim", "arity", "coeffs", "_items")
+    __slots__ = ("dim", "arity", "terms", "_items")
 
-    def __init__(self, dim: int, arity: int, coeffs: DenseTensor):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        if arity < 1:
-            raise ValueError("arity must be positive")
-        expected = (dim,) * arity + (dim,)
-        if coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {coeffs.shape}, expected {expected}")
+    min_arity = 1
+
+    def __init__(self, dim: int, arity: int, terms: dict):
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("dim must be a positive integer")
+        if not isinstance(arity, int) or arity < self.min_arity:
+            raise ValueError(f"arity must be an integer of at least {self.min_arity}")
         self.dim = dim
         self.arity = arity
-        self.coeffs = coeffs
+        self.terms = {key: c for key, c in terms.items() if c}
         self._items = None
 
     @classmethod
-    def zero(cls, dim: int, arity: int) -> "MultiMap":
-        return cls(dim, arity, DenseTensor.zeros((dim,) * arity + (dim,)))
+    def zero(cls, dim: int, arity: int):
+        return cls(dim, arity, {})
 
     @classmethod
-    def from_entries(cls, dim: int, arity: int, entries) -> "MultiMap":
+    def from_entries(cls, dim: int, arity: int, entries):
         """entries: mapping (input tuple, output index) -> coefficient."""
-        flat = [0] * (dim ** arity * dim)
+        terms = {}
         for (inputs, out), coef in entries.items():
+            inputs = tuple(inputs)
             if len(inputs) != arity:
-                raise ValueError(f"input tuple {inputs} has wrong length")
-            if not all(0 <= i < dim for i in inputs) or not 0 <= out < dim:
+                raise ValueError(f"index tuple {inputs} has wrong length")
+            if not all(isinstance(i, int) and 0 <= i < dim for i in inputs + (out,)):
                 raise ValueError(f"index out of range in ({inputs}, {out})")
-            flat[_tuple_flat(dim, inputs) * dim + out] += coef
-        return cls(dim, arity, DenseTensor((dim,) * arity + (dim,), [normalize_scalar(Fraction(v)) if not isinstance(v, int) else v for v in flat]))
+            terms[inputs, out] = terms.get((inputs, out), 0) + coef
+        return cls(dim, arity, {
+            key: c if isinstance(c, int) else normalize_scalar(Fraction(c))
+            for key, c in terms.items()
+        })
 
     @classmethod
     def identity(cls, dim: int) -> "MultiMap":
         return cls.from_entries(dim, 1, {((i,), i): 1 for i in range(dim)})
 
     def items(self):
-        """Nonzero structure constants as (input tuple, output index, coef)."""
+        """Nonzero structure constants as (input tuple, output index, coef),
+        in lexicographic order of the flattened index."""
         if self._items is None:
-            d, k = self.dim, self.arity
-            tuples = _index_tuples(d, k)
-            ent = self.coeffs.entries
-            out = []
-            pos = 0
-            for inputs in tuples:
-                for j in range(d):
-                    c = ent[pos]
-                    if c:
-                        out.append((inputs, j, c))
-                    pos += 1
-            self._items = out
+            self._items = sorted((x, j, c) for (x, j), c in self.terms.items())
         return self._items
 
     def coef(self, inputs, out) -> int | Fraction:
-        return self.coeffs.entries[_tuple_flat(self.dim, inputs) * self.dim + out]
+        return self.terms.get((tuple(inputs), out), 0)
 
     def value_at(self, inputs) -> dict:
         """m(e_inputs) as {output index: coefficient}, zeros omitted."""
-        d = self.dim
-        base = _tuple_flat(d, inputs) * d
-        ent = self.coeffs.entries
-        return {j: ent[base + j] for j in range(d) if ent[base + j]}
+        inputs = tuple(inputs)
+        terms = self.terms
+        return {j: terms[inputs, j] for j in range(self.dim) if (inputs, j) in terms}
 
     def is_zero(self) -> bool:
-        return self.coeffs.is_zero()
+        return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, MultiMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.dim == other.dim
             and self.arity == other.arity
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     __hash__ = None
 
     def __add__(self, other):
         self._check_compatible(other)
-        return MultiMap(self.dim, self.arity, self.coeffs + other.coeffs)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return type(self)(self.dim, self.arity, terms)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return MultiMap(self.dim, self.arity, self.coeffs - other.coeffs)
+        return self + -other
 
     def __neg__(self):
-        return MultiMap(self.dim, self.arity, -self.coeffs)
+        return self.scale(-1)
 
     def scale(self, c):
-        return MultiMap(self.dim, self.arity, self.coeffs.scale(c))
+        return type(self)(
+            self.dim, self.arity, {key: c * v for key, v in self.terms.items()}
+        )
 
     def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.arity != other.arity:
             raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
 
     def first_nonzero(self):
-        """(multi-index incl. output slot, value) of the first nonzero entry."""
-        d = self.dim
-        for pos, c in enumerate(self.coeffs.entries):
-            if c:
-                flat_in, j = divmod(pos, d)
-                inputs = []
-                for _ in range(self.arity):
-                    flat_in, r = divmod(flat_in, d)
-                    inputs.append(r)
-                return tuple(reversed(inputs)) + (j,), c
-        return None
+        """(flattened index, value) of the first nonzero entry of items(), or None."""
+        if not self.terms:
+            return None
+        a, b, c = self.items()[0]
+        return _as_tuple(a) + _as_tuple(b), c
 
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
             "arity": self.arity,
             "entries": [
-                {"in": list(inputs), "out": j, "coef": scalar_to_str(c)}
-                for inputs, j, c in self.items()
+                {
+                    "in": list(a) if isinstance(a, tuple) else a,
+                    "out": list(b) if isinstance(b, tuple) else b,
+                    "coef": scalar_to_str(c),
+                }
+                for a, b, c in self.items()
             ],
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "MultiMap":
+    def from_json_dict(cls, data: dict):
         entries = {}
         for e in data.get("entries", []):
-            key = (tuple(e["in"]), e["out"])
+            key = tuple(
+                tuple(v) if isinstance(v, list) else v for v in (e["in"], e["out"])
+            )
             entries[key] = entries.get(key, 0) + scalar_from_str(e["coef"])
         return cls.from_entries(data["dim"], data["arity"], entries)
 
     def __repr__(self):
-        nnz = sum(1 for v in self.coeffs.entries if v)
-        return f"MultiMap(dim={self.dim}, arity={self.arity}, nnz={nnz})"
+        return (
+            f"{type(self).__name__}(dim={self.dim}, arity={self.arity}, "
+            f"nnz={len(self.terms)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -191,27 +181,26 @@ def report_from_defect(name: str, defect: MultiMap) -> IdentityReport:
     return IdentityReport(name, False, w)
 
 
+def _insert_into(acc: dict, f: MultiMap, g: MultiMap, i: int, sign: int) -> None:
+    """Add sign times (f with g at slot i) to the terms in acc."""
+    by_slot: dict[int, list] = {}
+    for (x, j), cf in f.terms.items():
+        by_slot.setdefault(x[i - 1], []).append((x[: i - 1], x[i:], j, sign * cf))
+    for (y, m), cg in g.terms.items():
+        for head, tail, j, cf in by_slot.get(m, ()):
+            key = (head + y + tail, j)
+            acc[key] = acc.get(key, 0) + cf * cg
+
+
 def insert_at(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
     """f with g inserted in its i-th argument slot, 1-based."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
-    d = f.dim
-    k, l = f.arity, g.arity
-    res_arity = k + l - 1
-    flat = [0] * (d ** res_arity * d)
-    by_slot: dict[int, list] = {}
-    for x, j, cf in f.items():
-        by_slot.setdefault(x[i - 1], []).append((x, j, cf))
-    for y, m, cg in g.items():
-        bucket = by_slot.get(m)
-        if not bucket:
-            continue
-        for x, j, cf in bucket:
-            inputs = x[: i - 1] + y + x[i:]
-            flat[_tuple_flat(d, inputs) * d + j] += cf * cg
-    return MultiMap(d, res_arity, DenseTensor((d,) * res_arity + (d,), flat))
+    acc: dict = {}
+    _insert_into(acc, f, g, i, 1)
+    return MultiMap(f.dim, f.arity + g.arity - 1, acc)
 
 
 def gprod(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -219,14 +208,10 @@ def gprod(f: MultiMap, g: MultiMap) -> MultiMap:
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     l = g.arity
-    total = MultiMap.zero(f.dim, f.arity + l - 1)
+    acc: dict = {}
     for i in range(1, f.arity + 1):
-        term = insert_at(f, g, i)
-        if ((i - 1) * (l - 1)) % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
+        _insert_into(acc, f, g, i, -1 if ((i - 1) * (l - 1)) % 2 else 1)
+    return MultiMap(f.dim, f.arity + l - 1, acc)
 
 
 def partial_assoc_defect(mu: MultiMap) -> MultiMap:
@@ -331,8 +316,7 @@ def apply_operator(phi: MultiMap, op: Operator) -> MultiMap:
             f"phi arity {phi.arity} vs operator target {op.target_power}"
         )
     d = phi.dim
-    a = op.source_power
-    flat = [0] * (d ** a * d)
+    acc: dict = {}
     for coef, word in op.terms:
         for seg in word:
             if seg[0] == "map" and seg[1].dim != d:
@@ -372,8 +356,9 @@ def apply_operator(phi: MultiMap, op: Operator) -> MultiMap:
                     inputs.extend(block)
                     if cb != 1:
                         c *= cb
-                flat[_tuple_flat(d, tuple(inputs)) * d + j] += c
-    return MultiMap(d, a, DenseTensor((d,) * a + (d,), flat))
+                key = (tuple(inputs), j)
+                acc[key] = acc.get(key, 0) + c
+    return MultiMap(d, op.source_power, acc)
 
 
 def _parity(seq) -> int:
@@ -387,15 +372,14 @@ def _parity(seq) -> int:
 
 def antisymmetrize(lam: MultiMap) -> MultiMap:
     """Signed sum of lam over all argument permutations."""
-    d, n = lam.dim, lam.arity
-    flat = [0] * (d ** n * d)
-    items = lam.items()
+    n = lam.arity
+    acc: dict = {}
     for perm in permutations(range(n)):
         sign = -1 if _parity(perm) else 1
-        for y, j, c in items:
-            permuted = tuple(y[perm[t]] for t in range(n))
-            flat[_tuple_flat(d, permuted) * d + j] += sign * c
-    return MultiMap(d, n, DenseTensor((d,) * n + (d,), flat))
+        for (y, j), c in lam.terms.items():
+            key = (tuple(y[perm[t]] for t in range(n)), j)
+            acc[key] = acc.get(key, 0) + sign * c
+    return MultiMap(lam.dim, n, acc)
 
 
 def is_antisymmetric(m: MultiMap) -> bool:
@@ -420,22 +404,21 @@ def jacobi_defect(mu: MultiMap) -> MultiMap:
     if not is_antisymmetric(mu):
         raise ValueError("jacobi_defect requires an antisymmetric map")
     n = mu.arity
-    d = mu.dim
     comp = insert_at(mu, mu, 1)
     w = 2 * n - 1
-    flat = [0] * (d ** w * d)
+    acc: dict = {}
     universe = range(w)
-    comp_items = comp.items()
     for first in combinations(universe, n):
         rest = tuple(sorted(set(universe) - set(first)))
         s = first + rest  # s[m] = position (0-based) fed into comp slot m
         sign = -1 if _parity(s) else 1
-        for y, j, c in comp_items:
+        for (y, j), c in comp.terms.items():
             x = [0] * w
             for m in range(w):
                 x[s[m]] = y[m]
-            flat[_tuple_flat(d, tuple(x)) * d + j] += sign * c
-    return MultiMap(d, w, DenseTensor((d,) * w + (d,), flat))
+            key = (tuple(x), j)
+            acc[key] = acc.get(key, 0) + sign * c
+    return MultiMap(mu.dim, w, acc)
 
 
 def _compose_words(mu: MultiMap, outer_word, inner_word) -> MultiMap:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import DenseTensor
-from .gerstenhaber import IdentityReport, MultiMap, _tuple_flat
+from .gerstenhaber import IdentityReport, MultiMap
 
 
 @dataclass(frozen=True)
@@ -202,14 +201,14 @@ def suspend_map(f: GradedMultiMap) -> GradedMultiMap:
     """The composite up o f o down^(x)arity on the suspended space."""
     space = f.space
     sus = space.suspend()
-    d, k = f.dim, f.arity
-    flat = [0] * (d ** k * d)
-    for x, j, c in f.items():
+    k = f.arity
+    terms = {}
+    for (x, j), c in f.base.terms.items():
         # Koszul sign of down^(x)k on arguments whose suspended degrees
         # are the original ones minus 1
         exp = sum((k - t - 1) * (space.degrees[x[t]] - 1) for t in range(k))
-        flat[_tuple_flat(d, x) * d + j] += -c if exp % 2 else c
-    base = MultiMap(d, k, DenseTensor((d,) * k + (d,), flat))
+        terms[x, j] = -c if exp % 2 else c
+    base = MultiMap(f.dim, k, terms)
     return GradedMultiMap(base, f.degree + k - 1, sus)
 
 
@@ -220,11 +219,8 @@ def graded_insert(f: GradedMultiMap, g: GradedMultiMap, i: int) -> GradedMultiMa
         raise ValueError("graded space mismatch")
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
-    d = f.dim
     space = f.space
-    k, l = f.arity, g.arity
-    res_arity = k + l - 1
-    flat = [0] * (d ** res_arity * d)
+    acc: dict = {}
     by_slot: dict[int, list] = {}
     for x, j, cf in f.items():
         # the prefix x[:i-1] is what g crosses; its degree fixes the sign
@@ -235,9 +231,9 @@ def graded_insert(f: GradedMultiMap, g: GradedMultiMap, i: int) -> GradedMultiMa
         if not bucket:
             continue
         for x, j, cf in bucket:
-            inputs = x[: i - 1] + y + x[i:]
-            flat[_tuple_flat(d, inputs) * d + j] += cf * cg
-    base = MultiMap(d, res_arity, DenseTensor((d,) * res_arity + (d,), flat))
+            key = (x[: i - 1] + y + x[i:], j)
+            acc[key] = acc.get(key, 0) + cf * cg
+    base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
     return GradedMultiMap(base, f.degree + g.degree, space)
 
 

@@ -259,6 +259,27 @@ def test_check_input_errors(tmp_path, capsys):
     assert run(capsys, "check", "--algebra", broken, "--identity", "jacobi")[0] == 2
 
 
+def test_check_zero_denominator_coefficient(tmp_path, capsys):
+    bad = write_json(
+        tmp_path / "bad-coef.json",
+        {"dim": 2, "arity": 3, "entries": [{"in": [0, 0, 0], "out": 1, "coef": "1/0"}]},
+    )
+    rc, out, err = run(capsys, "check", "--algebra", bad, "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "malformed" in err
+
+
+def test_check_oversized_structure(tmp_path, capsys):
+    # rejected against the cochain cap before any identity runs
+    for name, dim, arity in (("dim", 1000000, 3), ("arity", 2, 10**18), ("flat", 1, 10**18)):
+        path = write_json(tmp_path / f"{name}.json", {"dim": dim, "arity": arity, "entries": []})
+        for identity in ("partial-assoc", "roby", "partial-coassoc"):
+            rc, out, err = run(capsys, "check", "--algebra", path, "--identity", identity)
+            assert rc == 2 and out == "" and "cap" in err, (name, identity)
+    # the largest ternary structure under the default cap still loads
+    path = write_json(tmp_path / "edge.json", {"dim": 11, "arity": 3, "entries": []})
+    assert run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")[0] == 0
+
+
 # ---------------------------------------------------------------- cohomology
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -335,3 +336,22 @@ def test_convolution_check_cancellation_product():
     assert not total_assoc_check(mu).holds
     assert convolution_assoc_check(mu, grouplike(1, 3)).holds
     assert convolution_assoc_check(mu, grouplike(2, 3)).holds
+
+
+def test_comultiplication_witness_order():
+    # first_nonzero and the JSON entries follow the flattened index
+    # (source index, then output tuple) in lexicographic order
+    rng = random.Random(32)
+    for _ in range(30):
+        d, n = rng.randint(1, 3), rng.randint(2, 3)
+        delta = random_comultiplication(rng, d, n)
+        for c in (delta, coassoc_word(delta, rng.randrange(n))):
+            dense = [
+                ((i,) + outs, c.coef(i, outs))
+                for i in range(d)
+                for outs in product(range(d), repeat=c.arity)
+                if c.coef(i, outs)
+            ]
+            assert c.first_nonzero() == (dense[0] if dense else None)
+            entries = c.to_json_dict()["entries"]
+            assert [(e["in"],) + tuple(e["out"]) for e in entries] == [idx for idx, _ in dense]

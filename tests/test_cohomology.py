@@ -185,7 +185,13 @@ def test_cohomology_dims_upper_triangular():
                 inputs.append(r)
             e = MultiMap.from_entries(3, a, {(tuple(reversed(inputs)), j): 1})
             img = coboundary(mu, e)
-            rows.append(list(img.coeffs.entries))
+            row = [0] * (3 ** (a + 1) * 3)
+            for x, out, c in img.items():
+                flat = 0
+                for i in x + (out,):
+                    flat = flat * 3 + i
+                row[flat] = c
+            rows.append(row)
         rank, _, _ = dense_rref(rows)
         ranks[a] = rank
     assert table.steps[0].dim_ker == 3 * 3 - ranks[1]

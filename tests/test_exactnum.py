@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 
 from naryalg.exactnum import (
-    DenseTensor,
     SparseMatrix,
-    flat_index,
     in_row_space,
     kernel_basis,
-    multi_index,
     normalize_scalar,
     rational_arith,
     rref,
@@ -39,36 +36,6 @@ def test_scalar_normalization():
 def test_rational_div_by_zero():
     with pytest.raises(ZeroDivisionError):
         rational_arith(1, 0, "div")
-
-
-def test_tensor_index_examples():
-    shape = (2, 2)
-    assert flat_index(shape, (0, 0)) == 0
-    assert flat_index(shape, (1, 0)) == 2
-    assert flat_index(shape, (1, 1)) == 3
-    for flat in range(4):
-        assert flat_index(shape, multi_index(shape, flat)) == flat
-
-
-def test_tensor_index_bounds():
-    with pytest.raises(IndexError):
-        flat_index((2, 2), (0, 2))
-    with pytest.raises(IndexError):
-        multi_index((2, 2), 4)
-    with pytest.raises(ValueError):
-        flat_index((2, 2), (0, 0, 0))
-
-
-def test_dense_tensor_ops():
-    a = DenseTensor((2, 2), [1, 2, 3, 4])
-    b = DenseTensor((2, 2), [4, 3, 2, 1])
-    assert (a + b).entries == [5, 5, 5, 5]
-    assert (a - a).is_zero()
-    assert (-a).entries == [-1, -2, -3, -4]
-    assert a.scale(Fraction(1, 2)).entries == [Fraction(1, 2), 1, Fraction(3, 2), 2]
-    assert a[(1, 0)] == 3
-    assert a == DenseTensor((2, 2), [1, 2, 3, 4])
-    assert a != b
 
 
 def test_rref_single_row():

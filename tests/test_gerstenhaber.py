@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -394,3 +395,24 @@ def test_multimap_validation():
         MultiMap.from_entries(2, 2, {((0, 1, 1), 0): 1})
     with pytest.raises(ValueError):
         MultiMap.from_entries(2, 2, {((0, 2), 0): 1})
+
+
+def test_multimap_witness_order():
+    # first_nonzero and the JSON entries follow the flattened index
+    # (inputs, then output) in lexicographic order, also for computed maps
+    # whose terms were accumulated out of that order
+    rng = random.Random(31)
+    for _ in range(30):
+        d, k = rng.randint(1, 3), rng.randint(1, 3)
+        f = random_multimap(rng, d, k, density=rng.choice([0.1, 0.5]))
+        g = random_multimap(rng, d, rng.randint(1, 2), density=0.5)
+        for m in (f, insert_at(f, g, rng.randint(1, k))):
+            dense = [
+                (x + (j,), m.coef(x, j))
+                for x in product(range(d), repeat=m.arity)
+                for j in range(d)
+                if m.coef(x, j)
+            ]
+            assert m.first_nonzero() == (dense[0] if dense else None)
+            entries = m.to_json_dict()["entries"]
+            assert [tuple(e["in"]) + (e["out"],) for e in entries] == [idx for idx, _ in dense]
