@@ -31,6 +31,7 @@ from .coalg import (
 from .cohomology import DEFAULT_CAP, coboundary, cohomology_dims
 from .exactnum import SparseMatrix, in_row_space, kernel_basis, rref
 from .freealg import (
+    GENERATORS,
     FreeElement,
     ascii_tree,
     bracket_string,
@@ -39,8 +40,7 @@ from .freealg import (
     free_dims,
     fuss_catalan,
     l9_basis_report,
-    operadic_relations,
-    paper_rule_relations,
+    relation_system,
     solve,
     solved_relations,
     stack_systems,
@@ -48,6 +48,7 @@ from .freealg import (
 )
 from .gerstenhaber import (
     MultiMap,
+    _prelie_symmetry,
     antisymmetrize,
     apply_operator,
     composition_relation_defects,
@@ -308,15 +309,6 @@ def cmd_free_dims(args) -> int:
 # ---------------------------------------------------------------- free-export
 
 
-def _solved_system(n: int, p: int, kind: str):
-    if p < 2:
-        return solved_relations(n, p)
-    # degree 2 is the single seed row under every generator
-    if kind == "operadic" or p == 2:
-        return solve(operadic_relations(n, p))
-    return solve(paper_rule_relations(p))
-
-
 def _basis_tree_text(solved) -> str:
     lines = [
         f"n={solved.n} p={solved.p} rank={solved.rank} "
@@ -338,11 +330,15 @@ def cmd_free_export(args) -> int:
         raise InputError("p must be at least 1")
     if args.p > cap:
         raise InputError(f"p {args.p} exceeds the degree cap {cap}")
-    if args.generator in ("paper-rules", "both") and args.n != 3:
-        raise InputError("the textual rules are 3-ary only")
+    # both exports the two systems apart; the 3-ary-only one is built first,
+    # so that another n fails before any elimination
+    kinds = ("paper-rules", "operadic") if args.generator == "both" else (args.generator,)
+    try:
+        solved = [solve(relation_system(args.n, args.p, kind)) for kind in kinds]
+    except ValueError as e:
+        raise InputError(str(e)) from None
     if args.generator == "both":
-        op = _solved_system(args.n, args.p, "operadic")
-        pr = _solved_system(args.n, args.p, "paper-rules")
+        pr, op = solved
         joint = solve(stack_systems(op, pr))
         failing = [
             i
@@ -365,9 +361,8 @@ def cmd_free_export(args) -> int:
         }
         tree_source = joint
     else:
-        solved = _solved_system(args.n, args.p, args.generator)
-        payload = solved.to_json_dict()
-        tree_source = solved
+        tree_source = solved[0]
+        payload = tree_source.to_json_dict()
     if args.format == "tree":
         text = _basis_tree_text(tree_source)
     else:
@@ -464,14 +459,6 @@ def _sink_graded_product(rng, degrees, n, mu_degree, sources):
             return mu
 
 
-def _prelie_defect_with_mirror(f, g, h, mirror_sign):
-    m, p = g.arity, h.arity
-    lhs = gprod(gprod(f, g), h) - gprod(f, gprod(g, h))
-    rhs = gprod(gprod(f, h), g) - gprod(f, gprod(h, g))
-    sign = mirror_sign * (-1 if ((m - 1) * (p - 1)) % 2 else 1)
-    return lhs - rhs.scale(sign)
-
-
 def _suite_exactnum(rng, fixtures):
     checks = []
     rank, pivots, _ = rref(SparseMatrix.from_dense([[1, 2, 0], [0, 1, 1], [1, 3, 1]], 3))
@@ -499,7 +486,7 @@ def _suite_gerstenhaber(rng, fixtures):
         f = _random_map(rng, 2, 2)
         g = _random_map(rng, 2, kg)
         h = _random_map(rng, 2, kh)
-        if not _prelie_defect_with_mirror(f, g, h, sign).is_zero():
+        if not _prelie_symmetry(gprod, f, g, h, sign).is_zero():
             ok = False
     checks.append(("prelie_identity", ok))
     mu = random_square_zero(3, 3, rng.randrange(1 << 30), 1)
@@ -720,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--p-max", type=int, required=True, help="largest tree degree")
     fd.add_argument(
         "--generator",
-        choices=("operadic", "paper-rules", "both"),
+        choices=GENERATORS,
         default="operadic",
         help="relation generator (paper-rules and both are 3-ary only)",
     )
@@ -733,7 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--p", type=int, required=True, help="tree degree")
     fe.add_argument(
         "--generator",
-        choices=("operadic", "paper-rules", "both"),
+        choices=GENERATORS,
         default="operadic",
         help="with both: both systems plus the containment report",
     )

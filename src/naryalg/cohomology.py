@@ -174,11 +174,15 @@ def cohomology_dims(
         raise ValueError("multiplication is not partially associative")
     odd = n % 2 == 1
     k0 = 0 if slot >= 1 else 1
-    arities = [slot + k * (n - 1) for k in range(k0, k0 + steps)]
-    for a in arities + [arities[-1] + n - 1]:
+    # the row's arities and the target arity of its last differential; each
+    # is checked as it is made, so a huge steps stops at the first over cap
+    arities = []
+    for k in range(k0, k0 + steps + 1):
+        a = slot + k * (n - 1)
         space = d ** a * d
         if space > cap:
             raise ValueError(f"cochain space size {space} exceeds cap {cap}")
+        arities.append(a)
 
     def delta_rank_and_domain_dim(a: int) -> tuple[int, int]:
         if odd:
@@ -196,7 +200,7 @@ def cohomology_dims(
 
     table_steps = []
     prev_rank = 0
-    for idx, a in enumerate(arities):
+    for idx, a in enumerate(arities[:-1]):
         rank, dim_domain = delta_rank_and_domain_dim(a)
         dim_ker = dim_domain - rank
         dim_im_prev = 0 if idx == 0 else prev_rank

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from .exactnum import (
@@ -301,9 +302,7 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
             n_leaves = k * (n - 1) + 1
             for q in range(1, n_leaves + 1):
                 for parts in _compositions(budget, 2 * n - 1):
-                    from itertools import product as iproduct
-
-                    for subs in iproduct(*(trees_cache[b] for b in parts)):
+                    for subs in product(*(trees_cache[b] for b in parts)):
                         row = {}
                         for i in range(1, n + 1):
                             filled = _replace_leaves(_two_level(n, i), subs)
@@ -507,6 +506,28 @@ def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
     return FreeElement(x.n, x.p, out)
 
 
+GENERATORS = ("operadic", "paper-rules", "both")
+
+
+def relation_system(n: int, p: int, generator: str = "operadic") -> RelationSystem:
+    """The unsolved degree-p relation system of the named generator.
+
+    Degrees below 2 have no relations, and degree 2 is the single seed row
+    under every generator. paper-rules and both are 3-ary only.
+    """
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}")
+    if generator != "operadic" and n != 3:
+        raise ValueError("the textual rules are 3-ary only")
+    if p < 2:
+        return RelationSystem(n, p, (TreeCode(n, p, ()),), ())
+    if generator == "operadic" or p == 2:
+        return operadic_relations(n, p)
+    if generator == "paper-rules":
+        return paper_rule_relations(p)
+    return stack_systems(operadic_relations(n, p), paper_rule_relations(p))
+
+
 _solved_cache: dict = {}
 
 
@@ -514,13 +535,7 @@ def solved_relations(n: int, p: int) -> RelationSystem:
     """Solved operadic system, cached; degree 0 and 1 have no relations."""
     key = (n, p)
     if key not in _solved_cache:
-        if p < 2:
-            codes = (
-                (TreeCode(n, p, ()),) if p in (0, 1) else tuple(enumerate_codes(n, p))
-            )
-            _solved_cache[key] = solve(RelationSystem(n, p, codes, ()))
-        else:
-            _solved_cache[key] = solve(operadic_relations(n, p))
+        _solved_cache[key] = solve(relation_system(n, p))
     return _solved_cache[key]
 
 
@@ -578,9 +593,7 @@ def evaluate(x: FreeElement, mu: MultiMap) -> list:
             v, pos = eval_node(ch, word, pos)
             vecs.append(v)
         out: dict = {}
-        from itertools import product as iproduct
-
-        for combo in iproduct(*(v.items() for v in vecs)):
+        for combo in product(*(v.items() for v in vecs)):
             idx = tuple(i for i, _ in combo)
             factor = 1
             for _, cv in combo:
@@ -631,26 +644,10 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
 
 def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
     """Quotient multipliers per degree, with timing and the p+1 comparison."""
-    if generator not in ("operadic", "paper-rules", "both"):
-        raise ValueError(f"unknown generator {generator!r}")
-    if generator != "operadic" and n != 3:
-        raise ValueError("the textual rules are 3-ary only")
     report = []
     for p in range(1, p_max + 1):
         start = time.perf_counter()
-        if p < 2:
-            solved = solved_relations(n, p)
-        else:
-            # degree 2 is the single seed row under every generator
-            if generator == "operadic" or p == 2:
-                system = operadic_relations(n, p)
-            elif generator == "paper-rules":
-                system = paper_rule_relations(p)
-            else:
-                system = stack_systems(
-                    operadic_relations(n, p), paper_rule_relations(p)
-                )
-            solved = solve(system)
+        solved = solve(relation_system(n, p, generator))
         elapsed = time.perf_counter() - start
         report.append(
             {

@@ -5,7 +5,9 @@ exactly, as a sparse dict; every kernel below accumulates into such a dict.
 The module implements the comb-insertion f at slot i, the signed insertion
 sum f * g, the partial associativity defect A(mu), the theta operator, the
 shuffle Jacobi sum, and the degree-7 composition identities for ternary
-multiplications.
+multiplications. The insertion kernel, the pre-Lie symmetry and the
+composition-relation walk also serve the graded calculus in graded.py, which
+adds a Koszul sign; on a space concentrated in degree 0 that sign is +1.
 """
 
 from __future__ import annotations
@@ -181,15 +183,36 @@ def report_from_defect(name: str, defect: MultiMap) -> IdentityReport:
     return IdentityReport(name, False, w)
 
 
-def _insert_into(acc: dict, f: MultiMap, g: MultiMap, i: int, sign: int) -> None:
-    """Add sign times (f with g at slot i) to the terms in acc."""
+def _insert_into(acc: dict, f: MultiMap, g: MultiMap, i: int, sign: int,
+                 degrees=(), g_degree: int = 0) -> None:
+    """Add sign times (f with g at slot i) to the terms in acc.
+
+    With the degrees of a graded space and the degree of g, g also picks up
+    the Koszul sign (-1)^(g_degree * degree of the i-1 arguments it crosses).
+    An even g_degree, or slot 1, crosses with sign +1, so that case does no
+    sign work per term.
+    """
+    koszul = g_degree % 2 and i > 1
     by_slot: dict[int, list] = {}
     for (x, j), cf in f.terms.items():
-        by_slot.setdefault(x[i - 1], []).append((x[: i - 1], x[i:], j, sign * cf))
+        head = x[: i - 1]
+        if koszul and sum(degrees[t] for t in head) % 2:
+            cf = -cf
+        by_slot.setdefault(x[i - 1], []).append((head, x[i:], j, sign * cf))
     for (y, m), cg in g.terms.items():
         for head, tail, j, cf in by_slot.get(m, ()):
             key = (head + y + tail, j)
             acc[key] = acc.get(key, 0) + cf * cg
+
+
+def _gprod_terms(f: MultiMap, g: MultiMap, degrees=(), g_degree: int = 0) -> dict:
+    """Terms of the signed insertion sum, every slot in one accumulator."""
+    l = g.arity
+    acc: dict = {}
+    for i in range(1, f.arity + 1):
+        sign = -1 if ((i - 1) * (l - 1)) % 2 else 1
+        _insert_into(acc, f, g, i, sign, degrees, g_degree)
+    return acc
 
 
 def insert_at(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
@@ -207,11 +230,7 @@ def gprod(f: MultiMap, g: MultiMap) -> MultiMap:
     """Signed insertion sum: sum_i (-1)^((i-1)(arity(g)-1)) f with g at slot i."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    l = g.arity
-    acc: dict = {}
-    for i in range(1, f.arity + 1):
-        _insert_into(acc, f, g, i, -1 if ((i - 1) * (l - 1)) % 2 else 1)
-    return MultiMap(f.dim, f.arity + l - 1, acc)
+    return MultiMap(f.dim, f.arity + g.arity - 1, _gprod_terms(f, g))
 
 
 def partial_assoc_defect(mu: MultiMap) -> MultiMap:
@@ -231,14 +250,39 @@ def total_assoc_check(mu: MultiMap) -> IdentityReport:
     return IdentityReport(name, True)
 
 
+def _prelie_symmetry(product, f, g, h, sign: int = 1):
+    """(f*g)*h - f*(g*h) minus sign (-1)^((m-1)(p-1)) times its g,h-swapped
+    mirror, m and p the arities of g and h; * is the given product."""
+    lhs = product(product(f, g), h) - product(f, product(g, h))
+    rhs = product(product(f, h), g) - product(f, product(h, g))
+    if ((g.arity - 1) * (h.arity - 1)) % 2:
+        sign = -sign
+    return lhs - rhs.scale(sign)
+
+
 def prelie_defect(f: MultiMap, g: MultiMap, h: MultiMap) -> MultiMap:
     """(f*g)*h - f*(g*h) minus its g,h-swapped mirror; identically zero."""
-    m, p = g.arity, h.arity
-    lhs = gprod(gprod(f, g), h) - gprod(f, gprod(g, h))
-    rhs = gprod(gprod(f, h), g) - gprod(f, gprod(h, g))
-    if ((m - 1) * (p - 1)) % 2:
-        return lhs + rhs
-    return lhs - rhs
+    return _prelie_symmetry(gprod, f, g, h)
+
+
+def _word_powers(word) -> tuple[int, int]:
+    """(source, target) tensor powers of a word of ("id", m) and ("map", f)
+    segments."""
+    src = tgt = 0
+    for seg in word:
+        kind = seg[0]
+        if kind == "id":
+            m = seg[1]
+            if m < 1:
+                raise ValueError("id segment must have m >= 1")
+            src += m
+            tgt += m
+        elif kind == "map":
+            src += seg[1].arity
+            tgt += 1
+        else:
+            raise ValueError(f"bad segment {seg!r}")
+    return src, tgt
 
 
 class Operator:
@@ -254,21 +298,7 @@ class Operator:
     def __init__(self, source_power: int, target_power: int, terms):
         terms = [(c, tuple(word)) for c, word in terms]
         for _, word in terms:
-            src = 0
-            tgt = 0
-            for seg in word:
-                kind = seg[0]
-                if kind == "id":
-                    m = seg[1]
-                    if m < 1:
-                        raise ValueError("id segment must have m >= 1")
-                    src += m
-                    tgt += m
-                elif kind == "map":
-                    src += seg[1].arity
-                    tgt += 1
-                else:
-                    raise ValueError(f"bad segment {seg!r}")
+            src, tgt = _word_powers(word)
             if src != source_power or tgt != target_power:
                 raise ValueError(
                     f"word arity {src}->{tgt}, operator is {source_power}->{target_power}"
@@ -423,19 +453,8 @@ def jacobi_defect(mu: MultiMap) -> MultiMap:
 
 def _compose_words(mu: MultiMap, outer_word, inner_word) -> MultiMap:
     """mu after outer_word after inner_word, evaluated by two operator hops."""
-    def power(word):
-        src = tgt = 0
-        for seg in word:
-            if seg[0] == "id":
-                src += seg[1]
-                tgt += seg[1]
-            else:
-                src += seg[1].arity
-                tgt += 1
-        return src, tgt
-
-    o_src, o_tgt = power(outer_word)
-    i_src, i_tgt = power(inner_word)
+    o_src, o_tgt = _word_powers(outer_word)
+    i_src, i_tgt = _word_powers(inner_word)
     if o_src != i_tgt:
         raise ValueError("word powers do not compose")
     step = apply_operator(mu, Operator(o_src, o_tgt, [(1, outer_word)]))
@@ -471,28 +490,31 @@ def degree7_defects(mu: MultiMap) -> tuple[MultiMap, MultiMap]:
     return first, second
 
 
-def composition_relation_defects(mu: MultiMap) -> IdentityReport:
-    """Commutation of disjoint insertions, checked over both index families.
+def _composition_report(name: str, mu, insert, sign: int) -> IdentityReport:
+    """Disjoint insertions of mu into mu commute up to sign, over both index
+    families; insert(f, g, i) is the insertion at slot i.
 
     Family one: (mu *_j mu) *_i mu = (mu *_i mu) *_{j+n-1} mu for i < j <= n.
     Family two re-indexes the outer slot past the inserted block: for
     i >= n+1 and j <= i-n, (mu *_j mu) *_i mu = (mu *_{i-n+1} mu) *_j mu.
     """
     n = mu.arity
-    name = "composition_relations"
-    self_ins = {i: insert_at(mu, mu, i) for i in range(1, n + 1)}
-    for j in range(1, n + 1):
-        for i in range(1, j):
-            lhs = insert_at(self_ins[j], mu, i)
-            rhs = insert_at(self_ins[i], mu, j + n - 1)
-            wtn = (lhs - rhs).first_nonzero()
-            if wtn is not None:
-                return IdentityReport(name, False, ("family1", i, j) + wtn)
-    for i in range(n + 1, 2 * n):
-        for j in range(1, i - n + 1):
-            lhs = insert_at(self_ins[j], mu, i)
-            rhs = insert_at(self_ins[i - n + 1], mu, j)
-            wtn = (lhs - rhs).first_nonzero()
-            if wtn is not None:
-                return IdentityReport(name, False, ("family2", i, j) + wtn)
+    self_ins = {i: insert(mu, mu, i) for i in range(1, n + 1)}
+    walk = [("family1", i, j, i, j + n - 1) for j in range(1, n + 1) for i in range(1, j)]
+    walk += [
+        ("family2", i, j, i - n + 1, j)
+        for i in range(n + 1, 2 * n)
+        for j in range(1, i - n + 1)
+    ]
+    for family, i, j, inner, outer in walk:
+        lhs = insert(self_ins[j], mu, i)
+        rhs = insert(self_ins[inner], mu, outer)
+        wtn = (lhs - rhs.scale(sign)).first_nonzero()
+        if wtn is not None:
+            return IdentityReport(name, False, (family, i, j) + wtn)
     return IdentityReport(name, True)
+
+
+def composition_relation_defects(mu: MultiMap) -> IdentityReport:
+    """Commutation of disjoint insertions, checked over both index families."""
+    return _composition_report("composition_relations", mu, insert_at, 1)

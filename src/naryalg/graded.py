@@ -11,8 +11,17 @@ theorems checked by the test suite instead of built-in assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .gerstenhaber import IdentityReport, MultiMap
+from .gerstenhaber import (
+    IdentityReport,
+    MultiMap,
+    _composition_report,
+    _gprod_terms,
+    _insert_into,
+    _prelie_symmetry,
+    report_from_defect,
+)
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,9 @@ class GradedMultiMap:
 
     def is_zero(self) -> bool:
         return self.base.is_zero()
+
+    def first_nonzero(self):
+        return self.base.first_nonzero()
 
     def __eq__(self, other):
         if not isinstance(other, GradedMultiMap):
@@ -171,8 +183,6 @@ def koszul_apply(maps, args, space: GradedSpace) -> dict:
         raise ValueError(f"word consumes {pos} arguments, got {len(args)}")
     sign = -1 if sign_exp % 2 else 1
     out: dict = {}
-    from itertools import product
-
     for combo in product(*options):
         idx = []
         c = sign
@@ -219,35 +229,19 @@ def graded_insert(f: GradedMultiMap, g: GradedMultiMap, i: int) -> GradedMultiMa
         raise ValueError("graded space mismatch")
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
-    space = f.space
     acc: dict = {}
-    by_slot: dict[int, list] = {}
-    for x, j, cf in f.items():
-        # the prefix x[:i-1] is what g crosses; its degree fixes the sign
-        exp = g.degree * space.tuple_degree(x[: i - 1])
-        by_slot.setdefault(x[i - 1], []).append((x, j, -cf if exp % 2 else cf))
-    for y, m, cg in g.items():
-        bucket = by_slot.get(m)
-        if not bucket:
-            continue
-        for x, j, cf in bucket:
-            key = (x[: i - 1] + y + x[i:], j)
-            acc[key] = acc.get(key, 0) + cf * cg
+    _insert_into(acc, f.base, g.base, i, 1, f.space.degrees, g.degree)
     base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
-    return GradedMultiMap(base, f.degree + g.degree, space)
+    return GradedMultiMap(base, f.degree + g.degree, f.space)
 
 
 def graded_gprod(f: GradedMultiMap, g: GradedMultiMap) -> GradedMultiMap:
     """Signed insertion sum with the comb signs (-1)^((i-1)(arity(g)-1))."""
-    l = g.arity
-    total = GradedMultiMap.zero(f.space, f.arity + l - 1, f.degree + g.degree)
-    for i in range(1, f.arity + 1):
-        term = graded_insert(f, g, i)
-        if ((i - 1) * (l - 1)) % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
+    if f.space != g.space:
+        raise ValueError("graded space mismatch")
+    acc = _gprod_terms(f.base, g.base, f.space.degrees, g.degree)
+    base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
+    return GradedMultiMap(base, f.degree + g.degree, f.space)
 
 
 def _constant_sign_ratio(a: GradedMultiMap, b: GradedMultiMap):
@@ -302,13 +296,9 @@ def graded_assoc_equivalence(mu: GradedMultiMap) -> IdentityReport:
         rhs = rhs + graded_insert(smu, smu, i)
     if (n - 1) % 2:
         rhs = -rhs
-    diff = lhs - rhs
-    w = diff.base.first_nonzero()
     both_zero = lhs.is_zero() and rhs.is_zero()
     name = f"graded_assoc_equivalence(sides_vanish={both_zero})"
-    if w is None:
-        return IdentityReport(name, True)
-    return IdentityReport(name, False, w)
+    return report_from_defect(name, lhs - rhs)
 
 
 def graded_prelie_defect(
@@ -319,13 +309,8 @@ def graded_prelie_defect(
     Zero for every homogeneous triple; the swapped terms carry the arity
     sign and the Koszul factor (-1)^(|g||h|).
     """
-    m, p = g.arity, h.arity
-    lhs = graded_gprod(graded_gprod(f, g), h) - graded_gprod(f, graded_gprod(g, h))
-    rhs = graded_gprod(graded_gprod(f, h), g) - graded_gprod(f, graded_gprod(h, g))
-    exp = (m - 1) * (p - 1) + g.degree * h.degree
-    if exp % 2:
-        return lhs + rhs
-    return lhs - rhs
+    koszul = -1 if (g.degree * h.degree) % 2 else 1
+    return _prelie_symmetry(graded_gprod, f, g, h, koszul)
 
 
 def graded_coboundary(mu: GradedMultiMap, phi: GradedMultiMap) -> GradedMultiMap:
@@ -341,26 +326,5 @@ def graded_coboundary(mu: GradedMultiMap, phi: GradedMultiMap) -> GradedMultiMap
 
 def graded_composition_relations(mu: GradedMultiMap) -> IdentityReport:
     """Disjoint insertions commute up to (-1)^(|mu||mu|), both index families."""
-    n = mu.arity
-    name = "graded_composition_relations"
     sign = -1 if (mu.degree * mu.degree) % 2 else 1
-    self_ins = {i: graded_insert(mu, mu, i) for i in range(1, n + 1)}
-
-    def scaled(m):
-        return m if sign == 1 else -m
-
-    for j in range(1, n + 1):
-        for i in range(1, j):
-            lhs = graded_insert(self_ins[j], mu, i)
-            rhs = scaled(graded_insert(self_ins[i], mu, j + n - 1))
-            w = (lhs - rhs).base.first_nonzero()
-            if w is not None:
-                return IdentityReport(name, False, ("family1", i, j) + w)
-    for i in range(n + 1, 2 * n):
-        for j in range(1, i - n + 1):
-            lhs = graded_insert(self_ins[j], mu, i)
-            rhs = scaled(graded_insert(self_ins[i - n + 1], mu, j))
-            w = (lhs - rhs).base.first_nonzero()
-            if w is not None:
-                return IdentityReport(name, False, ("family2", i, j) + w)
-    return IdentityReport(name, True)
+    return _composition_report("graded_composition_relations", mu, graded_insert, sign)

@@ -1,0 +1,28 @@
+"""One traced repetition of the bench's checks workload.
+
+The tracer in perfbench/layertrace.py wraps every binding of the package's
+public functions and fails when one is missed or when a layer the workload
+needs records no span. Running it here makes a refactor of src/ that breaks
+either check fail the test suite, not only a later bench run.
+"""
+
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_checks_repetition():
+    argv = [
+        sys.executable, "-I", str(ROOT / "perfbench" / "worker.py"),
+        "--workload", "checks", "--seed", "1", "--trace", "1",
+        "--spawned", str(time.monotonic()),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["failures"] == []
+    assert result["missing_layers"] == []

@@ -146,6 +146,34 @@ def test_export_errors(tmp_path, capsys):
     assert run(capsys, "free-export", "--n", "3", "--p", "2", str(missing_dir))[0] == 2
 
 
+def test_free_dims_and_export_share_the_dispatch(capsys):
+    # p=1 has no relations, p=2 is the seed row under every generator, and
+    # both reports the joint system
+    for generator in ("operadic", "paper-rules", "both"):
+        rc, out, _ = run(
+            capsys, "free-dims", "--n", "3", "--p-max", "4", "--generator", generator,
+            "--format", "json",
+        )
+        assert rc == 0
+        table = json.loads(out)
+        assert [r["p"] for r in table] == [1, 2, 3, 4]
+        for row in table:
+            rc, out, _ = run(
+                capsys, "free-export", "--n", "3", "--p", str(row["p"]),
+                "--generator", generator, "--format", "json",
+            )
+            assert rc == 0
+            data = json.loads(out)
+            if generator == "both":
+                data = data["joint"]
+            assert (data["rank"], data["quotient_multiplier"]) == (
+                row["rank"], row["multiplier"]
+            ), (generator, row["p"])
+        assert run(
+            capsys, "free-export", "--n", "2", "--p", "1", "--generator", generator
+        )[0] == (0 if generator == "operadic" else 2)
+
+
 # --------------------------------------------------------------------- check
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from naryalg.cohomology import (
     unital_phi,
 )
 from naryalg.gerstenhaber import MultiMap, gprod, partial_assoc_defect
+from naryalg.identities import matrix2
 from fixtures import (
     block_domain_map,
     matrix_algebra,
@@ -311,3 +313,16 @@ def test_unital_phi_chain_fails_beyond_scalars():
 def test_unital_phi_rejects_non_unital():
     with pytest.raises(ValueError):
         unital_phi(matrix_algebra(2), 0, MultiMap.zero(4, 1))
+
+
+def test_cohomology_steps_capped_before_arities_are_built():
+    # the cap stops a huge --steps at the first arity over it, before a list
+    # of steps arities or a power of that size is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap"):
+            cohomology_dims(matrix2(), 0, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -4,7 +4,13 @@ import random
 import pytest
 
 from naryalg.exactnum import Fraction
-from naryalg.gerstenhaber import MultiMap, gprod, insert_at, prelie_defect
+from naryalg.gerstenhaber import (
+    MultiMap,
+    composition_relation_defects,
+    gprod,
+    insert_at,
+    prelie_defect,
+)
 from naryalg.graded import (
     GradedMultiMap,
     GradedSpace,
@@ -218,6 +224,55 @@ def test_graded_insert_degree_zero_matches_ungraded():
         i = rng.randint(1, k)
         assert graded_insert(f, g, i).base == insert_at(f.base, g.base, i)
         assert graded_gprod(f, g).base == gprod(f.base, g.base)
+        h = random_homogeneous(rng, sp, rng.randint(1, 2), 0, density=0.5)
+        assert graded_prelie_defect(f, g, h).base == prelie_defect(f.base, g.base, h.base)
+        graded = graded_composition_relations(f)
+        plain = composition_relation_defects(f.base)
+        assert (graded.holds, graded.witness) == (plain.holds, plain.witness)
+
+
+def test_graded_gprod_is_signed_sum_of_inserts():
+    # one accumulator for all slots gives the slot-by-slot signed sum, also
+    # when odd degrees make the Koszul prefix sign act
+    rng = random.Random(11)
+    sp = GradedSpace((0, 1, 2))
+    odd_cases = 0
+    for _ in range(40):
+        f = random_homogeneous(rng, sp, rng.randint(1, 3), rng.choice([0, 1]), density=0.6)
+        g = random_homogeneous(rng, sp, rng.randint(1, 3), rng.choice([1, 2]), density=0.6)
+        l = g.arity
+        total = GradedMultiMap.zero(sp, f.arity + l - 1, f.degree + g.degree)
+        for i in range(1, f.arity + 1):
+            term = graded_insert(f, g, i)
+            total = total - term if ((i - 1) * (l - 1)) % 2 else total + term
+        assert graded_gprod(f, g) == total
+        if g.degree % 2 and not total.is_zero():
+            odd_cases += 1
+    assert odd_cases >= 5
+
+
+def test_graded_insert_matches_koszul_word():
+    # f after (id_{i-1} (x) g (x) id) on every basis tensor, through the
+    # word convention of koszul_apply
+    rng = random.Random(23)
+    sp = GradedSpace((0, 1, 2))
+    signed = 0
+    for _ in range(40):
+        f = random_homogeneous(rng, sp, rng.randint(1, 3), rng.choice([-1, 0, 1]), density=0.6)
+        g = random_homogeneous(rng, sp, rng.randint(1, 2), rng.choice([-1, 0, 1]), density=0.6)
+        i = rng.randint(1, f.arity)
+        got = graded_insert(f, g, i)
+        word = [("id", i - 1), g, ("id", f.arity - i)]
+        for x in itertools.product(range(sp.dim), repeat=got.arity):
+            want = {}
+            for y, c in koszul_apply(word, x, sp).items():
+                for j, cf in f.base.value_at(y).items():
+                    want[j] = want.get(j, 0) + c * cf
+            want = {j: v for j, v in want.items() if v}
+            assert got.base.value_at(x) == want
+            if want and g.degree % 2 and sp.tuple_degree(x[: i - 1]) % 2:
+                signed += 1  # g crossed an odd prefix: the sign was -1
+    assert signed >= 5
 
 
 def test_graded_insert_prefix_sign():
