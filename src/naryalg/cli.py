@@ -28,7 +28,7 @@ from .coalg import (
     partial_coassoc_defect,
     total_coassoc_check,
 )
-from .cohomology import DEFAULT_CAP, coboundary, cohomology_dims
+from .cohomology import DEFAULT_CAP, _dense_size_exceeds, coboundary, cohomology_dims
 from .exactnum import SparseMatrix, in_row_space, kernel_basis, rref
 from .freealg import (
     GENERATORS,
@@ -106,7 +106,7 @@ def _resolve_cap(flag_value, default):
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return str(x)
+        return int(x) if x.denominator == 1 else str(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -134,20 +134,6 @@ def _load_algebra(ref):
     if not isinstance(data, dict):
         raise InputError(f"algebra file {ref} must hold a JSON object")
     return data
-
-
-def _dense_size_exceeds(dim: int, arity: int, cap: int) -> bool:
-    """Whether dim^(arity+1) > cap, without raising the power.
-
-    A one-dimensional space counts as two, so that the arity is bounded as
-    well: every identity loops over the argument slots.
-    """
-    size = 1
-    for _ in range(arity + 1):
-        size *= max(dim, 2)
-        if size > cap:
-            return True
-    return False
 
 
 def _coerce_algebra(loaded, kind: str, ref: str, cap: int):

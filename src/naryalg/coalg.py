@@ -1,21 +1,23 @@
 """Comultiplications and their interplay with n-ary products.
 
 A Comultiplication stores Delta: M -> M^{otimes n} as the transpose of the
-sparse structure constants of its dual product. The module computes the
-signed coassociativity defect, checks total coassociativity, transposes
-structures between algebras and coalgebras in both directions, and builds
-the convolution product on Hom(M, A).
+sparse structure constants of its dual product. The coassociativity words
+and the signed coassociativity defect are the transposes of the dual
+product's self-insertions and partial associativity defect, so they run on
+the MultiMap kernels. The module also checks total coassociativity,
+transposes structures between algebras and coalgebras in both directions,
+and builds the convolution product on Hom(M, A).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .exactnum import normalize_scalar
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
+    insert_at,
     partial_assoc_defect,
     report_from_defect,
 )
@@ -67,31 +69,23 @@ def grouplike(dim: int, arity: int) -> Comultiplication:
 
 
 def coassoc_word(delta: Comultiplication, p: int) -> Comultiplication:
-    """(Id_p ox Delta ox Id_{n-1-p}) o Delta as a map M -> M^{otimes 2n-1}."""
+    """(Id_p ox Delta ox Id_{n-1-p}) o Delta as a map M -> M^{otimes 2n-1}:
+    the transpose of the dual product with itself inserted at slot p+1."""
     n = delta.arity
     if not 0 <= p <= n - 1:
         raise ValueError(f"position {p} not in 0..{n - 1}")
-    rows = delta.rows()
-    acc = {}
-    for i in range(delta.dim):
-        for outs, c in rows[i]:
-            for inner, c2 in rows[outs[p]]:
-                key = (i, outs[:p] + inner + outs[p + 1 :])
-                acc[key] = acc.get(key, 0) + c * c2
-    return Comultiplication.from_entries(delta.dim, 2 * n - 1, acc)
+    mu = dual_of_coalgebra(delta)
+    return dual_of_algebra(insert_at(mu, mu, p + 1))
 
 
 def partial_coassoc_defect(delta: Comultiplication) -> Comultiplication:
     """Signed sum of the n comultiplication placements, as M -> M^{otimes 2n-1}.
 
-    Zero iff delta is partially coassociative.
+    The transpose of the dual product's partial associativity defect: the
+    sign (-1)^(p(n-1)) of placement p is gprod's sign at slot p+1. Zero iff
+    delta is partially coassociative.
     """
-    n = delta.arity
-    acc = Comultiplication.zero(delta.dim, 2 * n - 1)
-    for p in range(n):
-        word = coassoc_word(delta, p)
-        acc = acc + word if p * (n - 1) % 2 == 0 else acc - word
-    return acc
+    return dual_of_algebra(partial_assoc_defect(dual_of_coalgebra(delta)))
 
 
 def total_coassoc_check(delta: Comultiplication) -> IdentityReport:
@@ -217,18 +211,12 @@ def convolution(mu: MultiMap, delta: Comultiplication, fs) -> HomElement:
             )
     out = [[0] * d_a for _ in range(d_m)]
     for i, outs, c in delta.items():
-        # image vectors f_t(e_{j_t}) in A, kept as sparse lists
-        vecs = []
-        for t in range(n):
-            row = fs[t].mat[outs[t]]
-            vecs.append([(a, v) for a, v in enumerate(row) if v])
-        for picks in product(*vecs):
-            coef = c
-            for _, v in picks:
-                coef = coef * v
-            inputs = tuple(a for a, _ in picks)
-            for b, w in mu.value_at(inputs).items():
-                out[i][b] += coef * w
+        # image vectors f_t(e_{j_t}) in A, kept sparse
+        vecs = [
+            {a: v for a, v in enumerate(fs[t].mat[outs[t]]) if v} for t in range(n)
+        ]
+        for b, w in mu.apply(*vecs).items():
+            out[i][b] += c * w
     return HomElement(out)
 
 
@@ -236,27 +224,20 @@ def convolution_multimap(mu: MultiMap, delta: Comultiplication) -> MultiMap:
     """The convolution product as structure constants on the matrix-unit basis.
 
     Hom(M, A) gets the basis E_{ab} (source a to target b), flattened as
-    a * dim_dst + b.
+    a * dim_dst + b. E_{a_1 b_1} * ... * E_{a_n b_n} sends e_i to the
+    (a_1..a_n) coefficient of Delta(e_i) times mu(e_{b_1},...,e_{b_n}), so
+    each constant is one delta term times one mu term.
     """
     n = mu.arity
     if delta.arity != n:
         raise ValueError(f"arity mismatch: product {n}, comultiplication {delta.arity}")
-    d_m, d_a = delta.dim, mu.dim
-    units = [
-        HomElement.matrix_unit(d_m, d_a, a, b)
-        for a in range(d_m)
-        for b in range(d_a)
-    ]
-    dim_hom = d_m * d_a
+    d_a = mu.dim
     entries = {}
-    for combo in product(range(dim_hom), repeat=n):
-        result = convolution(mu, delta, [units[u] for u in combo])
-        for a in range(d_m):
-            for b in range(d_a):
-                v = result.mat[a][b]
-                if v:
-                    entries[(combo, a * d_a + b)] = v
-    return MultiMap.from_entries(dim_hom, n, entries)
+    for (outs, i), c in delta.terms.items():
+        for (bs, b), w in mu.terms.items():
+            key = (tuple(a * d_a + b_t for a, b_t in zip(outs, bs)), i * d_a + b)
+            entries[key] = c * w
+    return MultiMap.from_entries(delta.dim * d_a, n, entries)
 
 
 def convolution_assoc_check(mu: MultiMap, delta: Comultiplication) -> IdentityReport:

@@ -20,6 +20,21 @@ from .gerstenhaber import (
 DEFAULT_CAP = 20000
 
 
+def _dense_size_exceeds(dim: int, arity: int, cap: int) -> bool:
+    """Whether dim^(arity+1) > cap, without raising the power.
+
+    A one-dimensional space counts as two, so that the arity is bounded as
+    well: the work on a cochain space grows with its arity even when its
+    dense size stays 1.
+    """
+    size = 1
+    for _ in range(arity + 1):
+        size *= max(dim, 2)
+        if size > cap:
+            return True
+    return False
+
+
 def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
     """delta(phi), raising the arity by arity(mu) - 1."""
     if mu.dim != phi.dim:
@@ -179,9 +194,9 @@ def cohomology_dims(
     arities = []
     for k in range(k0, k0 + steps + 1):
         a = slot + k * (n - 1)
-        space = d ** a * d
-        if space > cap:
-            raise ValueError(f"cochain space size {space} exceeds cap {cap}")
+        if _dense_size_exceeds(d, a, cap):
+            size = d ** a * d if d > 1 else f"2^{a + 1} (dim 1 counts as 2)"
+            raise ValueError(f"cochain space size {size} exceeds cap {cap}")
         arities.append(a)
 
     def delta_rank_and_domain_dim(a: int) -> tuple[int, int]:

@@ -155,21 +155,9 @@ def residual(reduced: SparseMatrix, vec) -> dict:
         r = {c: Fraction(v) for c, v in enumerate(vec) if v}
     by_pivot = {row[0][0]: row for row in reduced.rows if row}
     for c in sorted(r):
-        coeff = r.get(c, 0)
-        if not coeff:
-            continue
         row = by_pivot.get(c)
-        if row is None:
-            continue
-        del r[c]
-        for cc, vv in row:
-            if cc == c:
-                continue
-            nv = r.get(cc, 0) - coeff * vv
-            if nv:
-                r[cc] = nv
-            else:
-                r.pop(cc, None)
+        if row is not None and c in r:
+            _eliminate(r, r.pop(c), dict(row), c)
     return {c: normalize_scalar(v) for c, v in r.items()}
 
 

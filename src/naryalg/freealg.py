@@ -592,15 +592,7 @@ def evaluate(x: FreeElement, mu: MultiMap) -> list:
         for ch in node.children:
             v, pos = eval_node(ch, word, pos)
             vecs.append(v)
-        out: dict = {}
-        for combo in product(*(v.items() for v in vecs)):
-            idx = tuple(i for i, _ in combo)
-            factor = 1
-            for _, cv in combo:
-                factor *= cv
-            for j, cmu in mu.value_at(idx).items():
-                out[j] = out.get(j, 0) + factor * cmu
-        return {k: v for k, v in out.items() if v}, pos
+        return mu.apply(*vecs), pos
 
     for (code, word), coef in x.entries.items():
         vec, _ = eval_node(tree_from_code(code), word, 0)

@@ -8,6 +8,8 @@ shuffle Jacobi sum, and the degree-7 composition identities for ternary
 multiplications. The insertion kernel, the pre-Lie symmetry and the
 composition-relation walk also serve the graded calculus in graded.py, which
 adds a Koszul sign; on a space concentrated in degree 0 that sign is +1.
+MultiMap.apply is the one evaluation on sparse coordinate vectors, and
+_permute_into the one argument-permutation kernel.
 """
 
 from __future__ import annotations
@@ -85,6 +87,26 @@ class MultiMap:
         terms = self.terms
         return {j: terms[inputs, j] for j in range(self.dim) if (inputs, j) in terms}
 
+    def apply(self, *vectors) -> dict:
+        """m(v_1,...,v_k) on sparse {basis index: coefficient} vectors, as
+        {output index: coefficient} with zeros omitted."""
+        out: dict = {}
+        self._apply_into(out, vectors)
+        return {j: v for j, v in out.items() if v}
+
+    def _apply_into(self, acc: dict, vectors, scale=1) -> None:
+        """Add scale times m(v_1,...,v_k) to acc. An output that cancels keeps
+        its place, so acc lists every touched output of a sum in first-touch
+        order, the order in which the identity checks pick their witness."""
+        if len(vectors) != self.arity:
+            raise ValueError(f"expected {self.arity} vectors, got {len(vectors)}")
+        for combo in product(*(v.items() for v in vectors)):
+            factor = scale
+            for _, c in combo:
+                factor *= c
+            for j, w in self.value_at(tuple(i for i, _ in combo)).items():
+                acc[j] = acc.get(j, 0) + factor * w
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -132,7 +154,7 @@ class MultiMap:
         if not self.terms:
             return None
         a, b, c = self.items()[0]
-        return _as_tuple(a) + _as_tuple(b), c
+        return _as_tuple(a) + _as_tuple(b), normalize_scalar(c)
 
     def to_json_dict(self) -> dict:
         return {
@@ -400,16 +422,24 @@ def _parity(seq) -> int:
     return inv % 2
 
 
+def _permute_into(acc: dict, m: MultiMap, perm, sign: int) -> None:
+    """Add sign times m with its arguments permuted to the terms in acc:
+    argument t moves to position perm[t]."""
+    n = m.arity
+    for (y, j), c in m.terms.items():
+        x = [0] * n
+        for t in range(n):
+            x[perm[t]] = y[t]
+        key = (tuple(x), j)
+        acc[key] = acc.get(key, 0) + sign * c
+
+
 def antisymmetrize(lam: MultiMap) -> MultiMap:
     """Signed sum of lam over all argument permutations."""
-    n = lam.arity
     acc: dict = {}
-    for perm in permutations(range(n)):
-        sign = -1 if _parity(perm) else 1
-        for (y, j), c in lam.terms.items():
-            key = (tuple(y[perm[t]] for t in range(n)), j)
-            acc[key] = acc.get(key, 0) + sign * c
-    return MultiMap(lam.dim, n, acc)
+    for perm in permutations(range(lam.arity)):
+        _permute_into(acc, lam, perm, -1 if _parity(perm) else 1)
+    return MultiMap(lam.dim, lam.arity, acc)
 
 
 def is_antisymmetric(m: MultiMap) -> bool:
@@ -441,13 +471,7 @@ def jacobi_defect(mu: MultiMap) -> MultiMap:
     for first in combinations(universe, n):
         rest = tuple(sorted(set(universe) - set(first)))
         s = first + rest  # s[m] = position (0-based) fed into comp slot m
-        sign = -1 if _parity(s) else 1
-        for (y, j), c in comp.terms.items():
-            x = [0] * w
-            for m in range(w):
-                x[s[m]] = y[m]
-            key = (tuple(x), j)
-            acc[key] = acc.get(key, 0) + sign * c
+        _permute_into(acc, comp, s, -1 if _parity(s) else 1)
     return MultiMap(mu.dim, w, acc)
 
 

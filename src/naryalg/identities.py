@@ -17,6 +17,7 @@ from .exactnum import SparseMatrix, rref
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
+    _permute_into,
     antisymmetrize,
     insert_at,
     jacobi_defect,
@@ -30,15 +31,19 @@ def permute_inputs(m: MultiMap, perm) -> MultiMap:
     perm = tuple(perm)
     if sorted(perm) != list(range(m.arity)):
         raise ValueError(f"{perm} is not a permutation of 0..{m.arity - 1}")
-    entries = {}
-    # m's entry at y contributes to the new map at the x with x[perm] = y
-    inverse = [0] * m.arity
-    for pos, p in enumerate(perm):
-        inverse[p] = pos
-    for y, j, c in m.items():
-        x = tuple(y[inverse[t]] for t in range(m.arity))
-        entries[(x, j)] = c
-    return MultiMap.from_entries(m.dim, m.arity, entries)
+    # m's entry at y lands at the x with x[perm[t]] = y[t]
+    acc: dict = {}
+    _permute_into(acc, m, perm, 1)
+    return MultiMap(m.dim, m.arity, acc)
+
+
+def _combine(parts) -> dict:
+    """Sum of sparse vectors, zeros omitted."""
+    acc: dict = {}
+    for part in parts:
+        for k, v in part.items():
+            acc[k] = acc.get(k, 0) + v
+    return {k: v for k, v in acc.items() if v}
 
 
 class BracketAlgebra:
@@ -90,19 +95,16 @@ class BracketAlgebra:
         if self.space is None:
             return report_from_defect("jacobi", jacobi_defect(self.bracket))
         br = self.bracket
-        d = self.dim
         deg = self.parity
-        for x, y, z in product(range(d), repeat=3):
-            acc = {}
+        for x, y, z in product(range(self.dim), repeat=3):
+            acc: dict = {}
             # (-1)^{|x||z|}[x,[y,z]] and cyclic
-            for (a, b, c_), s in (
+            for (a, b, c), s in (
                 ((x, y, z), (-1) ** (deg(x) * deg(z))),
                 ((y, z, x), (-1) ** (deg(y) * deg(x))),
                 ((z, x, y), (-1) ** (deg(z) * deg(y))),
             ):
-                for m, v in br.value_at((b, c_)).items():
-                    for out, w in br.value_at((a, m)).items():
-                        acc[out] = acc.get(out, 0) + s * v * w
+                br._apply_into(acc, ({a: 1}, br.value_at((b, c))), s)
             for out, v in acc.items():
                 if v:
                     return IdentityReport("jacobi", False, ((x, y, z), out, v))
@@ -225,11 +227,7 @@ def lower_central_series(b: BracketAlgebra) -> list[int]:
         rows = []
         for i in range(d):
             for vec in current:
-                out = {}
-                for j, c in vec.items():
-                    for k, w in br.value_at((i, j)).items():
-                        out[k] = out.get(k, 0) + c * w
-                row = sorted((k, v) for k, v in out.items() if v)
+                row = sorted(br.apply({i: 1}, vec).items())
                 if row:
                     rows.append(row)
         rank, _, reduced = rref(SparseMatrix(d, rows))
@@ -269,21 +267,14 @@ def roby_defects(mu: MultiMap) -> IdentityReport:
     def value(*idx):
         return mu.value_at(idx)
 
-    def combine(parts):
-        acc = {}
-        for part in parts:
-            for k, v in part.items():
-                acc[k] = acc.get(k, 0) + v
-        return {k: v for k, v in acc.items() if v}
-
     for a, b, c in product(range(d), repeat=3):
         if not a < b < c:
             continue
-        total = combine([value(*perm) for perm in permutations((a, b, c))])
+        total = _combine([value(*perm) for perm in permutations((a, b, c))])
         for out, v in total.items():
             return IdentityReport("roby_relations", False, ("six_term", (a, b, c), out, v))
     for a, c, b in product(range(d), repeat=3):
-        total = combine([value(a, c, b), value(c, a, b), value(b, a, c), value(b, c, a)])
+        total = _combine([value(a, c, b), value(c, a, b), value(b, a, c), value(b, c, a)])
         for out, v in total.items():
             return IdentityReport("roby_relations", False, ("square_term", (a, c, b), out, v))
     for a in range(d):
@@ -292,7 +283,7 @@ def roby_defects(mu: MultiMap) -> IdentityReport:
         for c in range(d):
             if c == a:
                 continue
-            total = combine([value(a, a, c), value(a, c, a), value(c, a, a)])
+            total = _combine([value(a, a, c), value(a, c, a), value(c, a, a)])
             for out, v in total.items():
                 return IdentityReport("roby_relations", False, ("cube", (a, a, c), out, v))
     return IdentityReport("roby_relations", True)
@@ -342,60 +333,32 @@ def f_algebra_check(grading: GradedSpace, b: BracketAlgebra, triple: MultiMap) -
     even = [i for i in range(grading.dim) if deg[i] == 0]
     odd = [i for i in range(grading.dim) if deg[i] == 1]
 
-    def br_with(x, vec):
-        # [e_x, v] for a coordinate vector v
-        out = {}
-        for j, c in vec.items():
-            for k, w in br.value_at((x, j)).items():
-                out[k] = out.get(k, 0) + c * w
-        return out
-
-    def triple_with(vec, y2, y3, slot):
-        # triple with a coordinate vector in one slot, basis vectors elsewhere
-        out = {}
-        for j, c in vec.items():
-            args = [y2, y3]
-            args.insert(slot, j)
-            for k, w in triple.value_at(tuple(args)).items():
-                out[k] = out.get(k, 0) + c * w
-        return out
-
-    def merged(parts, signs):
-        acc = {}
-        for part, s in zip(parts, signs):
-            for k, v in part.items():
-                acc[k] = acc.get(k, 0) + s * v
-        return {k: v for k, v in acc.items() if v}
-
+    # each sum goes into one accumulator, so its witness is the first nonzero
+    # output in first-touch order, cancelled terms included
     for x in even:
         for y1, y2, y3 in product(odd, repeat=3):
-            lhs = br_with(x, triple.value_at((y1, y2, y3)))
-            rhs = merged(
-                [
-                    triple_with(br.value_at((x, y1)), y2, y3, 0),
-                    triple_with(br.value_at((x, y2)), y1, y3, 1),
-                    triple_with(br.value_at((x, y3)), y1, y2, 2),
-                ],
-                (1, 1, 1),
-            )
-            diff = merged([lhs, rhs], (1, -1))
+            diff: dict = {}
+            br._apply_into(diff, ({x: 1}, triple.value_at((y1, y2, y3))))
+            triple._apply_into(diff, (br.value_at((x, y1)), {y2: 1}, {y3: 1}), -1)
+            triple._apply_into(diff, ({y1: 1}, br.value_at((x, y2)), {y3: 1}), -1)
+            triple._apply_into(diff, ({y1: 1}, {y2: 1}, br.value_at((x, y3))), -1)
             for out, v in diff.items():
-                return IdentityReport(
-                    "f_algebra", False, ("leibniz", (x, y1, y2, y3), out, v)
-                )
+                if v:
+                    return IdentityReport(
+                        "f_algebra", False, ("leibniz", (x, y1, y2, y3), out, v)
+                    )
 
     for y, y1, y2, y3 in product(odd, repeat=4):
-        total = merged(
-            [
-                br_with(y, triple.value_at((y1, y2, y3))),
-                br_with(y1, triple.value_at((y2, y3, y))),
-                br_with(y2, triple.value_at((y3, y, y1))),
-                br_with(y3, triple.value_at((y, y1, y2))),
-            ],
-            (1, 1, 1, 1),
-        )
+        total: dict = {}
+        for head, args in (
+            (y, (y1, y2, y3)), (y1, (y2, y3, y)), (y2, (y3, y, y1)), (y3, (y, y1, y2)),
+        ):
+            br._apply_into(total, ({head: 1}, triple.value_at(args)))
         for out, v in total.items():
-            return IdentityReport("f_algebra", False, ("cyclic", (y, y1, y2, y3), out, v))
+            if v:
+                return IdentityReport(
+                    "f_algebra", False, ("cyclic", (y, y1, y2, y3), out, v)
+                )
 
     return IdentityReport("f_algebra", True)
 

@@ -186,3 +186,37 @@ def word_application_sign(seg_info, arg_degrees):
         pos += w
     assert pos == len(arg_degrees)
     return koszul_reorder_sign(symbols, target)
+
+
+def apply_map(m, vecs):
+    """Multilinear extension of m to dense exact coordinate vectors, summed
+    over every dense input tuple."""
+    out = [0] * m.dim
+    for idx in product(range(m.dim), repeat=m.arity):
+        c = 1
+        for t, i in enumerate(idx):
+            c *= vecs[t][i]
+        if c:
+            for j in range(m.dim):
+                out[j] += c * m.coef(idx, j)
+    return out
+
+
+def dense_coassoc_word(delta, p):
+    """(Id_p (x) Delta (x) Id_{n-1-p}) o Delta by brute expansion over every
+    dense index, read through delta.coef(source, outputs) only.
+
+    Returns dict over (source, (2n-1)-tuple) of nonzero coefficients.
+    """
+    d, n = delta.dim, delta.arity
+    word = {}
+    for i in range(d):
+        for outs in product(range(d), repeat=n):
+            c = delta.coef(i, outs)
+            if not c:
+                continue
+            for inner in product(range(d), repeat=n):
+                c2 = delta.coef(outs[p], inner)
+                key = (i, outs[:p] + inner + outs[p + 1:])
+                word[key] = word.get(key, 0) + Fraction(c) * c2
+    return {k: v for k, v in word.items() if v}

@@ -287,6 +287,57 @@ def test_check_input_errors(tmp_path, capsys):
     assert run(capsys, "check", "--algebra", broken, "--identity", "jacobi")[0] == 2
 
 
+def test_check_integral_fraction_witness_is_a_json_number(tmp_path, capsys):
+    # fractional structure constants whose defect is a whole number: the
+    # witness prints as a JSON number, as an int witness does, not as "4"
+    product = {
+        "dim": 2, "arity": 2, "entries": [
+            {"in": [0, 0], "out": 0, "coef": "1/2"},
+            {"in": [0, 0], "out": 1, "coef": "2"},
+            {"in": [1, 0], "out": 0, "coef": "2"},
+        ],
+    }
+    path = write_json(tmp_path / "half.json", product)
+    rc, out, _ = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc", "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["witness"] == [[0, 0, 0, 0], 4]
+    # roby's witness is a sum of stored constants, not a MultiMap entry
+    triple = {
+        "dim": 3, "arity": 3, "entries": [
+            {"in": [0, 1, 2], "out": 0, "coef": "1/2"},
+            {"in": [0, 2, 1], "out": 0, "coef": "7/2"},
+        ],
+    }
+    path = write_json(tmp_path / "roby.json", triple)
+    rc, out, _ = run(capsys, "check", "--algebra", path, "--identity", "roby", "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["witness"] == ["six_term", [0, 1, 2], 0, 4]
+    assert '"4"' not in out
+
+
+def test_check_total_coassoc_fractional_witness_json(tmp_path, capsys):
+    # a fractional comultiplication whose pairwise word difference is a
+    # whole number; the witness is (p, q, source, outputs..., value)
+    delta = {
+        "dim": 2, "arity": 2, "entries": [
+            {"in": 1, "out": [1, 0], "coef": "2"},
+            {"in": 0, "out": [0, 1], "coef": "1/2"},
+            {"in": 1, "out": [1, 1], "coef": "1/2"},
+            {"in": 0, "out": [1, 0], "coef": "-3/2"},
+            {"in": 1, "out": [0, 0], "coef": "5/2"},
+        ],
+    }
+    path = write_json(tmp_path / "delta.json", delta)
+    rc, out, _ = run(capsys, "check", "--algebra", path, "--identity", "total-coassoc", "--format", "json")
+    assert rc == 1
+    witness = json.loads(out)["witness"]
+    assert witness == [0, 1, [0, 0, 0, 0], -5]
+    assert type(witness[-1]) is int
+    rc, out, _ = run(capsys, "check", "--algebra", path, "--identity", "partial-coassoc", "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["witness"] == [[0, 0, 0, 0], -5]
+
+
 def test_check_zero_denominator_coefficient(tmp_path, capsys):
     bad = write_json(
         tmp_path / "bad-coef.json",

@@ -18,6 +18,7 @@ from naryalg.coalg import (
 )
 from naryalg.gerstenhaber import MultiMap, partial_assoc_defect, total_assoc_check
 from fixtures import matrix_algebra, square_zero_map
+from oracles import dense_coassoc_word
 from fractions import Fraction
 
 
@@ -355,3 +356,60 @@ def test_comultiplication_witness_order():
             assert c.first_nonzero() == (dense[0] if dense else None)
             entries = c.to_json_dict()["entries"]
             assert [(e["in"],) + tuple(e["out"]) for e in entries] == [idx for idx, _ in dense]
+
+
+def random_fraction_comultiplication(rng, d, n, terms=4):
+    entries = {}
+    for i in range(d):
+        for _ in range(terms):
+            if rng.random() < 0.7:
+                outs = tuple(rng.randrange(d) for _ in range(n))
+                entries[(i, outs)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Comultiplication.from_entries(d, n, entries)
+
+
+def test_coassoc_words_match_dense_oracle():
+    # the transposed insertion against the textbook (Id_p ox Delta ox Id) o
+    # Delta expanded over every dense index, and the signed defect against
+    # the signed sum of those dense words
+    rng = random.Random(61)
+    for d in (1, 2, 3):
+        for n in (2, 3, 4):
+            for _ in range(3):
+                delta = random_fraction_comultiplication(rng, d, n)
+                signed = {}
+                for p in range(n):
+                    dense = dense_coassoc_word(delta, p)
+                    word = coassoc_word(delta, p)
+                    assert {(i, outs): c for i, outs, c in word.items()} == dense
+                    for key, c in dense.items():
+                        signed[key] = signed.get(key, 0) + (-1) ** (p * (n - 1)) * c
+                defect = partial_coassoc_defect(delta)
+                assert isinstance(defect, Comultiplication)
+                assert {(i, outs): c for i, outs, c in defect.items()} == {
+                    k: v for k, v in signed.items() if v
+                }
+
+
+def test_convolution_multimap_matches_convolution_on_matrix_units():
+    # the structure constants built from the two term dicts agree with the
+    # convolution of every tuple of matrix units
+    rng = random.Random(67)
+    for _ in range(6):
+        d_m, d_a, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 3)
+        entries = {}
+        for _ in range(5):
+            key = (tuple(rng.randrange(d_a) for _ in range(n)), rng.randrange(d_a))
+            entries[key] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        mu = MultiMap.from_entries(d_a, n, entries)
+        delta = random_fraction_comultiplication(rng, d_m, n, terms=2)
+        star = convolution_multimap(mu, delta)
+        assert (star.dim, star.arity) == (d_m * d_a, n)
+        units = [
+            HomElement.matrix_unit(d_m, d_a, a, b) for a in range(d_m) for b in range(d_a)
+        ]
+        for combo in product(range(len(units)), repeat=n):
+            res = convolution(mu, delta, [units[u] for u in combo])
+            for a in range(d_m):
+                for b in range(d_a):
+                    assert star.coef(combo, a * d_a + b) == res.mat[a][b]

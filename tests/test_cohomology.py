@@ -1,8 +1,10 @@
+import json
 import random
 import tracemalloc
 
 import pytest
 
+from naryalg.cli import main
 from naryalg.cohomology import (
     chi_basis,
     chi_membership,
@@ -326,3 +328,16 @@ def test_cohomology_steps_capped_before_arities_are_built():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_cohomology_steps_capped_on_one_dimensional_algebra(tmp_path, capsys):
+    # every cochain space of a one-dimensional algebra has dense size 1, so
+    # the cap counts that space as two-dimensional to bound the arity
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cohomology_dims(one_dim_product(2), 0, 300)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(one_dim_product(2).to_json_dict()))
+    assert main(["cohomology", "--algebra", str(path), "--steps", "300"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+    # a short row stays well inside the cap
+    assert main(["cohomology", "--algebra", str(path), "--steps", "4"]) == 0

@@ -30,7 +30,7 @@ from fixtures import (
     so3_bracket,
     square_zero_map,
 )
-from oracles import nested_defect
+from oracles import apply_map, nested_defect
 
 
 def one_dim_product(k, a=1):
@@ -416,3 +416,47 @@ def test_multimap_witness_order():
             assert m.first_nonzero() == (dense[0] if dense else None)
             entries = m.to_json_dict()["entries"]
             assert [tuple(e["in"]) + (e["out"],) for e in entries] == [idx for idx, _ in dense]
+
+
+def _fraction_map(rng, d, k, density=0.5):
+    entries = {}
+    for idx in product(range(d), repeat=k):
+        for j in range(d):
+            if rng.random() < density:
+                entries[(idx, j)] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return MultiMap.from_entries(d, k, entries)
+
+
+def test_apply_matches_dense_apply_map():
+    # m(v_1..v_k) on sparse vectors against the dense multilinear oracle,
+    # with empty vectors and Fraction coordinates
+    rng = random.Random(47)
+    for _ in range(40):
+        d, k = rng.randint(1, 3), rng.randint(1, 3)
+        m = _fraction_map(rng, d, k, density=rng.choice([0.2, 0.6]))
+        sparse = []
+        for _ in range(k):
+            if rng.random() < 0.15:
+                sparse.append({})
+                continue
+            vec = {}
+            for i in range(d):
+                if rng.random() < 0.6:
+                    vec[i] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            sparse.append(vec)
+        dense = [[v.get(i, 0) for i in range(d)] for v in sparse]
+        expect = {j: c for j, c in enumerate(apply_map(m, dense)) if c}
+        got = m.apply(*sparse)
+        assert got == expect
+        assert all(got.values())
+    with pytest.raises(ValueError):
+        MultiMap.identity(2).apply({0: 1}, {1: 1})
+
+
+def test_first_nonzero_normalizes_integral_fractions():
+    # a computed map can hold Fraction(4, 1); its witness is the int 4
+    m = MultiMap.from_entries(2, 1, {((1,), 0): Fraction(1, 2)}).scale(8)
+    assert m.terms[(1,), 0] == 4 and type(m.terms[(1,), 0]) is Fraction
+    value = m.first_nonzero()[1]
+    assert value == 4 and type(value) is int
+

@@ -32,19 +32,7 @@ from naryalg.identities import (
     roby_defects,
     so3,
 )
-
-
-def apply_map(m, vecs):
-    """Multilinear extension of m to integer coordinate vectors."""
-    out = [0] * m.dim
-    for idx in product(range(m.dim), repeat=m.arity):
-        c = 1
-        for t, i in enumerate(idx):
-            c *= vecs[t][i]
-        if c:
-            for j, w in m.value_at(idx).items():
-                out[j] += c * w
-    return out
+from oracles import apply_map
 
 
 def parity_example():
@@ -418,3 +406,16 @@ def test_permute_inputs():
         assert apply_map(pm, vecs) == apply_map(m, [vecs[p] for p in perm])
     with pytest.raises(ValueError):
         permute_inputs(m, (0, 1, 1))
+
+
+def test_graded_witnesses_keep_first_touch_order():
+    # output e1 cancels inside the first term of each sum but not in the
+    # total; the witness is the first nonzero output in the order the sum
+    # first touches them, so e1 (touched first) is reported, not e2
+    b = bracket_from_pairs(3, {(1, 2): {1: 1, 2: 1}, (0, 1): (1, 1), (0, 2): {1: -1, 2: 1}})
+    graded = BracketAlgebra(b.bracket, space=GradedSpace((0, 0, 0)))
+    assert graded.jacobi_report().witness == ((0, 1, 2), 1, -2)
+    br = bracket_from_pairs(4, {(0, 1): (1, 1), (0, 2): {1: -1, 2: 1}, (0, 3): (3, 1)})
+    triple = MultiMap.from_entries(4, 3, {((3, 3, 3), 1): 1, ((3, 3, 3), 2): 1})
+    rep = f_algebra_check(GradedSpace((0, 0, 0, 1)), br, triple)
+    assert rep.witness == ("leibniz", (0, 3, 3, 3), 1, -3)
