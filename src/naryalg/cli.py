@@ -262,14 +262,29 @@ def cmd_check(args) -> int:
 # ------------------------------------------------------------------ free-dims
 
 
-def cmd_free_dims(args) -> int:
-    cap = _resolve_cap(args.cap, DEFAULT_DEGREE_CAP)
-    if args.n < 2:
+def _check_free_component(n: int, p: int, flag: str, cap_flag) -> None:
+    """Reject a free-algebra component the degree cap does not admit.
+
+    The cap bounds p, and the component may hold no more tree codes than the
+    ternary one at the cap, so that a large n cannot slip under it.
+    """
+    cap = _resolve_cap(cap_flag, DEFAULT_DEGREE_CAP)
+    if n < 2:
         raise InputError("n must be at least 2")
-    if args.p_max < 1:
-        raise InputError("p-max must be at least 1")
-    if args.p_max > cap:
-        raise InputError(f"p-max {args.p_max} exceeds the degree cap {cap}")
+    if p < 1:
+        raise InputError(f"{flag} must be at least 1")
+    if p > cap:
+        raise InputError(f"{flag} {p} exceeds the degree cap {cap}")
+    codes, limit = fuss_catalan(n, p), fuss_catalan(3, cap)
+    if codes > limit:
+        raise InputError(
+            f"n={n} p={p} has {codes} tree codes, more than the {limit} "
+            f"of the ternary component at the degree cap {cap}"
+        )
+
+
+def cmd_free_dims(args) -> int:
+    _check_free_component(args.n, args.p_max, "p-max", args.cap)
     try:
         report = free_dims(args.n, args.p_max, args.generator)
     except ValueError as e:
@@ -309,13 +324,7 @@ def _basis_tree_text(solved) -> str:
 
 
 def cmd_free_export(args) -> int:
-    cap = _resolve_cap(args.cap, DEFAULT_DEGREE_CAP)
-    if args.n < 2:
-        raise InputError("n must be at least 2")
-    if args.p < 1:
-        raise InputError("p must be at least 1")
-    if args.p > cap:
-        raise InputError(f"p {args.p} exceeds the degree cap {cap}")
+    _check_free_component(args.n, args.p, "p", args.cap)
     # both exports the two systems apart; the 3-ary-only one is built first,
     # so that another n fails before any elimination
     kinds = ("paper-rules", "operadic") if args.generator == "both" else (args.generator,)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .exactnum import (
@@ -112,46 +112,63 @@ def enumerate_codes(n: int, p: int) -> list:
     return results
 
 
-def tree_from_code(code: TreeCode) -> PlanarTree:
-    """Collapse bracket positions right to left; each grabs n items."""
+def _graft(n: int, a: tuple, q: int, b: tuple) -> tuple:
+    """Tree a with its q-th leaf replaced by tree b, on (nodes, indices).
+
+    a's positions after leaf q move right by b's extra leaves; b's root and
+    its indices land at leaf q.
+    """
+    a_p, a_idx = a
+    b_p, b_idx = b
+    if not a_p:
+        return b
+    if not b_p:
+        return a
+    shift = b_p * (n - 1)
+    moved = [j + shift if j > q else j for j in a_idx]
+    moved.append(q)
+    moved.extend(q - 1 + j for j in b_idx)
+    return a_p + b_p, tuple(sorted(moved))
+
+
+def _corolla_with(n: int, subs) -> tuple:
+    """One root carrying the n given (nodes, indices) subtrees."""
+    out = (1, ())
+    for q in range(n, 0, -1):
+        out = _graft(n, out, q, subs[q - 1])
+    return out
+
+
+def _collapse(code: TreeCode, items: list, join):
+    """Collapse bracket positions right to left; each joins n items."""
     if code.p == 0:
-        return LEAF
+        return items[0]
     n = code.n
-    items = [LEAF] * code.leaves
+    items = list(items)
     for j in reversed(code.indices):
-        group = PlanarTree(tuple(items[j - 1 : j - 1 + n]))
-        items[j - 1 : j - 1 + n] = [group]
+        items[j - 1 : j - 1 + n] = [join(*items[j - 1 : j - 1 + n])]
     assert len(items) == n
-    return PlanarTree(tuple(items))
+    return join(*items)
+
+
+def tree_from_code(code: TreeCode) -> PlanarTree:
+    """The planar tree a code describes."""
+    return _collapse(code, [LEAF] * code.leaves, lambda *ch: PlanarTree(ch))
 
 
 def code_from_tree(tree: PlanarTree, n: int) -> TreeCode:
-    """Sorted leftmost-leaf positions of the non-root internal nodes."""
-    positions = []
-    counter = 0
+    """Graft the children's codes under one root, recursively."""
 
-    def dfs(node, is_root):
-        nonlocal counter
+    def rec(node):
         if node.is_leaf:
-            counter += 1
-            return counter
+            return 0, ()
         if len(node.children) != n:
             raise ValueError(
                 f"internal node has {len(node.children)} children, expected {n}"
             )
-        first = None
-        for ch in node.children:
-            fl = dfs(ch, False)
-            if first is None:
-                first = fl
-        if not is_root:
-            positions.append(first)
-        return first
+        return _corolla_with(n, [rec(ch) for ch in node.children])
 
-    if tree.is_leaf:
-        return TreeCode(n, 0, ())
-    dfs(tree, True)
-    return TreeCode(n, tree.internal_count(), tuple(sorted(positions)))
+    return TreeCode(n, *rec(tree))
 
 
 def bracket_string(tree: PlanarTree) -> str:
@@ -186,39 +203,6 @@ def ascii_tree(tree: PlanarTree) -> str:
 
     rec(tree, "", "")
     return "\n".join(lines)
-
-
-def _two_level(n: int, i: int) -> PlanarTree:
-    children = [LEAF] * n
-    children[i - 1] = PlanarTree(tuple([LEAF] * n))
-    return PlanarTree(tuple(children))
-
-
-def _replace_leaves(tree: PlanarTree, subs) -> PlanarTree:
-    """Replace the leaves, left to right, by the given subtrees."""
-    it = iter(subs)
-
-    def rec(node):
-        if node.is_leaf:
-            return next(it)
-        return PlanarTree(tuple(rec(ch) for ch in node.children))
-
-    out = rec(tree)
-    leftover = next(it, None)
-    assert leftover is None
-    return out
-
-
-def _replace_leaf_at(tree: PlanarTree, q: int, sub: PlanarTree) -> PlanarTree:
-    counter = [0]
-
-    def rec(node):
-        if node.is_leaf:
-            counter[0] += 1
-            return sub if counter[0] == q else node
-        return PlanarTree(tuple(rec(ch) for ch in node.children))
-
-    return rec(tree)
 
 
 @dataclass(frozen=True)
@@ -266,19 +250,13 @@ class RelationSystem:
         }
 
 
-def _trees_with(n: int, k: int) -> list:
-    if k == 0:
-        return [LEAF]
-    return [tree_from_code(c) for c in enumerate_codes(n, k)]
-
-
 def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    """Weak compositions of total into slots parts, lexicographically: the
+    parts are the gaps between slots - 1 bars placed among total stars."""
+    end = total + slots - 1
+    for bars in combinations(range(end), slots - 1):
+        edges = (-1,) + bars + (end,)
+        yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
 
 
 def operadic_relations(n: int, p: int) -> RelationSystem:
@@ -292,22 +270,26 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     if p < 2:
         raise ValueError("relations start at two internal nodes")
     codes = enumerate_codes(n, p)
-    col = {c: idx for idx, c in enumerate(codes)}
-    trees_cache = {k: _trees_with(n, k) for k in range(p - 1)}
+    col = {c.indices: idx for idx, c in enumerate(codes)}
+    shapes = {0: [(0, ())]}
+    for k in range(1, p - 1):
+        shapes[k] = [(k, c.indices) for c in enumerate_codes(n, k)]
     rows = []
     seen = set()
     for k in range(p - 1):
         budget = p - 2 - k
-        for context in trees_cache[k]:
+        for context in shapes[k]:
             n_leaves = k * (n - 1) + 1
             for q in range(1, n_leaves + 1):
                 for parts in _compositions(budget, 2 * n - 1):
-                    for subs in product(*(trees_cache[b] for b in parts)):
+                    for subs in product(*(shapes[b] for b in parts)):
                         row = {}
                         for i in range(1, n + 1):
-                            filled = _replace_leaves(_two_level(n, i), subs)
-                            whole = _replace_leaf_at(context, q, filled)
-                            idx = col[code_from_tree(whole, n)]
+                            inner = _corolla_with(n, subs[i - 1 : i - 1 + n])
+                            filled = _corolla_with(
+                                n, subs[: i - 1] + (inner,) + subs[i - 1 + n :]
+                            )
+                            idx = col[_graft(n, context, q, filled)[1]]
                             sign = -1 if ((i - 1) * (n - 1)) % 2 else 1
                             row[idx] = row.get(idx, 0) + sign
                         row = {c: v for c, v in row.items() if v}
@@ -552,16 +534,8 @@ def free_product(a: FreeElement, b: FreeElement, c: FreeElement,
     for (ca, wa), va in a.entries.items():
         for (cb, wb), vb in b.entries.items():
             for (cc, wc), vc in c.entries.items():
-                parts = []
-                off = 0
-                for sub in (ca, cb, cc):
-                    if sub.p >= 1:
-                        parts.append(off + 1)
-                        parts.extend(off + j for j in sub.indices)
-                    off += sub.leaves
-                code = TreeCode(3, p, tuple(sorted(parts)))
-                word = None if wa is None else wa + wb + wc
-                key = (code, word)
+                spliced = _corolla_with(3, [(s.p, s.indices) for s in (ca, cb, cc)])
+                key = (TreeCode(3, *spliced), None if wa is None else wa + wb + wc)
                 out[key] = out.get(key, 0) + va * vb * vc
     result = FreeElement(3, p, out)
     if rs is None:
@@ -579,23 +553,14 @@ def evaluate(x: FreeElement, mu: MultiMap) -> list:
         raise ValueError("need concrete leafwords to evaluate")
     if mu.arity != x.n:
         raise ValueError(f"product arity {mu.arity}, trees are {x.n}-ary")
+    bad = [w for _, word in x.entries for w in word if not 0 <= w < mu.dim]
+    if bad:
+        raise ValueError(f"leaf index {bad[0]} out of range for dim {mu.dim}")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("product is not partially associative")
-    d = mu.dim
-    total = [0] * d
-
-    def eval_node(node, word, pos):
-        # returns (vector dict, next leaf position)
-        if node.is_leaf:
-            return {word[pos]: 1}, pos + 1
-        vecs = []
-        for ch in node.children:
-            v, pos = eval_node(ch, word, pos)
-            vecs.append(v)
-        return mu.apply(*vecs), pos
-
+    total = [0] * mu.dim
     for (code, word), coef in x.entries.items():
-        vec, _ = eval_node(tree_from_code(code), word, 0)
+        vec = _collapse(code, [{w: 1} for w in word], mu.apply)
         for j, v in vec.items():
             total[j] += coef * v
     return [normalize_scalar(v) for v in total]

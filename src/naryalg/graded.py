@@ -63,13 +63,14 @@ class GradedMultiMap:
     def __init__(self, base: MultiMap, degree: int, space: GradedSpace):
         if space.dim != base.dim:
             raise ValueError(f"space dim {space.dim} vs map dim {base.dim}")
-        for x, j, c in base.items():
-            expect = space.tuple_degree(x) + degree
-            if space.degrees[j] != expect:
-                raise ValueError(
-                    f"entry {x}->{j} breaks homogeneity: output degree "
-                    f"{space.degrees[j]}, needs {expect}"
-                )
+        bad = [(x, j) for x, j in base.terms
+               if space.degrees[j] != space.tuple_degree(x) + degree]
+        if bad:
+            x, j = min(bad)
+            raise ValueError(
+                f"entry {x}->{j} breaks homogeneity: output degree "
+                f"{space.degrees[j]}, needs {space.tuple_degree(x) + degree}"
+            )
         self.base = base
         self.degree = degree
         self.space = space

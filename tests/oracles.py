@@ -220,3 +220,57 @@ def dense_coassoc_word(delta, p):
                 key = (i, outs[:p] + inner + outs[p + 1:])
                 word[key] = word.get(key, 0) + Fraction(c) * c2
     return {k: v for k, v in word.items() if v}
+
+
+def _shape(node):
+    """A tree with a `children` tuple as nested tuples; a leaf is ()."""
+    return tuple(_shape(ch) for ch in node.children)
+
+
+def grafted_code(tree_a, q, tree_b):
+    """Replace leaf q of tree_a by tree_b, then read the code of the result
+    by a depth-first walk: (internal nodes, sorted leftmost-leaf positions
+    of the non-root internal nodes)."""
+    leaves = [0]
+
+    def graft(node):
+        if not node:
+            leaves[0] += 1
+            return _shape(tree_b) if leaves[0] == q else node
+        return tuple(graft(ch) for ch in node)
+
+    whole = graft(_shape(tree_a))
+    leaves[0] = 0
+    positions = []
+
+    def read(node, is_root):
+        # (leftmost leaf position, internal nodes) of the subtree
+        if not node:
+            leaves[0] += 1
+            return leaves[0], 0
+        first, nodes = None, 1
+        for ch in node:
+            pos, k = read(ch, False)
+            first = pos if first is None else first
+            nodes += k
+        if not is_root:
+            positions.append(first)
+        return first, nodes
+
+    _, p = read(whole, True)
+    return p, tuple(sorted(positions))
+
+
+def tree_value(tree, word, m):
+    """Dense value of a tree whose leaves, left to right, carry the basis
+    vectors of word, with every internal node applied through apply_map."""
+    letters = iter(word)
+
+    def walk(node):
+        if not node.children:
+            vec = [0] * m.dim
+            vec[next(letters)] = 1
+            return vec
+        return apply_map(m, [walk(ch) for ch in node.children])
+
+    return walk(tree)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -80,6 +81,30 @@ def test_free_dims_input_errors(capsys):
     assert run(capsys, "free-dims", "--n", "2", "--p-max", "2", "--generator", "paper-rules")[0] == 2
 
 
+def test_free_large_arity_runs(capsys):
+    # 2n - 1 subtree slots once overflowed a recursive composition generator
+    rc, out, _ = run(capsys, "free-dims", "--n", "1000", "--p-max", "2")
+    assert rc == 0
+    assert out.splitlines()[-1] == "multipliers: 1, 999"
+    rc, out, _ = run(capsys, "free-export", "--n", "520", "--p", "2")
+    assert rc == 0
+    assert len(json.loads(out)["codes"]) == 520
+
+
+def test_free_component_size_cap(capsys):
+    # no component may hold more codes than the ternary one at the degree cap
+    rc, _, err = run(capsys, "free-dims", "--n", "5", "--p-max", "6")
+    assert rc == 2 and "23751 tree codes" in err
+    rc, _, err = run(capsys, "free-dims", "--n", "5", "--p-max", "5")
+    assert rc == 2 and "2530 tree codes" in err and "1428" in err
+    rc, _, err = run(capsys, "free-export", "--n", "1429", "--p", "2")
+    assert rc == 2 and "1429 tree codes" in err
+    # at --cap 2 the limit is the 3 ternary codes of degree 2
+    assert run(capsys, "free-dims", "--n", "3", "--p-max", "2", "--cap", "2")[0] == 0
+    rc, _, err = run(capsys, "free-export", "--n", "4", "--p", "2", "--cap", "2")
+    assert rc == 2 and "4 tree codes" in err
+
+
 # -------------------------------------------------------------- free-export
 
 
@@ -136,6 +161,25 @@ def test_export_tree_format(capsys):
     assert rc == 0
     assert "code [2]" in out and "code [3]" in out
     assert "+-" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--n", "3", "--p", "4", "--generator", "both"),
+         "fd904a41d16758d1705c24f2dd549e78acd902af9eb87e5ca5c570f6be344f53"),
+        (("--n", "4", "--p", "4"),
+         "afa09a8869123a5e9158d3015e36df1ba8b37d61fa3b536ddfb03fc94a330511"),
+        (("--n", "2", "--p", "6"),
+         "35ce6dd46e2812a59a80ea4975bc35f64aa2cbbc609a6024d13a68477440fd6c"),
+        (("--n", "3", "--p", "5"),
+         "39032b20d99b5b7edbf500fed4070ae459a36a30811de0799808ffd6558e79a4"),
+    ],
+)
+def test_export_output_is_pinned(capsys, argv, digest):
+    rc, out, _ = run(capsys, "free-export", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_export_errors(tmp_path, capsys):

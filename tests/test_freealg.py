@@ -1,9 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from naryalg.exactnum import Fraction, SparseMatrix, rref
 from naryalg.freealg import (
+    _compositions,
+    _graft,
     BasisComparison,
     FreeElement,
     PlanarTree,
@@ -28,7 +31,13 @@ from naryalg.freealg import (
 )
 
 from fixtures import bracket_associator, filiform5_bracket, square_zero_map
-from oracles import brute_nary_trees, brute_ternary_trees, same_row_space
+from oracles import (
+    brute_nary_trees,
+    brute_ternary_trees,
+    grafted_code,
+    same_row_space,
+    tree_value,
+)
 
 # the 8 degree-3 relation rows, as column sets over the 12 lex-ordered codes
 DEGREE7_ROW_COLS = [
@@ -140,6 +149,28 @@ def test_ascii_tree_smoke():
     assert lines[0] == "*"
     assert "1" in art and "5" in art
     assert art.count("*") == 2
+
+
+def test_graft_matches_tree_oracle():
+    for n in (2, 3, 4):
+        by_degree = {0: [TreeCode(n, 0, ())]}
+        by_degree.update({k: enumerate_codes(n, k) for k in range(1, 5)})
+        for pa in range(5):
+            for pb in range(5 - pa):
+                for a in by_degree[pa]:
+                    for b in by_degree[pb]:
+                        for q in range(1, a.leaves + 1):
+                            got = _graft(n, (a.p, a.indices), q, (b.p, b.indices))
+                            want = grafted_code(tree_from_code(a), q, tree_from_code(b))
+                            assert got == want, (n, a, q, b)
+                            TreeCode(n, *got)  # a valid code
+
+
+def test_compositions_lexicographic():
+    for total in range(5):
+        for slots in range(1, 6):
+            want = [c for c in product(range(total + 1), repeat=slots) if sum(c) == total]
+            assert list(_compositions(total, slots)) == want
 
 
 # ------------------------------------------------------------- relations
@@ -431,6 +462,39 @@ def test_evaluate_morphism_law():
                     for j, cm in mu.value_at((i1, i2, i3)).items():
                         rhs[j] += c1 * c2 * c3 * cm
         assert lhs == rhs
+
+
+def test_evaluate_rejects_out_of_range_leaves():
+    from naryalg.gerstenhaber import MultiMap
+
+    mu = MultiMap.from_entries(2, 3, {((0, 0, 0), 1): 1})
+    g = TreeCode(3, 1, ())
+    assert evaluate(FreeElement.from_code(g, (0, 0, 0)), mu) == [0, 1]
+    for bad in (-1, 2, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(FreeElement.leaf(bad), mu)
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(FreeElement.from_code(g, (0, 0, bad)), mu)
+
+
+def test_evaluate_matches_tree_walk():
+    rng = random.Random(29)
+    mus = [bracket_associator(filiform5_bracket())]
+    mus += [square_zero_map(rng, 3, 3, 2) for _ in range(2)]
+    for trial in range(30):
+        mu = mus[trial % len(mus)]
+        p = rng.randrange(4)
+        codes = enumerate_codes(3, p) if p else [TreeCode(3, 0, ())]
+        entries = {}
+        for _ in range(rng.randrange(1, 4)):
+            code = rng.choice(codes)
+            word = tuple(rng.randrange(mu.dim) for _ in range(code.leaves))
+            entries[(code, word)] = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        want = [0] * mu.dim
+        for (code, word), coef in entries.items():
+            vec = tree_value(tree_from_code(code), word, mu)
+            want = [w + coef * v for w, v in zip(want, vec)]
+        assert evaluate(FreeElement(3, p, entries), mu) == want
 
 
 # ------------------------------------------------------------- basis report

@@ -64,6 +64,17 @@ def test_homogeneity_enforced():
         GradedMultiMap.from_entries(sp, 2, 0, {((0, 1), 0): 1})
 
 
+def test_homogeneity_error_names_the_smallest_offending_entry():
+    sp = GradedSpace((0, 1))
+    # all three entries break homogeneity for a degree-1 map
+    entries = {((1,), 1): 1, ((1,), 0): 3, ((0,), 0): 2}
+    with pytest.raises(ValueError) as err:
+        GradedMultiMap.from_entries(sp, 1, 1, entries)
+    assert str(err.value) == (
+        "entry (0,)->0 breaks homogeneity: output degree 0, needs 1"
+    )
+
+
 def test_zero_map_any_degree():
     sp = GradedSpace((0, 1))
     for deg in (-2, 0, 3):
