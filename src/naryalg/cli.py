@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .coalg import (
     total_coassoc_check,
 )
 from .cohomology import DEFAULT_CAP, _dense_size_exceeds, coboundary, cohomology_dims
-from .exactnum import SparseMatrix, in_row_space, kernel_basis, rref
+from .exactnum import SparseMatrix, in_row_space, kernel_basis, rref, scalar_from_str
 from .freealg import (
     GENERATORS,
     FreeElement,
@@ -83,6 +84,15 @@ from .identities import (
 # largest tree degree p a command will solve unless --cap/NARY_CAP raises it
 DEFAULT_DEGREE_CAP = 6
 
+# Digits the coefficients of one input file may use in all: the longest
+# numerator plus every distinct denominator. The deepest check multiplies four
+# coefficients, so each witness value has at most 4 * 1000 digits plus a few
+# for the number of terms summed, under Python's default limit of 4300 digits
+# for printing an int.
+MAX_COEF_DIGITS = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
 
 class InputError(Exception):
     """Bad file, flag, or cap; mapped to exit code 2."""
@@ -129,8 +139,10 @@ def _load_algebra(ref):
         )
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise InputError(f"cannot read algebra file {ref}: {e}") from None
+    except RecursionError:
+        raise InputError(f"cannot read algebra file {ref}: nested too deeply") from None
     if not isinstance(data, dict):
         raise InputError(f"algebra file {ref} must hold a JSON object")
     return data
@@ -166,6 +178,7 @@ def _coerce_kind(loaded, kind: str, ref: str):
         raise InputError(f"{ref} is a plain product, but the identity needs a {kind}")
     data = loaded
     try:
+        _check_coef_digits(data, ref)
         if kind == "comultiplication":
             return Comultiplication.from_json_dict(data)
         if kind == "bracket":
@@ -179,8 +192,45 @@ def _coerce_kind(loaded, kind: str, ref: str):
         return MultiMap.from_json_dict(data)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
         raise InputError(f"malformed algebra file {ref}: {e}") from None
+
+
+def _digits(n: int) -> int:
+    """An upper bound on the decimal digits of |n|, without printing it."""
+    return n.bit_length() * 30103 // 100000 + 1
+
+
+def _check_coef_digits(data: dict, ref: str) -> None:
+    """Reject a file whose coefficients exceed MAX_COEF_DIGITS, naming the
+    first entry that goes over. A string coefficient is sized from its length
+    and exponent before it is parsed, so "1e10000000" costs nothing."""
+    longest = den_digits = 0
+    denominators = set()
+    for k, e in enumerate(data.get("entries", [])):
+        coef = e["coef"]
+        if isinstance(coef, str):
+            size = len(coef)
+            exp = _EXPONENT.search(coef) if size <= MAX_COEF_DIGITS else None
+            if exp is not None:
+                size = exp.start() + abs(int(exp[1]))
+            if size > MAX_COEF_DIGITS:
+                raise InputError(
+                    f"{ref}: the coefficient of entry {k} has more than "
+                    f"{MAX_COEF_DIGITS} digits"
+                )
+        value = scalar_from_str(coef)
+        longest = max(longest, _digits(value.numerator))
+        den = value.denominator
+        if den != 1 and den not in denominators:
+            denominators.add(den)
+            den_digits += _digits(den)
+        if longest + den_digits > MAX_COEF_DIGITS:
+            raise InputError(
+                f"{ref}: the coefficient of entry {k} takes the file past "
+                f"{MAX_COEF_DIGITS} digits (longest numerator plus every "
+                f"distinct denominator)"
+            )
 
 
 def _algebra_for_kind(ref: str, kind: str, cap: int):

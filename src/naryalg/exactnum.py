@@ -33,20 +33,6 @@ def scalar_from_str(s: str) -> Scalar:
     return normalize_scalar(Fraction(s))
 
 
-def rational_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return normalize_scalar(Fraction(a) + Fraction(b))
-    if op == "sub":
-        return normalize_scalar(Fraction(a) - Fraction(b))
-    if op == "mul":
-        return normalize_scalar(Fraction(a) * Fraction(b))
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return normalize_scalar(Fraction(a) / Fraction(b))
-    raise ValueError(f"unknown op {op!r}")
-
-
 class SparseMatrix:
     """Rows of sorted (column, nonzero coefficient) pairs over n_cols columns."""
 

@@ -5,9 +5,10 @@ exactly, as a sparse dict; every kernel below accumulates into such a dict.
 The module implements the comb-insertion f at slot i, the signed insertion
 sum f * g, the partial associativity defect A(mu), the theta operator, the
 shuffle Jacobi sum, and the degree-7 composition identities for ternary
-multiplications. The insertion kernel, the pre-Lie symmetry and the
-composition-relation walk also serve the graded calculus in graded.py, which
-adds a Koszul sign; on a space concentrated in degree 0 that sign is +1.
+multiplications. A tensor word of maps composes as a series of insertions.
+The insertion kernel, the pre-Lie symmetry and the composition-relation walk
+also serve the graded calculus in graded.py, which adds a Koszul sign; on a
+space concentrated in degree 0 that sign is +1.
 MultiMap.apply is the one evaluation on sparse coordinate vectors, and
 _permute_into the one argument-permutation kernel.
 """
@@ -126,7 +127,7 @@ class MultiMap:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return type(self)(self.dim, self.arity, terms)
+        return self._like(terms)
 
     def __sub__(self, other):
         return self + -other
@@ -135,9 +136,11 @@ class MultiMap:
         return self.scale(-1)
 
     def scale(self, c):
-        return type(self)(
-            self.dim, self.arity, {key: c * v for key, v in self.terms.items()}
-        )
+        return self._like({key: c * v for key, v in self.terms.items()})
+
+    def _like(self, terms):
+        """A map of this one's kind and shape with the given terms."""
+        return type(self)(self.dim, self.arity, terms)
 
     def _check_compatible(self, other):
         if type(other) is not type(self):
@@ -356,61 +359,33 @@ def theta(mu: MultiMap, k: int) -> Operator:
     return Operator(2 * n + k - 2, k, words)
 
 
-def apply_operator(phi: MultiMap, op: Operator) -> MultiMap:
-    """The composite phi after op as a MultiMap of arity op.source_power.
+def _compose_word(phi: MultiMap, word) -> MultiMap:
+    """phi after one tensor word: each map segment is inserted at the slot its
+    output feeds, right to left, so that the slots to its left stay put."""
+    slots = []
+    pos = 1
+    for seg in word:
+        if seg[0] == "map":
+            slots.append((pos, seg[1]))
+            pos += 1
+        else:
+            pos += seg[1]
+    for pos, f in reversed(slots):
+        phi = insert_at(phi, f, pos)
+    return phi
 
-    Iterates sparsely: phi entries are split across each word's segments, id
-    segments pin their argument block, map segments range over their entries
-    with matching output.
-    """
+
+def apply_operator(phi: MultiMap, op: Operator) -> MultiMap:
+    """The composite phi after op as a MultiMap of arity op.source_power."""
     if phi.arity != op.target_power:
         raise ValueError(
             f"phi arity {phi.arity} vs operator target {op.target_power}"
         )
-    d = phi.dim
     acc: dict = {}
     for coef, word in op.terms:
-        for seg in word:
-            if seg[0] == "map" and seg[1].dim != d:
-                raise ValueError("operator map dimension mismatch")
-        # index each map segment's entries by output basis vector
-        seg_entries = []
-        for seg in word:
-            if seg[0] == "map":
-                by_out: dict[int, list] = {}
-                for y, m, c in seg[1].items():
-                    by_out.setdefault(m, []).append((y, c))
-                seg_entries.append(by_out)
-            else:
-                seg_entries.append(None)
-        for kt, j, cphi in phi.items():
-            pos = 0
-            options = []
-            dead = False
-            for seg, by_out in zip(word, seg_entries):
-                if seg[0] == "id":
-                    m = seg[1]
-                    options.append([(kt[pos : pos + m], 1)])
-                    pos += m
-                else:
-                    bucket = by_out.get(kt[pos], [])
-                    if not bucket:
-                        dead = True
-                        break
-                    options.append(bucket)
-                    pos += 1
-            if dead:
-                continue
-            for combo in product(*options):
-                inputs = []
-                c = coef * cphi
-                for block, cb in combo:
-                    inputs.extend(block)
-                    if cb != 1:
-                        c *= cb
-                key = (tuple(inputs), j)
-                acc[key] = acc.get(key, 0) + c
-    return MultiMap(d, op.source_power, acc)
+        for key, c in _compose_word(phi, word).terms.items():
+            acc[key] = acc.get(key, 0) + coef * c
+    return MultiMap(phi.dim, op.source_power, acc)
 
 
 def _parity(seq) -> int:
@@ -476,13 +451,10 @@ def jacobi_defect(mu: MultiMap) -> MultiMap:
 
 
 def _compose_words(mu: MultiMap, outer_word, inner_word) -> MultiMap:
-    """mu after outer_word after inner_word, evaluated by two operator hops."""
-    o_src, o_tgt = _word_powers(outer_word)
-    i_src, i_tgt = _word_powers(inner_word)
-    if o_src != i_tgt:
+    """mu after outer_word after inner_word, composed one word at a time."""
+    if _word_powers(outer_word)[0] != _word_powers(inner_word)[1]:
         raise ValueError("word powers do not compose")
-    step = apply_operator(mu, Operator(o_src, o_tgt, [(1, outer_word)]))
-    return apply_operator(step, Operator(i_src, i_tgt, [(1, inner_word)]))
+    return _compose_word(_compose_word(mu, outer_word), inner_word)
 
 
 def degree7_defects(mu: MultiMap) -> tuple[MultiMap, MultiMap]:

@@ -55,10 +55,15 @@ class GradedSpace:
         return cls(tuple(data["degrees"]))
 
 
-class GradedMultiMap:
-    """Homogeneous multilinear map on a graded space, of a fixed degree."""
+class GradedMultiMap(MultiMap):
+    """Homogeneous multilinear map on a graded space, of a fixed degree.
 
-    __slots__ = ("base", "degree", "space")
+    A MultiMap whose every term maps arguments of total degree g to an output
+    of degree g + degree; arithmetic keeps the space and the degree. The
+    plain kernels (insert_at, gprod) take it as an ungraded map.
+    """
+
+    __slots__ = ("degree", "space")
 
     def __init__(self, base: MultiMap, degree: int, space: GradedSpace):
         if space.dim != base.dim:
@@ -71,7 +76,10 @@ class GradedMultiMap:
                 f"entry {x}->{j} breaks homogeneity: output degree "
                 f"{space.degrees[j]}, needs {space.tuple_degree(x) + degree}"
             )
-        self.base = base
+        # base is a built MultiMap, so its terms are in range and nonzero; maps
+        # are never mutated, so the dict is shared rather than copied
+        self.dim, self.arity, self.terms = base.dim, base.arity, base.terms
+        self._items = None
         self.degree = degree
         self.space = space
 
@@ -86,21 +94,14 @@ class GradedMultiMap:
         )
 
     @property
-    def dim(self) -> int:
-        return self.base.dim
+    def base(self) -> MultiMap:
+        """The same terms as a plain MultiMap."""
+        return MultiMap(self.dim, self.arity, self.terms)
 
-    @property
-    def arity(self) -> int:
-        return self.base.arity
-
-    def items(self):
-        return self.base.items()
-
-    def is_zero(self) -> bool:
-        return self.base.is_zero()
-
-    def first_nonzero(self):
-        return self.base.first_nonzero()
+    def _like(self, terms):
+        return GradedMultiMap(
+            MultiMap(self.dim, self.arity, terms), self.degree, self.space
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedMultiMap):
@@ -108,33 +109,19 @@ class GradedMultiMap:
         return (
             self.space == other.space
             and self.degree == other.degree
-            and self.base == other.base
+            and super().__eq__(other)
         )
 
-    __hash__ = None
-
-    def __add__(self, other):
-        self._check(other)
-        return GradedMultiMap(self.base + other.base, self.degree, self.space)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GradedMultiMap(self.base - other.base, self.degree, self.space)
-
-    def __neg__(self):
-        return GradedMultiMap(-self.base, self.degree, self.space)
-
-    def scale(self, c):
-        return GradedMultiMap(self.base.scale(c), self.degree, self.space)
-
-    def _check(self, other):
-        if self.space != other.space:
-            raise ValueError("graded space mismatch")
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+    def _check_compatible(self, other):
+        if isinstance(other, GradedMultiMap):
+            if self.space != other.space:
+                raise ValueError("graded space mismatch")
+            if self.degree != other.degree:
+                raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        super()._check_compatible(other)
 
     def to_json_dict(self) -> dict:
-        data = self.base.to_json_dict()
+        data = super().to_json_dict()
         data["degree"] = self.degree
         data["degrees"] = list(self.space.degrees)
         return data
@@ -174,7 +161,7 @@ def koszul_apply(maps, args, space: GradedSpace) -> dict:
             k = seg.arity
             block = args[pos : pos + k]
             sign_exp += seg.degree * left_degree
-            vals = seg.base.value_at(block)
+            vals = seg.value_at(block)
             options.append([((j,), c) for j, c in vals.items()])
             left_degree += space.tuple_degree(block)
             pos += k
@@ -214,7 +201,7 @@ def suspend_map(f: GradedMultiMap) -> GradedMultiMap:
     sus = space.suspend()
     k = f.arity
     terms = {}
-    for (x, j), c in f.base.terms.items():
+    for (x, j), c in f.terms.items():
         # Koszul sign of down^(x)k on arguments whose suspended degrees
         # are the original ones minus 1
         exp = sum((k - t - 1) * (space.degrees[x[t]] - 1) for t in range(k))
@@ -231,7 +218,7 @@ def graded_insert(f: GradedMultiMap, g: GradedMultiMap, i: int) -> GradedMultiMa
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
     acc: dict = {}
-    _insert_into(acc, f.base, g.base, i, 1, f.space.degrees, g.degree)
+    _insert_into(acc, f, g, i, 1, f.space.degrees, g.degree)
     base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
     return GradedMultiMap(base, f.degree + g.degree, f.space)
 
@@ -240,16 +227,16 @@ def graded_gprod(f: GradedMultiMap, g: GradedMultiMap) -> GradedMultiMap:
     """Signed insertion sum with the comb signs (-1)^((i-1)(arity(g)-1))."""
     if f.space != g.space:
         raise ValueError("graded space mismatch")
-    acc = _gprod_terms(f.base, g.base, f.space.degrees, g.degree)
+    acc = _gprod_terms(f, g, f.space.degrees, g.degree)
     base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
     return GradedMultiMap(base, f.degree + g.degree, f.space)
 
 
 def _constant_sign_ratio(a: GradedMultiMap, b: GradedMultiMap):
     """+1/-1 if a = +-b entrywise and nonzero, 0 if both zero, None otherwise."""
-    if a.base == b.base:
+    if a.terms == b.terms:
         return 0 if a.is_zero() else 1
-    if a.base == (-b).base:
+    if a.terms == (-b).terms:
         return -1
     return None
 

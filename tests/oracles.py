@@ -274,3 +274,51 @@ def tree_value(tree, word, m):
         return apply_map(m, [walk(ch) for ch in node.children])
 
     return walk(tree)
+
+
+class CoefTable:
+    """Nonzero coefficients keyed by (input tuple, output index), read back
+    through coef() like a MultiMap, so that oracle results compose."""
+
+    def __init__(self, dim, arity, table):
+        self.dim = dim
+        self.arity = arity
+        self.table = table
+
+    def coef(self, inputs, out):
+        return self.table.get((tuple(inputs), out), 0)
+
+
+def compose_word(phi, word):
+    """phi after a tensor word of ("id", m) and ("map", f) segments, by brute
+    expansion over every dense input tuple, read through coef() only.
+
+    For each input tuple the segments yield every dense intermediate tuple
+    with its coefficient: an id segment copies its block, a map segment
+    ranges over all d outputs. phi is then read at each intermediate tuple.
+    """
+    d = phi.dim
+    widths = [seg[1] if seg[0] == "id" else seg[1].arity for seg in word]
+    table = {}
+    for x in product(range(d), repeat=sum(widths)):
+        options = []
+        pos = 0
+        for seg, w in zip(word, widths):
+            block = x[pos : pos + w]
+            pos += w
+            if seg[0] == "id":
+                options.append([(block, Fraction(1))])
+            else:
+                options.append([((m,), Fraction(seg[1].coef(block, m))) for m in range(d)])
+        for combo in product(*options):
+            y = tuple(i for block, _ in combo for i in block)
+            c = Fraction(1)
+            for _, cb in combo:
+                c *= cb
+            if not c:
+                continue
+            for j in range(d):
+                v = c * phi.coef(y, j)
+                if v:
+                    table[x, j] = table.get((x, j), 0) + v
+    return CoefTable(d, sum(widths), {k: v for k, v in table.items() if v})

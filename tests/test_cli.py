@@ -1,8 +1,11 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from naryalg import cli
 from naryalg.cli import main, run_selftest
@@ -389,6 +392,115 @@ def test_check_zero_denominator_coefficient(tmp_path, capsys):
     )
     rc, out, err = run(capsys, "check", "--algebra", bad, "--identity", "partial-assoc")
     assert rc == 2 and out == "" and "malformed" in err
+
+
+def _one_coef_file(path, coef_json):
+    """A ternary product file whose one entry has the coefficient coef_json,
+    written as raw JSON text."""
+    path.write_text(
+        '{"dim": 2, "arity": 3, "entries": [{"in": [0, 0, 0], "out": 0, "coef": %s}]}'
+        % coef_json
+    )
+    return str(path)
+
+
+def test_check_non_finite_coefficient(tmp_path, capsys):
+    # JSON reads Infinity and 1e400 both as the float inf
+    for name, coef in (("inf", "Infinity"), ("e400", "1e400"), ("nan", "NaN")):
+        path = _one_coef_file(tmp_path / f"{name}.json", coef)
+        rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+        assert rc == 2 and out == "" and "malformed" in err, name
+        assert err.startswith("error:") and err.count("\n") == 1, name
+
+
+def test_check_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    rc, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "nested too deeply" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_check_huge_exact_coefficient(tmp_path, capsys):
+    # rejected before the number is built, however large it would be
+    for name, coef in (
+        ("e5000", '"1e5000"'),
+        ("e10m", '"1e10000000"'),
+        ("long", '"%s"' % ("7" * 1001)),
+        ("int", "7" * 1001),
+    ):
+        path = _one_coef_file(tmp_path / f"{name}.json", coef)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+        assert time.perf_counter() - start < 1, name
+        assert rc == 2 and out == "" and "entry 0" in err and "1000 digits" in err, name
+        assert err.startswith("error:") and err.count("\n") == 1, name
+    # 10^999 has 1000 digits, the most one coefficient may have; the defect
+    # 3 * 10^1998 still prints as the witness
+    path = _one_coef_file(tmp_path / "edge.json", '"1e999"')
+    rc, out, _ = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc", "--format", "json")
+    assert rc == 1
+    assert json.loads(out)["witness"] == [[0, 0, 0, 0, 0, 0], 3 * 10**1998]
+
+
+def test_check_coefficient_digits_count_every_denominator(tmp_path, capsys):
+    # ten distinct 101-digit denominators and the numerator 1 go past 1000
+    keys = [(x, j) for x in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)) for j in (0, 1)]
+    entries = [
+        {"in": list(x), "out": j, "coef": f"1/{10**100 + k}"} for k, (x, j) in enumerate(keys)
+    ]
+    entries += [{"in": [1, 1, 1], "out": j, "coef": f"1/{10**100 + 8 + j}"} for j in (0, 1)]
+    path = write_json(tmp_path / "dens.json", {"dim": 2, "arity": 3, "entries": entries})
+    rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "entry 9 " in err
+    # the same denominator repeated counts once
+    for e in entries:
+        e["coef"] = f"1/{10**100}"
+    path = write_json(tmp_path / "same.json", {"dim": 2, "arity": 3, "entries": entries})
+    assert run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")[0] in (0, 1)
+
+
+_FUZZ_COEFS = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-1, 99)),
+    st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-1500, 1500)),
+    st.builds("{}.{}E{}".format, st.integers(0, 9), st.integers(0, 999), st.integers(-400, 400)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _fuzz_products(draw):
+    """A product file with in-range indices and generated coefficients."""
+    dim = draw(st.integers(1, 2))
+    arity = draw(st.integers(2, 3))
+    index = st.integers(0, dim - 1)
+    entry = st.fixed_dictionaries({
+        "in": st.lists(index, min_size=arity, max_size=arity),
+        "out": index,
+        "coef": _FUZZ_COEFS,
+    })
+    return {"dim": dim, "arity": arity, "entries": draw(st.lists(entry, max_size=5))}
+
+
+# tmp_path is shared by the examples; each one overwrites the same file
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    product=_fuzz_products(),
+    identity=st.sampled_from(
+        ["partial-assoc", "total-assoc", "composition-relations", "commutativity", "roby"]
+    ),
+)
+def test_check_loader_fuzz(tmp_path, product, identity):
+    # JSON floats include inf and nan, which json.dumps writes as Infinity and NaN
+    path = write_json(tmp_path / "fuzz.json", product)
+    assert main(["check", "--algebra", path, "--identity", identity]) in (0, 1, 2)
 
 
 def test_check_oversized_structure(tmp_path, capsys):

@@ -8,7 +8,6 @@ from naryalg.exactnum import (
     in_row_space,
     kernel_basis,
     normalize_scalar,
-    rational_arith,
     rref,
     scalar_from_str,
     scalar_to_str,
@@ -17,10 +16,7 @@ from oracles import dense_kernel, dense_rref, same_row_space
 
 
 def test_rational_examples():
-    assert rational_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
     assert scalar_from_str("2/4") == Fraction(1, 2)
-    assert rational_arith(Fraction(-3, 7), Fraction(-7, 3), "mul") == 1
-    assert isinstance(rational_arith(Fraction(-3, 7), Fraction(-7, 3), "mul"), int)
 
 
 def test_scalar_normalization():
@@ -31,11 +27,6 @@ def test_scalar_normalization():
     assert scalar_to_str(Fraction(8, 4)) == "2"
     assert scalar_from_str("-3/2") == Fraction(-3, 2)
     assert scalar_from_str("5") == 5
-
-
-def test_rational_div_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(1, 0, "div")
 
 
 def test_rref_single_row():

@@ -11,6 +11,7 @@ from naryalg.gerstenhaber import (
     antisymmetrize,
     apply_operator,
     composition_relation_defects,
+    _compose_words,
     degree7_defects,
     gprod,
     insert_at,
@@ -30,7 +31,7 @@ from fixtures import (
     so3_bracket,
     square_zero_map,
 )
-from oracles import apply_map, nested_defect
+from oracles import apply_map, compose_word, nested_defect
 
 
 def one_dim_product(k, a=1):
@@ -269,6 +270,86 @@ def test_apply_operator_arity_mismatch():
     phi = random_multimap(rng, 2, 2)
     with pytest.raises(ValueError):
         apply_operator(phi, Operator(3, 3, [(1, (("id", 3),))]))
+
+
+def _random_word(rng, d, target):
+    """A tensor word with `target` outputs: random id blocks and maps of
+    arity 1-3 with Fraction coefficients."""
+    word = []
+    while len(word) < target:
+        if word and word[-1][0] == "map" and rng.random() < 0.4:
+            word.append(("id", 1))
+        else:
+            f = random_multimap(rng, d, rng.randint(1, 3), density=0.5)
+            word.append(("map", f.scale(Fraction(rng.choice((1, -1, 2)), rng.randint(1, 3)))))
+    return tuple(word)
+
+
+def test_apply_operator_matches_word_oracle():
+    rng = random.Random(25)
+    for trial in range(30):
+        d = rng.randint(1, 3)
+        target = rng.randint(1, 3)
+        first = _random_word(rng, d, target)
+        src = sum(s[1] if s[0] == "id" else s[1].arity for s in first)
+        # the same segments in other orders keep the source and target powers
+        words = [first] + [tuple(rng.sample(first, len(first))) for _ in range(rng.randint(0, 2))]
+        coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in words]
+        phi = random_multimap(rng, d, target, density=0.6).scale(Fraction(1, 2))
+        got = apply_operator(phi, Operator(src, target, list(zip(coefs, words))))
+        want = {}
+        for c, w in zip(coefs, words):
+            for key, v in compose_word(phi, w).table.items():
+                want[key] = want.get(key, 0) + c * v
+        assert got.terms == {k: v for k, v in want.items() if v}, f"trial {trial}"
+
+
+# the ten (outer word, inner word) pairs of degree7_defects, with their signs
+_M = ("map", None)
+_DEGREE7 = (
+    (1, ((("id", 1), _M, ("id", 1)), (_M, ("id", 4)))),
+    (1, ((_M, ("id", 2)), (("id", 3), _M, ("id", 1)))),
+    (1, ((("id", 2), _M), (_M, ("id", 4)))),
+    (1, ((_M, ("id", 2)), (("id", 4), _M))),
+    (1, ((("id", 2), _M), (("id", 1), _M, ("id", 3)))),
+    (1, ((("id", 1), _M, ("id", 1)), (("id", 4), _M))),
+), (
+    (1, ((_M, ("id", 2)), (_M, ("id", 4)))),
+    (-1, ((_M, ("id", 2)), (("id", 3), _M, ("id", 1)))),
+    (1, ((("id", 2), _M), (("id", 4), _M))),
+    (-1, ((("id", 2), _M), (("id", 1), _M, ("id", 3)))),
+)
+
+
+def _bind(word, mu):
+    return tuple(("map", mu) if seg is _M else seg for seg in word)
+
+
+def _check_two_hops(m, outer, inner):
+    """The oracle's two hops for mu = m, checked against _compose_words."""
+    hops = compose_word(compose_word(m, _bind(outer, m)), _bind(inner, m)).table
+    assert _compose_words(m, _bind(outer, m), _bind(inner, m)).terms == hops
+    return hops
+
+
+def test_degree7_defects_match_word_oracle():
+    # a partially associative ternary product whose self-insertions do not vanish
+    mu = MultiMap.from_entries(
+        3, 3, {((1, 1, 1), 2): 1, ((1, 1, 2), 0): 1, ((2, 1, 1), 0): -1}
+    )
+    assert partial_assoc_defect(mu).is_zero()
+    assert not insert_at(mu, mu, 1).is_zero()
+    rng = random.Random(26)
+    dense = random_multimap(rng, 2, 3, density=0.7)
+    got = degree7_defects(mu)
+    for family, defect in zip(_DEGREE7, got):
+        want = {}
+        for sign, (outer, inner) in family:
+            # the composition itself needs no associativity: a dense random map
+            _check_two_hops(dense, outer, inner)
+            for key, v in _check_two_hops(mu, outer, inner).items():
+                want[key] = want.get(key, 0) + sign * v
+        assert defect.terms == {k: v for k, v in want.items() if v}
 
 
 def test_antisymmetrize_symmetric_dies():

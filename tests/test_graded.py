@@ -324,6 +324,36 @@ def test_graded_insert_errors():
         f + GradedMultiMap.zero(spa, 2, 1)
 
 
+def test_graded_map_is_a_multimap():
+    rng = random.Random(41)
+    sp = GradedSpace((0, 1, 1))
+    f = random_homogeneous(rng, sp, 2, 1, density=0.8)
+    g = random_homogeneous(rng, sp, 2, 1, density=0.8)
+    assert isinstance(f, MultiMap) and not f.is_zero()
+    # arithmetic keeps the subclass, the degree and the space
+    for m in (f + g, f - g, -f, f.scale(Fraction(2, 3))):
+        assert type(m) is GradedMultiMap and (m.degree, m.space) == (1, sp)
+    assert f - f == GradedMultiMap.zero(sp, 2, 1)
+    assert (f + g).base == f.base + g.base
+    # the plain kernels compute the ungraded composite, without Koszul signs
+    sq = GradedSpace((1, 0, 2))
+    a = GradedMultiMap.from_entries(sq, 2, 0, {((0, 0), 2): 1, ((1, 0), 0): 1})
+    b = GradedMultiMap.from_entries(sq, 1, 1, {((1,), 0): 1})
+    assert type(insert_at(a, b, 2)) is MultiMap and type(gprod(a, b)) is MultiMap
+    assert insert_at(a, b, 2) == insert_at(a.base, b.base, 2)
+    assert insert_at(a, b, 2).coef((0, 1), 2) == 1
+    assert graded_insert(a, b, 2).coef((0, 1), 2) == -1
+    assert gprod(a, b) == gprod(a.base, b.base)
+    # a graded map never equals a plain one with the same terms
+    assert f != f.base and f.base != f
+    with pytest.raises(TypeError):
+        f + f.base
+    with pytest.raises(ValueError, match="graded space mismatch"):
+        f + GradedMultiMap.zero(GradedSpace((0, 1, 2)), 2, 1)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        f + GradedMultiMap.zero(sp, 2, 0)
+
+
 def test_graded_scale_fraction():
     sp = GradedSpace((0, 1))
     f = GradedMultiMap.from_entries(sp, 1, 1, {((0,), 1): 3})
