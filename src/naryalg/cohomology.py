@@ -3,6 +3,10 @@
 One formula serves both parities of n: delta(phi) = (-1)^(k-1) mu * phi -
 phi * mu with k = arity(phi). For even n it squares to zero on all cochains;
 for odd n only on the restricted space chi cut out by three linear axioms.
+
+The tables need no basis of chi: with C the axioms (none for even n) and D
+the coboundary as rows over the cochain columns, dim ker = space -
+rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ def _dense_size_exceeds(dim: int, arity: int, cap: int) -> bool:
         if size > cap:
             return True
     return False
+
+
+def _check_cap(dim: int, arity: int, cap: int) -> None:
+    if _dense_size_exceeds(dim, arity, cap):
+        size = dim ** arity * dim if dim > 1 else f"2^{arity + 1} (dim 1 counts as 2)"
+        raise ValueError(f"cochain space size {size} exceeds cap {cap}")
 
 
 def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
@@ -106,8 +116,19 @@ def _basis_cochain(d: int, arity: int, flat: int) -> MultiMap:
     return MultiMap(d, arity, {_unflatten(d, arity, flat): 1})
 
 
-def _to_row(m: MultiMap) -> dict:
-    return {_flatten(m.dim, x, j): c for x, j, c in m.items()}
+def _operator_rows(d: int, arity: int, images) -> list[tuple]:
+    """Distinct rows of a linear map on arity-cochains, over their columns.
+
+    images(e) is a tuple of maps linear in the cochain e; each (image index,
+    nonzero output coordinate) gives one row. Identical rows are kept once:
+    they add nothing to the rank and cost elimination time.
+    """
+    rows: dict[tuple[int, int], dict[int, object]] = {}
+    for col in range(d ** arity * d):
+        for idx, image in enumerate(images(_basis_cochain(d, arity, col))):
+            for x, j, c in image.items():
+                rows.setdefault((idx, _flatten(d, x, j)), {})[col] = c
+    return list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -117,22 +138,14 @@ def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap
     stacked constraint matrix over the cochain coordinates.
     """
     d = mu.dim
+    _check_cap(d, arity, cap)
     space = d ** arity * d
-    if space > cap:
-        raise ValueError(f"cochain space size {space} exceeds cap {cap}")
-    # rows: one equation per nonzero output coordinate of each axiom
-    equations: dict[tuple[int, int], dict[int, object]] = {}
-    for col in range(space):
-        e = _basis_cochain(d, arity, col)
-        for a_idx, defect in enumerate(chi_defects(mu, e)):
-            for pos, c in _to_row(defect).items():
-                equations.setdefault((a_idx, pos), {})[col] = c
+    equations = _operator_rows(d, arity, lambda e: chi_defects(mu, e))
     if not equations:
         return [_basis_cochain(d, arity, col) for col in range(space)]
-    m = SparseMatrix(space, [sorted(eq.items()) for eq in equations.values()])
     return [
         MultiMap(d, arity, {_unflatten(d, arity, col): v for col, v in enumerate(vec) if v})
-        for vec in kernel_basis(m)
+        for vec in kernel_basis(SparseMatrix(space, equations))
     ]
 
 
@@ -187,40 +200,25 @@ def cohomology_dims(
         raise ValueError("need at least one step")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("multiplication is not partially associative")
-    odd = n % 2 == 1
     k0 = 0 if slot >= 1 else 1
     # the row's arities and the target arity of its last differential; each
     # is checked as it is made, so a huge steps stops at the first over cap
     arities = []
     for k in range(k0, k0 + steps + 1):
         a = slot + k * (n - 1)
-        if _dense_size_exceeds(d, a, cap):
-            size = d ** a * d if d > 1 else f"2^{a + 1} (dim 1 counts as 2)"
-            raise ValueError(f"cochain space size {size} exceeds cap {cap}")
+        _check_cap(d, a, cap)
         arities.append(a)
 
-    def delta_rank_and_domain_dim(a: int) -> tuple[int, int]:
-        if odd:
-            basis = chi_basis(mu, a, cap)
-        else:
-            basis = [_basis_cochain(d, a, col) for col in range(d ** a * d)]
-        rows = []
-        for b in basis:
-            row = _to_row(coboundary(mu, b))
-            if row:
-                rows.append(sorted(row.items()))
-        out_space = d ** (a + n - 1) * d
-        rank, _, _ = rref(SparseMatrix(out_space, rows))
-        return rank, len(basis)
-
     table_steps = []
-    prev_rank = 0
-    for idx, a in enumerate(arities[:-1]):
-        rank, dim_domain = delta_rank_and_domain_dim(a)
-        dim_ker = dim_domain - rank
-        dim_im_prev = 0 if idx == 0 else prev_rank
-        table_steps.append(CohomologyStep(a, dim_ker, dim_im_prev))
-        prev_rank = rank
+    dim_im_prev = 0
+    for a in arities[:-1]:
+        space = d ** a * d
+        constraints = _operator_rows(d, a, lambda e: chi_defects(mu, e)) if n % 2 else []
+        rank_c, _, reduced = rref(SparseMatrix(space, constraints))
+        delta = _operator_rows(d, a, lambda e: (coboundary(mu, e),))
+        rank_cd, _, _ = rref(SparseMatrix(space, reduced.rows + delta))
+        table_steps.append(CohomologyStep(a, space - rank_cd, dim_im_prev))
+        dim_im_prev = rank_cd - rank_c
     return CohomologyTable(slot, table_steps)
 
 

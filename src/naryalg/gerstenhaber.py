@@ -68,9 +68,10 @@ class MultiMap:
             for key, c in terms.items()
         })
 
-    @classmethod
-    def identity(cls, dim: int) -> "MultiMap":
-        return cls.from_entries(dim, 1, {((i,), i): 1 for i in range(dim)})
+    @staticmethod
+    def identity(dim: int) -> "MultiMap":
+        """The identity of a dim-dimensional space, always a plain MultiMap."""
+        return MultiMap.from_entries(dim, 1, {((i,), i): 1 for i in range(dim)})
 
     def items(self):
         """Nonzero structure constants as (input tuple, output index, coef),

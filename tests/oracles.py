@@ -1,7 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is written the slow, textbook way on dense lists of
-Fractions, deliberately sharing no code with the package under test.
+Fractions, deliberately sharing no code with the package under test; the
+one exception, restricted_table, takes its maps from the package and checks
+only the linear algebra done on them.
 """
 
 from fractions import Fraction
@@ -322,3 +324,60 @@ def compose_word(phi, word):
                 if v:
                     table[x, j] = table.get((x, j), 0) + v
     return CoefTable(d, sum(widths), {k: v for k, v in table.items() if v})
+
+
+def restricted_table(mu, slot, steps):
+    """Kernel/image dimensions along one cohomology row, the textbook way.
+
+    Builds the cochain complex from the package's chi_defects and coboundary
+    on unit cochains, but finds every dimension by dense elimination: the
+    dense chi constraint rows (none for even n), a dense kernel basis of
+    them, the coboundary of each basis vector as a combination of unit
+    images, and the rank of those images. Returns the steps in the format of
+    CohomologyTable.to_json_dict.
+    """
+    from naryalg.cohomology import chi_defects, coboundary
+    from naryalg.gerstenhaber import MultiMap
+
+    d, n = mu.dim, mu.arity
+    k0 = 0 if slot >= 1 else 1
+    out = []
+    prev_rank = 0
+    for k in range(k0, k0 + steps):
+        a = slot + k * (n - 1)
+        units = [
+            MultiMap.from_entries(d, a, {(key[:-1], key[-1]): 1})
+            for key in product(range(d), repeat=a + 1)
+        ]
+        space = len(units)
+        if n % 2:
+            constraints = {}
+            for col, e in enumerate(units):
+                for idx, defect in enumerate(chi_defects(mu, e)):
+                    for x, j, c in defect.items():
+                        row = constraints.setdefault((idx, x, j), [0] * space)
+                        row[col] = c
+            distinct = list(dict.fromkeys(tuple(row) for row in constraints.values()))
+            kernel = dense_kernel(distinct, space)
+        else:
+            kernel = [[int(i == col) for i in range(space)] for col in range(space)]
+        images = [{(x, j): c for x, j, c in coboundary(mu, e).items()} for e in units]
+        keys = sorted({key for image in images for key in image})
+        rows = []
+        for vec in kernel:
+            img = dict.fromkeys(keys, 0)
+            for col, v in enumerate(vec):
+                if v:
+                    for key, c in images[col].items():
+                        img[key] += v * c
+            rows.append([img[key] for key in keys])
+        rank = dense_rref(rows)[0]
+        dim_ker = len(kernel) - rank
+        out.append({
+            "arity_in": a,
+            "dim_ker": dim_ker,
+            "dim_im_prev": prev_rank,
+            "dim_H": dim_ker - prev_rank,
+        })
+        prev_rank = rank
+    return out

@@ -1,4 +1,4 @@
-"""One traced repetition of the bench's checks workload.
+"""One traced repetition of the bench's checks and odd cohomology workloads.
 
 The tracer in perfbench/layertrace.py wraps every binding of the package's
 public functions and fails when one is missed or when a layer the workload
@@ -15,10 +15,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_checks_repetition():
+def _traced_repetition(workload):
     argv = [
         sys.executable, "-I", str(ROOT / "perfbench" / "worker.py"),
-        "--workload", "checks", "--seed", "1", "--trace", "1",
+        "--workload", workload, "--seed", "1", "--trace", "1",
         "--spawned", str(time.monotonic()),
     ]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
@@ -26,3 +26,13 @@ def test_traced_checks_repetition():
     result = json.loads(proc.stdout)
     assert result["failures"] == []
     assert result["missing_layers"] == []
+
+
+def test_traced_checks_repetition():
+    _traced_repetition("checks")
+
+
+def test_traced_coh_odd_repetition():
+    # the cohomology layer records spans only through its public functions,
+    # so a refactor that moves its work out of them fails here
+    _traced_repetition("coh-odd-rsz231")

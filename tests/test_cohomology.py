@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,7 @@ from naryalg.cohomology import (
     unital_phi,
 )
 from naryalg.gerstenhaber import MultiMap, gprod, partial_assoc_defect
-from naryalg.identities import matrix2
+from naryalg.identities import matrix2, random_square_zero
 from fixtures import (
     block_domain_map,
     matrix_algebra,
@@ -24,7 +25,7 @@ from fixtures import (
     square_zero_map,
     upper_triangular2,
 )
-from oracles import dense_rref
+from oracles import dense_rref, restricted_table
 
 
 def one_dim_product(k, a=1):
@@ -341,3 +342,36 @@ def test_cohomology_steps_capped_on_one_dimensional_algebra(tmp_path, capsys):
     assert "exceeds cap" in capsys.readouterr().err
     # a short row stays well inside the cap
     assert main(["cohomology", "--algebra", str(path), "--steps", "4"]) == 0
+
+
+def test_chi_basis_capped_on_one_dimensional_algebra():
+    # the cap rule of cohomology_dims: dim 1 counts as 2, so the arity is
+    # bounded and a huge arity fails at once instead of looping over it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        chi_basis(one_dim_product(3), 10**6)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "d, n, steps", [(2, 2, 4), (2, 3, 2), (2, 4, 1), (3, 2, 2), (3, 3, 1), (3, 4, 1)]
+)
+def test_cohomology_dims_matches_kernel_basis_oracle(d, n, steps):
+    # seed 0 gives a nonzero product for each (d, n); the odd rows with two
+    # steps check the incoming image of a restricted differential
+    mu = random_square_zero(d, n, 0, 1)
+    assert not mu.is_zero()
+    for slot in range(n - 1):
+        got = cohomology_dims(mu, slot, steps).to_json_dict()["steps"]
+        assert got == restricted_table(mu, slot, steps), slot
+
+
+def test_cohomology_dims_restriction_matters_on_nilpotent_ternary():
+    # a partially associative ternary product that is not square-zero: here
+    # some arity-3 cocycles of the full complex leave chi, so dropping the
+    # chi constraints changes dim_ker (8 restricted, 9 unrestricted)
+    mu = MultiMap.from_entries(3, 3, {((0, 0, 0), 1): 1, ((0, 1, 0), 2): 1, ((1, 0, 0), 2): -1})
+    assert partial_assoc_defect(mu).is_zero()
+    got = cohomology_dims(mu, 1, 2).to_json_dict()["steps"]
+    assert got == restricted_table(mu, 1, 2)
+    assert [s["dim_ker"] for s in got] == [3, 8]

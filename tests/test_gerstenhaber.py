@@ -47,6 +47,17 @@ def test_insert_identity():
     assert insert_at(ident, f, 1) == f
 
 
+def test_identity_through_subclasses():
+    # identity builds a plain MultiMap whichever class it is reached through
+    from naryalg.coalg import Comultiplication
+    from naryalg.graded import GradedMultiMap
+
+    for cls in (MultiMap, GradedMultiMap, Comultiplication):
+        ident = cls.identity(2)
+        assert type(ident) is MultiMap
+        assert ident == MultiMap.from_entries(2, 1, {((0,), 0): 1, ((1,), 1): 1})
+
+
 def test_insert_one_dimensional():
     f = one_dim_product(3, a=2)
     g = one_dim_product(2, a=5)
