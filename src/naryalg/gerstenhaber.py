@@ -91,7 +91,12 @@ class MultiMap:
 
     def apply(self, *vectors) -> dict:
         """m(v_1,...,v_k) on sparse {basis index: coefficient} vectors, as
-        {output index: coefficient} with zeros omitted."""
+        {output index: coefficient} with zeros omitted. An index outside
+        0..dim-1 raises ValueError."""
+        for v in vectors:
+            for i in v:
+                if not 0 <= i < self.dim:
+                    raise ValueError(f"vector index {i} not in 0..{self.dim - 1}")
         out: dict = {}
         self._apply_into(out, vectors)
         return {j: v for j, v in out.items() if v}
@@ -263,17 +268,22 @@ def partial_assoc_defect(mu: MultiMap) -> MultiMap:
     return gprod(mu, mu)
 
 
-def total_assoc_check(mu: MultiMap) -> IdentityReport:
-    """All unsigned self-insertions pairwise equal."""
-    name = "total_associativity"
-    inserted = [insert_at(mu, mu, i) for i in range(1, mu.arity + 1)]
-    for a in range(len(inserted)):
-        for b in range(a + 1, len(inserted)):
-            diff = inserted[a] - inserted[b]
-            w = diff.first_nonzero()
+def _pairwise_report(name: str, maps, first: int) -> IdentityReport:
+    """The maps all agree. Pairs are walked in lexicographic order and numbered
+    from first; the witness is the first differing pair and the first nonzero
+    of its difference."""
+    for a in range(len(maps)):
+        for b in range(a + 1, len(maps)):
+            w = (maps[a] - maps[b]).first_nonzero()
             if w is not None:
-                return IdentityReport(name, False, (a + 1, b + 1) + w)
+                return IdentityReport(name, False, (a + first, b + first) + w)
     return IdentityReport(name, True)
+
+
+def total_assoc_check(mu: MultiMap) -> IdentityReport:
+    """All unsigned self-insertions pairwise equal, slots numbered from 1."""
+    inserted = [insert_at(mu, mu, i) for i in range(1, mu.arity + 1)]
+    return _pairwise_report("total_associativity", inserted, 1)
 
 
 def _prelie_symmetry(product, f, g, h, sign: int = 1):

@@ -224,6 +224,34 @@ def dense_coassoc_word(delta, p):
     return {k: v for k, v in word.items() if v}
 
 
+def dense_convolution(mu, delta, mats):
+    """f_1 * ... * f_n on Hom(M, A) for dense matrices, mats[t][a][b] the e_b
+    coefficient of f_t(e_a): Delta, then the maps slotwise, then mu, expanded
+    over every dense index through mu.coef and delta.coef only.
+
+    Returns the dim_M x dim_A result as a list of rows.
+    """
+    d_m, d_a, n = delta.dim, mu.dim, mu.arity
+    if delta.arity != n or len(mats) != n:
+        raise ValueError("arity mismatch")
+    if any(len(f) != d_m or any(len(row) != d_a for row in f) for f in mats):
+        raise ValueError("map shape mismatch")
+    out = [[0] * d_a for _ in range(d_m)]
+    for i in range(d_m):
+        for outs in product(range(d_m), repeat=n):
+            c = delta.coef(i, outs)
+            if not c:
+                continue
+            for bs in product(range(d_a), repeat=n):
+                w = Fraction(c)
+                for t in range(n):
+                    w *= mats[t][outs[t]][bs[t]]
+                if w:
+                    for b in range(d_a):
+                        out[i][b] += w * mu.coef(bs, b)
+    return out
+
+
 def _shape(node):
     """A tree with a `children` tuple as nested tuples; a leaf is ()."""
     return tuple(_shape(ch) for ch in node.children)

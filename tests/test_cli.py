@@ -470,17 +470,76 @@ _FUZZ_COEFS = st.one_of(
 
 
 @st.composite
-def _fuzz_products(draw):
-    """A product file with in-range indices and generated coefficients."""
+def _fuzz_products(draw, comultiplication=False):
+    """A product file with in-range indices and generated coefficients; with
+    comultiplication, its transpose, "in" a source index and "out" a tuple."""
     dim = draw(st.integers(1, 2))
     arity = draw(st.integers(2, 3))
     index = st.integers(0, dim - 1)
+    word = st.lists(index, min_size=arity, max_size=arity)
     entry = st.fixed_dictionaries({
-        "in": st.lists(index, min_size=arity, max_size=arity),
-        "out": index,
+        "in": index if comultiplication else word,
+        "out": word if comultiplication else index,
         "coef": _FUZZ_COEFS,
     })
     return {"dim": dim, "arity": arity, "entries": draw(st.lists(entry, max_size=5))}
+
+
+def _negated(coef):
+    if isinstance(coef, str):
+        return coef[1:] if coef.startswith("-") else "-" + coef
+    return -coef
+
+
+@st.composite
+def _fuzz_brackets(draw):
+    """A bracket file with "antisymmetric": true and an optional "degrees"
+    key, which may have the wrong length or values outside 0 and 1. Under
+    degrees of the right shape, each entry [x, y] -> z has an output of the
+    right parity and comes with its mirror [y, x] under the graded symmetry
+    law, and [x, x] is drawn only for odd x."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    valid = st.lists(st.integers(0, 1), min_size=dim, max_size=dim)
+    degrees = draw(st.one_of(st.none(), st.none(), valid, st.lists(st.integers(-1, 2), max_size=4)))
+    data = {"dim": dim, "arity": 2, "antisymmetric": True, "entries": []}
+    if degrees is not None:
+        data["degrees"] = degrees
+    graded = degrees is not None and len(degrees) == dim and set(degrees) <= {0, 1}
+    parity = (lambda i: degrees[i]) if graded else (lambda i: 0)
+    for i, j, k, coef in draw(st.lists(st.tuples(index, index, index, _FUZZ_COEFS), max_size=4)):
+        odd = parity(i) and parity(j)
+        if (i == j and not odd) or parity(k) != (parity(i) + parity(j)) % 2:
+            continue
+        data["entries"].append({"in": [i, j], "out": k, "coef": coef})
+        if i != j:
+            data["entries"].append({"in": [j, i], "out": k, "coef": coef if odd else _negated(coef)})
+    return data
+
+
+def _check_case(files, identities):
+    """(subcommand, file data, flags after --algebra) for a check call."""
+    flags = st.sampled_from(identities).map(lambda name: ["--identity", name])
+    return st.tuples(st.just("check"), files, flags)
+
+
+_FUZZ_CASES = st.one_of(
+    _check_case(
+        _fuzz_products(),
+        ["partial-assoc", "total-assoc", "composition-relations", "commutativity", "roby"],
+    ),
+    _check_case(_fuzz_products(comultiplication=True), ["partial-coassoc", "total-coassoc"]),
+    _check_case(
+        _fuzz_brackets(), ["jacobi", "partial-assoc-of-associator", "poisson-of-associator"]
+    ),
+    st.tuples(
+        st.just("cohomology"),
+        _fuzz_products(),
+        st.tuples(st.integers(0, 3), st.integers(0, 1)).map(
+            lambda t: ["--steps", str(t[0]), "--slot", str(t[1])]
+        ),
+    ),
+)
 
 
 # tmp_path is shared by the examples; each one overwrites the same file
@@ -488,19 +547,15 @@ def _fuzz_products(draw):
     derandomize=True,
     database=None,
     deadline=None,
-    max_examples=200,
+    max_examples=250,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(
-    product=_fuzz_products(),
-    identity=st.sampled_from(
-        ["partial-assoc", "total-assoc", "composition-relations", "commutativity", "roby"]
-    ),
-)
-def test_check_loader_fuzz(tmp_path, product, identity):
+@given(case=_FUZZ_CASES)
+def test_check_loader_fuzz(tmp_path, case):
     # JSON floats include inf and nan, which json.dumps writes as Infinity and NaN
-    path = write_json(tmp_path / "fuzz.json", product)
-    assert main(["check", "--algebra", path, "--identity", identity]) in (0, 1, 2)
+    command, data, flags = case
+    path = write_json(tmp_path / "fuzz.json", data)
+    assert main([command, "--algebra", path, *flags]) in (0, 1, 2)
 
 
 def test_check_oversized_structure(tmp_path, capsys):

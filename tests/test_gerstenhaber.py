@@ -31,6 +31,8 @@ from fixtures import (
     so3_bracket,
     square_zero_map,
 )
+from naryalg.coalg import convolution_multimap, grouplike
+from naryalg.identities import matrix2
 from oracles import apply_map, compose_word, nested_defect
 
 
@@ -543,6 +545,22 @@ def test_apply_matches_dense_apply_map():
         assert all(got.values())
     with pytest.raises(ValueError):
         MultiMap.identity(2).apply({0: 1}, {1: 1})
+
+
+def test_apply_rejects_out_of_range_index():
+    # an index outside 0..dim-1 is an error that names the first such index,
+    # on the convolution algebra's matrix units too
+    mu = matrix2()
+    for bad, vectors in ((-1, ({-1: 1}, {3: 1})), (4, ({0: 1}, {4: 1}))):
+        with pytest.raises(ValueError, match=f"index {bad} "):
+            mu.apply(*vectors)
+    with pytest.raises(ValueError, match="index 7 "):
+        mu.apply({7: 1}, {0: 1})
+    star = convolution_multimap(mu, grouplike(2, 2))
+    assert star.dim == 8 and star.apply({0: 1}, {0: 1}) == {0: 1}
+    for bad in (8, 99):
+        with pytest.raises(ValueError, match=f"index {bad} "):
+            star.apply({bad: 1}, {0: 1})
 
 
 def test_first_nonzero_normalizes_integral_fractions():
