@@ -2,13 +2,15 @@
 
 Everything downstream stores structure constants exactly, so "defect == 0"
 is decidable. Scalars are plain ints or fractions.Fraction, and arithmetic
-mixes the two freely. Row reduction works over Fraction throughout and
-normalizes its results back to int where the denominator is 1.
+mixes the two freely. Row reduction is fraction-free: rows are eliminated
+as primitive integer rows, sorted so that little fill-in arises, and turn
+into exact scalars only once reduced, as ints where the denominator is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = int | Fraction
 
@@ -92,44 +94,85 @@ def _eliminate(target: dict, coeff, source: dict, skip) -> None:
             target.pop(c, None)
 
 
+def _primitive(row) -> dict:
+    # The row's (column, coefficient) pairs as a primitive integer dict: scaled
+    # by the lcm of its denominators, then divided by its content. Both keep
+    # the row space.
+    den = 1
+    for _, v in row:
+        if type(v) is not int:
+            den = lcm(den, Fraction(v).denominator)
+    r = {c: int(v * den) for c, v in row}
+    _divide_content(r)
+    return r
+
+
+def _divide_content(r: dict) -> None:
+    g = gcd(*r.values())
+    if g > 1:
+        for c in r:
+            r[c] //= g
+
+
+def _combine(r: dict, c: int, prow: dict) -> None:
+    # Clear column c of the integer row r against the integer row prow, in
+    # place: r <- b*r - a*prow with a = r[c], b = prow[c] divided by their
+    # gcd, b > 0, then r divided by its content.
+    a = r[c]
+    b = prow[c]
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for k in r:
+            r[k] *= b
+    for k, v in prow.items():
+        nv = r.get(k, 0) - a * v
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+    _divide_content(r)
+
+
 def rref(m: SparseMatrix):
     """Reduced row echelon form.
 
-    Deterministic: rows are processed in input order, each row's pivot is its
-    lowest-index nonzero column, and a full back-substitution pass finishes the
-    reduction. Returns (rank, sorted pivot columns, reduced SparseMatrix with
-    rows ordered by pivot).
+    Fraction-free and fill-ordered: empty rows are dropped and the rest are
+    eliminated sorted by highest column, descending, then by length. Each
+    row is kept as a primitive integer row (Bareiss-style integer-preserving
+    elimination), and a pivot row keeps its integer lead. A row's pivot is
+    its lowest-index nonzero column. Back-substitution runs over the integer
+    rows from the highest pivot down; only then is each row divided by its
+    lead. The reduced echelon form of a row space is unique, so the row order
+    cannot change the result. Returns (rank, sorted pivot columns, reduced
+    SparseMatrix with rows ordered by pivot); an entry is an int exactly when
+    its denominator is 1.
     """
+    rows = sorted((row for row in m.rows if row), key=lambda row: (-row[-1][0], len(row)))
     pivot_rows: dict[int, dict] = {}
-    for row in m.rows:
-        r = {c: Fraction(v) for c, v in row}
+    for row in rows:
+        r = _primitive(row)
         while r:
             c = min(r)
             prow = pivot_rows.get(c)
             if prow is None:
+                pivot_rows[c] = r
                 break
-            _eliminate(r, r.pop(c), prow, c)
-        if r:
-            c = min(r)
-            lead = r[c]
-            pivot_rows[c] = {cc: vv / lead for cc, vv in r.items()}
+            _combine(r, c, prow)
     # Back-substitute from the highest pivot down; rows eliminated against are
     # already fully reduced, so one pass suffices.
     for c in sorted(pivot_rows, reverse=True):
         prow = pivot_rows[c]
         for c2 in sorted(c2 for c2 in prow if c2 != c and c2 in pivot_rows):
-            coeff = prow.pop(c2, 0)
-            if coeff:
-                _eliminate(prow, coeff, pivot_rows[c2], c2)
+            _combine(prow, c2, pivot_rows[c2])
     pivots = sorted(pivot_rows)
-    reduced = SparseMatrix(
-        m.n_cols,
-        [
-            sorted((c, normalize_scalar(v)) for c, v in pivot_rows[p].items())
-            for p in pivots
-        ],
-    )
-    return len(pivots), pivots, reduced
+    reduced = []
+    for p in pivots:
+        prow = pivot_rows[p]
+        lead = prow[p]
+        reduced.append(sorted((c, normalize_scalar(Fraction(v, lead))) for c, v in prow.items()))
+    return len(pivots), pivots, SparseMatrix(m.n_cols, reduced)
 
 
 def residual(reduced: SparseMatrix, vec) -> dict:
@@ -156,16 +199,16 @@ def kernel_basis(m: SparseMatrix):
     ascending free-column order."""
     _, pivots, reduced = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.n_cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * m.n_cols
-        vec[f] = 1
-        for row in reduced.rows:
-            p = row[0][0]
-            for c, v in row:
-                if c == f:
-                    vec[p] = normalize_scalar(-v)
-                    break
-        basis.append(vec)
-    return basis
+    basis = {}
+    for f in range(m.n_cols):
+        if f not in pivot_set:
+            vec = [0] * m.n_cols
+            vec[f] = 1
+            basis[f] = vec
+    # a reduced row is zero in every other pivot column, so each entry past
+    # the lead sits in a free column
+    for row in reduced.rows:
+        p = row[0][0]
+        for f, v in row[1:]:
+            basis[f][p] = normalize_scalar(-v)
+    return list(basis.values())

@@ -29,8 +29,12 @@ class GradedSpace:
     degrees: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(g) for g in self.degrees))
-        if not self.degrees:
+        degrees = tuple(self.degrees)
+        bad = [g for g in degrees if type(g) is not int]
+        if bad:
+            raise ValueError(f"degree {bad[0]!r} is not an integer")
+        object.__setattr__(self, "degrees", degrees)
+        if not degrees:
             raise ValueError("graded space needs at least one basis vector")
 
     @property

@@ -3,7 +3,9 @@
 Everything here is written the slow, textbook way on dense lists of
 Fractions, deliberately sharing no code with the package under test; the
 one exception, restricted_table, takes its maps from the package and checks
-only the linear algebra done on them.
+only the linear algebra done on them. fraction_rref is sparse: it is the
+package's earlier eliminator (Fraction entries, rows in input order), kept
+as the differential oracle for the fraction-free one.
 """
 
 from fractions import Fraction
@@ -409,3 +411,51 @@ def restricted_table(mu, slot, steps):
         })
         prev_rank = rank
     return out
+
+
+def _eliminate(target, coeff, source, skip):
+    # target -= coeff * source, skipping the source's own pivot column
+    for c, v in source.items():
+        if c == skip:
+            continue
+        nv = target.get(c, 0) - coeff * v
+        if nv:
+            target[c] = nv
+        else:
+            target.pop(c, None)
+
+
+def fraction_rref(m):
+    """Sparse Gauss-Jordan over Fraction, rows taken in input order.
+
+    m has .rows (sorted (column, coefficient) lists) and .n_cols. Returns
+    (rank, sorted pivot columns, reduced rows ordered by pivot, each a sorted
+    list of (column, coefficient) with int entries where the denominator is 1).
+    """
+    pivot_rows = {}
+    for row in m.rows:
+        r = {c: Fraction(v) for c, v in row}
+        while r:
+            c = min(r)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                break
+            _eliminate(r, r.pop(c), prow, c)
+        if r:
+            c = min(r)
+            lead = r[c]
+            pivot_rows[c] = {cc: vv / lead for cc, vv in r.items()}
+    # Back-substitute from the highest pivot down; rows eliminated against are
+    # already fully reduced, so one pass suffices.
+    for c in sorted(pivot_rows, reverse=True):
+        prow = pivot_rows[c]
+        for c2 in sorted(c2 for c2 in prow if c2 != c and c2 in pivot_rows):
+            coeff = prow.pop(c2, 0)
+            if coeff:
+                _eliminate(prow, coeff, pivot_rows[c2], c2)
+    pivots = sorted(pivot_rows)
+    reduced = [
+        sorted((c, int(v) if v.denominator == 1 else v) for c, v in pivot_rows[p].items())
+        for p in pivots
+    ]
+    return len(pivots), pivots, reduced

@@ -332,6 +332,13 @@ def test_check_input_errors(tmp_path, capsys):
         },
     )
     assert run(capsys, "check", "--algebra", broken, "--identity", "jacobi")[0] == 2
+    # degrees that are not integers are rejected, not truncated to (0, 1)
+    fractional = write_json(
+        tmp_path / "fractional.json",
+        {"dim": 2, "arity": 2, "antisymmetric": True, "entries": [], "degrees": [0.9, "1"]},
+    )
+    rc, _, err = run(capsys, "check", "--algebra", fractional, "--identity", "jacobi")
+    assert rc == 2 and "not an integer" in err
 
 
 def test_check_integral_fraction_witness_is_a_json_number(tmp_path, capsys):

@@ -12,7 +12,10 @@ from naryalg.exactnum import (
     scalar_from_str,
     scalar_to_str,
 )
-from oracles import dense_kernel, dense_rref, same_row_space
+from naryalg import cohomology
+from naryalg.freealg import operadic_relations
+from naryalg.identities import matrix2, random_square_zero
+from oracles import dense_kernel, dense_rref, fraction_rref, same_row_space
 
 
 def test_rational_examples():
@@ -177,3 +180,99 @@ def test_sparse_matrix_validation():
     # zero coefficients are dropped silently
     m = SparseMatrix(3, [[(0, 0), (1, 2)]])
     assert m.rows == [[(1, 2)]]
+
+
+def typed_rows(rows):
+    # entries with their type, so an int and an equal Fraction differ
+    return [[(c, type(v), v) for c, v in row] for row in rows]
+
+
+def assert_matches_oracles(m, dense=True):
+    rank, pivots, red = rref(m)
+    o_rank, o_pivots, o_rows = fraction_rref(m)
+    assert (rank, pivots) == (o_rank, o_pivots)
+    assert typed_rows(red.rows) == typed_rows(o_rows)
+    if dense and m.n_cols:
+        d_rank, d_pivots, d_rows = dense_rref(m.to_dense())
+        assert (rank, pivots) == (d_rank, d_pivots)
+        assert red.to_dense() == d_rows
+
+
+def random_wide(rng, n_rows, n_cols, fractions):
+    """Sparse rows with coefficients up to 10^6, some rows repeated, scaled
+    (by an int or a Fraction) or empty."""
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            f = rng.choice([-3, 2, 10**6, Fraction(-7, 5)])
+            rows.append([(c, v * f) for c, v in rng.choice(rows)])
+        elif kind < 0.35:
+            rows.append([])
+        else:
+            row = {}
+            for c in range(n_cols):
+                if rng.random() < 0.2:
+                    v = rng.randint(-10**6, 10**6)
+                    if fractions and rng.random() < 0.5:
+                        v = Fraction(v, rng.randint(1, 10**6))
+                    if v:
+                        row[c] = v
+            rows.append(sorted(row.items()))
+    return SparseMatrix(n_cols, rows)
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_rref_matches_fraction_and_dense_oracles(fractions):
+    rng = random.Random(20261018 + fractions)
+    for _ in range(25):
+        m = random_wide(rng, rng.randint(1, 40), rng.randint(1, 30), fractions)
+        assert_matches_oracles(m)
+
+
+def test_rref_low_rank_products_match_oracles():
+    # a product of thin factors: many dependent rows with large entries
+    rng = random.Random(5)
+    for _ in range(10):
+        k, n_rows, n_cols = rng.randint(1, 4), rng.randint(5, 30), rng.randint(5, 25)
+        left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n_rows)]
+        right = [[rng.randint(-10**6, 10**6) * (rng.random() < 0.4) for _ in range(n_cols)]
+                 for _ in range(k)]
+        dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        assert_matches_oracles(SparseMatrix.from_dense(dense, n_cols))
+
+
+def test_rref_empty_shapes():
+    for m in (SparseMatrix(0, []), SparseMatrix(0, [[], []]), SparseMatrix(4, []),
+              SparseMatrix(3, [[], []])):
+        rank, pivots, red = rref(m)
+        assert (rank, pivots, red.rows, red.n_cols) == (0, [], [], m.n_cols)
+        assert_matches_oracles(m, dense=False)
+    assert kernel_basis(SparseMatrix(0, [])) == []
+    assert kernel_basis(SparseMatrix(2, [[]])) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_rref_matches_oracle_on_free_relations(p):
+    rs = operadic_relations(3, p)
+    assert_matches_oracles(SparseMatrix.from_dicts(len(rs.codes), rs.rows), dense=p <= 4)
+
+
+def test_rref_matches_oracle_on_cohomology_matrices(monkeypatch):
+    # every constraint and stacked matrix cohomology_dims eliminates, for
+    # the binary matrix2 (no constraints) and an odd square-zero product
+    seen = []
+
+    def recording_rref(m):
+        seen.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(cohomology, "rref", recording_rref)
+    cohomology.cohomology_dims(matrix2(), 0, 3)
+    assert len(seen) == 6
+    cohomology.cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 2)
+    assert len(seen) == 10 and any(m.rows for m in seen[6::2])
+    for m in seen:
+        assert_matches_oracles(m, dense=False)

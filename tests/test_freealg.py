@@ -245,6 +245,12 @@ def test_multiplier_table():
         assert solve(operadic_relations(3, p)).multiplier == mult
 
 
+def test_multiplier_degree_seven():
+    solved = solve(operadic_relations(3, 7))
+    assert (solved.rank, len(solved.codes)) == (7744, 7752)
+    assert solved.multiplier == 8
+
+
 def test_binary_multiplier_always_one():
     for p in range(2, 6):
         assert solve(operadic_relations(2, p)).multiplier == 1

@@ -54,6 +54,12 @@ def test_space_needs_vectors():
         GradedSpace(())
 
 
+@pytest.mark.parametrize("degrees", [(0.9, 1), (0, "1"), (True, 0), (1.0,)])
+def test_space_rejects_non_integer_degrees(degrees):
+    with pytest.raises(ValueError, match="not an integer"):
+        GradedSpace(degrees)
+
+
 def test_homogeneity_enforced():
     sp = GradedSpace((0, 1))
     # output degree must be input degree sum plus map degree
