@@ -11,6 +11,7 @@ selftest check is violated, 2 on bad input (file, flag, or cap).
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -128,17 +129,23 @@ def _jsonable(x):
 
 
 def _load_algebra(ref):
-    """Built-in instance by name, or the parsed JSON object from a path."""
+    """Built-in instance by name, or the parsed JSON object from a path that
+    is not a directory (a pipe such as /dev/stdin too); "-" reads stdin."""
     if ref in BUILTIN_ALGEBRAS:
         return builtin_algebra(ref)
-    path = Path(ref)
-    if not path.is_file():
+    if ref == "-":
+        if sys.stdin is None:
+            raise InputError("cannot read the algebra from stdin: it is closed")
+        read = sys.stdin.read
+    elif os.path.exists(ref) and not os.path.isdir(ref):
+        read = Path(ref).read_text
+    else:
         raise InputError(
             f"{ref!r} is neither a built-in algebra "
             f"({', '.join(sorted(BUILTIN_ALGEBRAS))}) nor a file"
         )
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(read())
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read algebra file {ref}: {e}") from None
     except RecursionError:
@@ -740,6 +747,8 @@ def cmd_selftest(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+# built by the first main() call and reused; help width and caps are read later
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nary",
@@ -784,7 +793,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algebra",
         required=True,
         metavar="PATH",
-        help="JSON file or built-in name: " + ", ".join(sorted(BUILTIN_ALGEBRAS)),
+        help="JSON file, - for stdin, or built-in name: " + ", ".join(sorted(BUILTIN_ALGEBRAS)),
     )
     ck.add_argument(
         "--identity",
@@ -820,11 +829,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code if e.code is not None else 0
-        if isinstance(code, int):
-            return 2 if code not in (0, 2) else code
-        return 2
+    except SystemExit as e:  # --help exits 0, a usage error 2
+        return 0 if e.code in (None, 0) else 2
     try:
         return args.func(args)
     except InputError as e:

@@ -36,3 +36,22 @@ def test_traced_coh_odd_repetition():
     # the cohomology layer records spans only through its public functions,
     # so a refactor that moves its work out of them fails here
     _traced_repetition("coh-odd-rsz231")
+
+
+def test_traced_cli_requests_record_their_command():
+    # main() builds its parser on the first call, after the tracer wrapped the
+    # cmd_* functions, so every request records a span for its command
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from layertrace import Tracer\n"
+        "from naryalg import cli\n"
+        "tracer = Tracer(); tracer.install(); tracer.check_bindings()\n"
+        "for argv in (['check', '--algebra', 'so3', '--identity', 'jacobi'],\n"
+        "             ['selftest', '--suites', 'exactnum'], ['check', '--help']):\n"
+        "    cli.main(argv)\n"
+        "print([s.name for s in tracer.spans if s.name.startswith('cli.cmd_')])\n"
+    )
+    argv = [sys.executable, "-I", "-c", script, str(ROOT / "perfbench"), str(ROOT / "src")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['cli.cmd_check', 'cli.cmd_selftest']"

@@ -1,6 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import re
+import sys
+import threading
 import time
 
 import pytest
@@ -8,10 +14,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from naryalg import cli
-from naryalg.cli import main, run_selftest
+from naryalg.cli import DEFAULT_DEGREE_CAP, main, run_selftest
 from naryalg.coalg import grouplike
+from naryalg.freealg import GENERATORS
 from naryalg.gerstenhaber import MultiMap
-from naryalg.identities import bracket_from_pairs, heisenberg3, random_square_zero
+from naryalg.identities import (
+    bracket_from_pairs,
+    builtin_algebra,
+    heisenberg3,
+    random_square_zero,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -310,8 +322,9 @@ def test_check_commutativity_symmetric_product(tmp_path, capsys):
 def test_check_input_errors(tmp_path, capsys):
     rc, _, err = run(capsys, "check", "--algebra", "matrix2", "--identity", "nope")
     assert rc == 2 and "unknown identity" in err
-    rc, _, err = run(capsys, "check", "--algebra", str(tmp_path / "missing.json"), "--identity", "jacobi")
-    assert rc == 2
+    for ref in (str(tmp_path / "missing.json"), str(tmp_path)):  # a directory is no file
+        rc, _, err = run(capsys, "check", "--algebra", ref, "--identity", "jacobi")
+        assert rc == 2 and "neither a built-in algebra" in err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(capsys, "check", "--algebra", str(bad), "--identity", "jacobi")[0] == 2
@@ -565,6 +578,65 @@ def test_check_loader_fuzz(tmp_path, case):
     assert main([command, "--algebra", path, *flags]) in (0, 1, 2)
 
 
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+_JUNK = st.text(max_size=6).filter(lambda text: _int_or_none(text) is None)
+
+
+@st.composite
+def _free_cases(draw):
+    """argv of a free-dims or free-export call. Every flag starts from a small
+    in-range value; then up to three flags get a low (at most 1) int, a huge
+    int or junk that int() rejects, or are left out. A cap is never huge, so
+    no example solves past p = 5 (free-export --generator both at p = 6 alone
+    takes seconds). free-export's output path is a file name or "." under the
+    working directory."""
+    export = draw(st.booleans())
+    flags = {
+        "--n": str(draw(st.integers(2, 5))),
+        "--p" if export else "--p-max": str(draw(st.integers(1, 5))),
+        "--cap": str(draw(st.integers(1, DEFAULT_DEGREE_CAP))),
+        "--generator": draw(st.sampled_from(GENERATORS)),
+        "--format": draw(st.sampled_from(("json", "tree") if export else ("json", "table"))),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        kind = draw(st.sampled_from(("low", "huge", "junk", "absent")))
+        if kind == "absent":
+            del flags[name]
+        elif kind == "junk":
+            flags[name] = draw(_JUNK)
+        elif kind == "huge" and name != "--cap":
+            flags[name] = str(draw(st.integers(min_value=10**6)))
+        else:
+            flags[name] = str(draw(st.integers(max_value=1)))
+    argv = ["free-export" if export else "free-dims"]
+    for name, value in flags.items():
+        argv += [name, value]
+    if export:
+        argv += draw(st.sampled_from([[], ["out.txt"], ["."]]))
+    return argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=250,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_free_cases())
+def test_free_flags_fuzz(tmp_path, monkeypatch, argv):
+    # free-export writes only under tmp_path; "." is a directory and exits 2
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+
+
 def test_check_oversized_structure(tmp_path, capsys):
     # rejected against the cochain cap before any identity runs
     for name, dim, arity in (("dim", 1000000, 3), ("arity", 2, 10**18), ("flat", 1, 10**18)):
@@ -575,6 +647,59 @@ def test_check_oversized_structure(tmp_path, capsys):
     # the largest ternary structure under the default cap still loads
     path = write_json(tmp_path / "edge.json", {"dim": 11, "arity": 3, "entries": []})
     assert run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")[0] == 0
+
+
+def test_check_reads_stdin(capsys, monkeypatch):
+    # "-" reads the document from stdin under the exit-code contract of a file
+    product = json.dumps(random_square_zero(3, 3, 11, 1).to_json_dict())
+    cases = [
+        (product, "partial-assoc", 0),
+        (product, "roby", 1),
+        ("", "partial-assoc", 2),
+        ("{not json", "partial-assoc", 2),
+        ('{"dim": 2, "arity": 3, "entries": [{"in": [0, 0, 0], "out": 1, "coef": "1/0"}]}',
+         "partial-assoc", 2),
+    ]
+    for text, identity, expected in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        rc, out, err = run(capsys, "check", "--algebra", "-", "--identity", identity)
+        assert rc == expected, (text[:20], identity, err)
+        assert (out == "") == (expected == 2)
+    monkeypatch.setattr(sys, "stdin", None)  # as when fd 0 was closed at start
+    rc, out, err = run(capsys, "check", "--algebra", "-", "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "stdin" in err
+    # the digit budget and the nesting guard hold for stdin too
+    coef = '{"dim": 2, "arity": 3, "entries": [{"in": [0, 0, 0], "out": 0, "coef": "1e5000"}]}'
+    for text, message in ((coef, "1000 digits"), ("[" * 100000 + "]" * 100000, "nested too deeply")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        rc, out, err = run(capsys, "check", "--algebra", "-", "--identity", "partial-assoc")
+        assert rc == 2 and out == "" and message in err
+
+
+def test_cohomology_reads_stdin(capsys, monkeypatch):
+    matrix2 = json.dumps(builtin_algebra("matrix2").to_json_dict())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(matrix2))
+    rc, out, _ = run(capsys, "cohomology", "--algebra", "-", "--format", "json")
+    assert rc == 0
+    expected = run(capsys, "cohomology", "--algebra", "matrix2", "--format", "json")[1]
+    assert json.loads(out) == {**json.loads(expected), "algebra": "-"}
+
+
+def test_check_reads_a_pipe_path(tmp_path, capsys):
+    # a FIFO, as from process substitution, is read like a file
+    fifo = tmp_path / "product.fifo"
+    os.mkfifo(fifo)
+    text = json.dumps(random_square_zero(3, 3, 11, 1).to_json_dict())
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        rc, _, err = run(capsys, "check", "--algebra", str(fifo), "--identity", "partial-assoc")
+    finally:
+        writer.join(5)
+        if writer.is_alive():  # the pipe was never opened; release the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+    assert rc == 0, err
 
 
 # ---------------------------------------------------------------- cohomology
@@ -700,3 +825,45 @@ def test_help_and_usage_exit_codes(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "free-dims", "--n", "3")[0] == 2  # missing --p-max
+
+
+def test_one_parser_serves_a_process(capsys, monkeypatch):
+    # failing and succeeding requests of all five subcommands, interleaved;
+    # each answers the same in either order
+    monkeypatch.setenv("COLUMNS", "80")
+    requests = [
+        ("no-such-command",),
+        ("check", "--algebra", "matrix2", "--identity", "partial-assoc"),
+        ("free-dims", "--n", "3", "--p-max", "4", "--no-such-flag"),
+        ("free-dims", "--n", "3", "--p-max", "4", "--format", "json"),
+        ("cohomology", "--steps", "1"),
+        ("check", "--algebra", "so3", "--identity", "partial-assoc-of-associator"),
+        ("check", "--help"),
+        ("cohomology", "--algebra", "matrix2", "--steps", "2"),
+        ("free-export", "--n", "3"),
+        ("selftest", "--suites", "exactnum,coalg"),
+        ("free-export", "--n", "3", "--p", "2"),
+    ]
+
+    def answer(argv):
+        rc, out, _ = run(capsys, *argv)
+        return rc, re.sub(r'"seconds": [-+.\deE]+', '"seconds": 0', out)
+
+    forward = [answer(argv) for argv in requests]
+    backward = [answer(argv) for argv in reversed(requests)][::-1]
+    assert forward == backward
+    assert [rc for rc, _ in forward] == [2, 0, 2, 0, 2, 1, 0, 0, 2, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_help_width_follows_columns(capsys, monkeypatch):
+    # the reused parser reads the terminal width each time it prints help
+    helps = {}
+    for columns in ("60", "60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        rc, out, _ = run(capsys, "check", "--help")
+        assert rc == 0
+        assert helps.setdefault(columns, out) == out
+    assert helps["60"] != helps["120"]
+    assert max(map(len, helps["60"].splitlines())) <= 60
+    assert max(map(len, helps["120"].splitlines())) > 60
