@@ -31,7 +31,7 @@ from .coalg import (
     total_coassoc_check,
 )
 from .cohomology import DEFAULT_CAP, _dense_size_exceeds, coboundary, cohomology_dims
-from .exactnum import SparseMatrix, in_row_space, kernel_basis, rref, scalar_from_str
+from .exactnum import SparseMatrix, kernel_basis, rref, scalar_from_str
 from .freealg import (
     GENERATORS,
     FreeElement,
@@ -44,8 +44,8 @@ from .freealg import (
     l9_basis_report,
     relation_system,
     solve,
+    solve_stacked,
     solved_relations,
-    stack_systems,
     tree_from_code,
 )
 from .gerstenhaber import (
@@ -391,12 +391,7 @@ def cmd_free_export(args) -> int:
         raise InputError(str(e)) from None
     if args.generator == "both":
         pr, op = solved
-        joint = solve(stack_systems(op, pr))
-        failing = [
-            i
-            for i, row in enumerate(pr.rows)
-            if not in_row_space(op.reduced, dict(row))
-        ]
+        joint, failing = solve_stacked(op, pr)
         payload = {
             "operadic": op.to_json_dict(),
             "paper_rules": pr.to_json_dict(),

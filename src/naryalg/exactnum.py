@@ -82,18 +82,6 @@ class SparseMatrix:
         return f"SparseMatrix({len(self.rows)}x{self.n_cols})"
 
 
-def _eliminate(target: dict, coeff, source: dict, skip) -> None:
-    # target -= coeff * source, skipping the source's own pivot column
-    for c, v in source.items():
-        if c == skip:
-            continue
-        nv = target.get(c, 0) - coeff * v
-        if nv:
-            target[c] = nv
-        else:
-            target.pop(c, None)
-
-
 def _primitive(row) -> dict:
     # The row's (column, coefficient) pairs as a primitive integer dict: scaled
     # by the lcm of its denominators, then divided by its content. Both keep
@@ -173,25 +161,6 @@ def rref(m: SparseMatrix):
         lead = prow[p]
         reduced.append(sorted((c, normalize_scalar(Fraction(v, lead))) for c, v in prow.items()))
     return len(pivots), pivots, SparseMatrix(m.n_cols, reduced)
-
-
-def residual(reduced: SparseMatrix, vec) -> dict:
-    """Reduce a vector against the rows of an rref matrix; empty dict means the
-    vector lies in the row space. vec may be a dense list or a {col: coef} dict."""
-    if isinstance(vec, dict):
-        r = {c: Fraction(v) for c, v in vec.items() if v}
-    else:
-        r = {c: Fraction(v) for c, v in enumerate(vec) if v}
-    by_pivot = {row[0][0]: row for row in reduced.rows if row}
-    for c in sorted(r):
-        row = by_pivot.get(c)
-        if row is not None and c in r:
-            _eliminate(r, r.pop(c), dict(row), c)
-    return {c: normalize_scalar(v) for c, v in r.items()}
-
-
-def in_row_space(reduced: SparseMatrix, vec) -> bool:
-    return not residual(reduced, vec)
 
 
 def kernel_basis(m: SparseMatrix):

@@ -10,12 +10,13 @@ row spaces can be compared instead of trusted.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import comb
 
 from .exactnum import (
     SparseMatrix,
+    kernel_basis,
     normalize_scalar,
     rref,
     scalar_to_str,
@@ -207,32 +208,59 @@ def ascii_tree(tree: PlanarTree) -> str:
 
 @dataclass(frozen=True)
 class RelationSystem:
-    """Leaf-uniform relation rows over the lexicographic code list."""
+    """Leaf-uniform relation rows over the lexicographic code list.
+
+    A solved system is its dual basis: dual maps each quotient-basis code
+    index f, ascending, to the kernel vector v_f = {code index: coef} of the
+    rows with v_f[f] = 1 and v_f zero at every other basis code. The rank,
+    pivots, quotient basis and reduced rows are read off it.
+    """
 
     n: int
     p: int
     codes: tuple
     rows: tuple  # of {code index: coefficient}
     discarded: tuple = ()
-    rank: int | None = None
-    pivots: tuple | None = None
-    reduced: SparseMatrix | None = None
-    quotient_basis: tuple | None = None
+    dual: dict | None = None
 
     @property
     def solved(self) -> bool:
-        return self.rank is not None
+        return self.dual is not None
+
+    def _solution(self) -> dict:
+        if self.dual is None:
+            raise ValueError("system not solved")
+        return self.dual
 
     @property
     def multiplier(self) -> int:
         """dim L^{p(n-1)+1}(V) = multiplier * dim(V)^(p(n-1)+1)."""
-        if not self.solved:
-            raise ValueError("system not solved")
-        return len(self.codes) - self.rank
+        return len(self._solution())
+
+    @property
+    def rank(self) -> int:
+        return len(self.codes) - self.multiplier
+
+    @property
+    def pivots(self) -> tuple:
+        dual = self._solution()
+        return tuple(c for c in range(len(self.codes)) if c not in dual)
+
+    @property
+    def quotient_basis(self) -> tuple:
+        return tuple(self.codes[f] for f in self._solution())
+
+    @property
+    def reduced(self) -> SparseMatrix:
+        """The rref of the rows: row c is e_c - sum_f v_f[c] e_f."""
+        rows = {c: [(c, 1)] for c in self.pivots}
+        for f, v in self.dual.items():
+            for c, x in v.items():
+                if c != f:
+                    rows[c].append((f, -x))
+        return SparseMatrix(len(self.codes), rows.values())
 
     def to_json_dict(self) -> dict:
-        if not self.solved:
-            raise ValueError("system not solved")
         return {
             "n": self.n,
             "p": self.p,
@@ -362,23 +390,41 @@ def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
     return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows, a.discarded + b.discarded)
 
 
+def _dual(kernel) -> dict:
+    # kernel_basis's vector for free column f has v[f] = 1 and is nonzero
+    # elsewhere only at pivots c < f, so f is its last nonzero
+    vs = ({c: x for c, x in enumerate(vec) if x} for vec in kernel)
+    return {max(v): v for v in vs}
+
+
 def solve(rs: RelationSystem) -> RelationSystem:
-    """Exact elimination over the lexicographic code order."""
-    matrix = SparseMatrix.from_dicts(len(rs.codes), rs.rows)
-    rank, pivots, reduced = rref(matrix)
-    pivot_set = set(pivots)
-    basis = tuple(c for idx, c in enumerate(rs.codes) if idx not in pivot_set)
-    return RelationSystem(
-        rs.n,
-        rs.p,
-        rs.codes,
-        rs.rows,
-        rs.discarded,
-        rank,
-        tuple(pivots),
-        reduced,
-        basis,
-    )
+    """Exact elimination over the lexicographic code order, kept as the dual
+    basis: one kernel vector per non-pivot code, from one kernel_basis call."""
+    kernel = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    return replace(rs, dual=_dual(kernel))
+
+
+def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[RelationSystem, list]:
+    """solve(stack_systems(solved, extra)) from the dual basis of solved, and
+    the indices of extra's rows outside solved's row space: row r is outside
+    iff some r . v_f != 0. The images form a matrix M with one column per
+    basis code f_l; the joint rank adds rank M, and each kernel vector k of M
+    gives the joint dual vector sum_l k[l] v_l at its free column."""
+    joint = stack_systems(solved, extra)
+    basis, vs = list(solved._solution()), list(solved.dual.values())
+    images = [
+        [sum(coef * v.get(c, 0) for c, coef in row.items()) for v in vs]
+        for row in extra.rows
+    ]
+    dual = {}
+    for j, k in _dual(kernel_basis(SparseMatrix.from_dense(images, len(vs)))).items():
+        v = {}
+        for l, coef in k.items():
+            for c, x in vs[l].items():
+                v[c] = v.get(c, 0) + coef * x
+        dual[basis[j]] = {c: normalize_scalar(x) for c, x in v.items() if x}
+    failing = [i for i, image in enumerate(images) if any(image)]
+    return replace(joint, dual=dual), failing
 
 
 class FreeElement:
@@ -462,29 +508,21 @@ class FreeElement:
 
 
 def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
-    """Rewrite pivot codes through the reduced rows; idempotent and linear."""
-    if not rs.solved:
-        raise ValueError("system not solved")
+    """Each code c goes to sum_f v_f[c] e_f over the dual basis of rs: the
+    pivot codes are rewritten, the basis codes fixed. Idempotent and linear."""
+    dual = rs._solution()
     if (x.n, x.p) != (rs.n, rs.p):
         raise ValueError(
             f"element lives at (n={x.n}, p={x.p}), system at (n={rs.n}, p={rs.p})"
         )
-    rewrite = {}
-    for row in rs.reduced.rows:
-        pivot_col, lead = row[0]
-        assert lead == 1
-        rewrite[rs.codes[pivot_col]] = [
-            (rs.codes[c], -v) for c, v in row[1:]
-        ]
+    col = {code: idx for idx, code in enumerate(rs.codes)}
     out = {}
     for (code, word), coef in x.entries.items():
-        target = rewrite.get(code)
-        if target is None:
-            out[(code, word)] = out.get((code, word), 0) + coef
-        else:
-            for other, factor in target:
-                key = (other, word)
-                out[key] = out.get(key, 0) + coef * factor
+        c = col[code]
+        for f, v in dual.items():
+            if c in v:
+                key = (rs.codes[f], word)
+                out[key] = out.get(key, 0) + coef * v[c]
     return FreeElement(x.n, x.p, out)
 
 
@@ -526,9 +564,8 @@ def free_product(a: FreeElement, b: FreeElement, c: FreeElement,
     """Graft three classes under a new root and reduce to normal form."""
     if not (a.n == b.n == c.n == 3):
         raise ValueError("the free product is the 3-ary structure")
-    for x in (a, b, c):
-        if x.entries and x.leaf_uniform != a.leaf_uniform:
-            raise ValueError("mixed leaf-uniform and leafword factors")
+    if len({x.leaf_uniform for x in (a, b, c) if x.entries}) > 1:
+        raise ValueError("mixed leaf-uniform and leafword factors")
     p = a.p + b.p + c.p + 1
     out = {}
     for (ca, wa), va in a.entries.items():
@@ -584,16 +621,12 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
         rs = solved_relations(3, 4)
     if not rs.solved or (rs.n, rs.p) != (3, 4):
         raise ValueError("need the solved degree-4 system")
-    basis_pos = {c: i for i, c in enumerate(rs.quotient_basis)}
-    qdim = len(rs.quotient_basis)
+    qdim = len(rs.dual)
     candidates = tuple(TreeCode(3, 4, t) for t in PUBLISHED_L9_CODES)
-    matrix = []
-    for cand in candidates:
-        nf = normal_form(FreeElement.from_code(cand), rs)
-        vec = [0] * qdim
-        for (code, _), coef in nf.entries.items():
-            vec[basis_pos[code]] = coef
-        matrix.append(tuple(vec))
+    # candidate c in lex quotient coordinates is (v_f[c]) over the basis f
+    matrix = tuple(
+        tuple(v.get(c, 0) for v in rs.dual.values()) for c in map(rs.codes.index, candidates)
+    )
     rank, _, _ = rref(SparseMatrix.from_dense(matrix, qdim))
     invertible = rank == len(candidates) == qdim
     return BasisComparison(qdim, candidates, invertible, tuple(matrix), invertible)

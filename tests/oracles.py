@@ -459,3 +459,22 @@ def fraction_rref(m):
         for p in pivots
     ]
     return len(pivots), pivots, reduced
+
+
+def residual(reduced, vec):
+    """Reduce a vector against the rows of an rref matrix; empty dict means the
+    vector lies in the row space. vec may be a dense list or a {col: coef} dict."""
+    if isinstance(vec, dict):
+        r = {c: Fraction(v) for c, v in vec.items() if v}
+    else:
+        r = {c: Fraction(v) for c, v in enumerate(vec) if v}
+    by_pivot = {row[0][0]: row for row in reduced.rows if row}
+    for c in sorted(r):
+        row = by_pivot.get(c)
+        if row is not None and c in r:
+            _eliminate(r, r.pop(c), dict(row), c)
+    return {c: int(v) if v.denominator == 1 else v for c, v in r.items()}
+
+
+def in_row_space(reduced, vec):
+    return not residual(reduced, vec)

@@ -23,7 +23,6 @@ from naryalg.cohomology import (
     coboundary,
     odd_coboundary_checked,
 )
-from naryalg.exactnum import in_row_space
 from naryalg.freealg import (
     FreeElement,
     enumerate_codes,
@@ -34,6 +33,7 @@ from naryalg.freealg import (
     operadic_relations,
     paper_rule_relations,
     solve,
+    solve_stacked,
     solved_relations,
     stack_systems,
 )
@@ -64,7 +64,7 @@ from fixtures import (
     random_multimap,
     square_zero_map,
 )
-from oracles import brute_nary_trees, brute_ternary_trees, same_row_space
+from oracles import brute_nary_trees, brute_ternary_trees, in_row_space, same_row_space
 
 
 @contextmanager
@@ -157,6 +157,10 @@ def test_criterion_03_rule_generator_degree4():
         joint = solve(stack_systems(operadic_relations(3, 4), paper_rule_relations(4)))
         assert joint.rank == op.rank == 50
         assert joint.multiplier == 5
+        # the same containment and joint rank from the dual basis of op
+        stacked, failing = solve_stacked(op, pr)
+        assert failing == []
+        assert stacked.rank == 50 and stacked.multiplier == 5
         # the recursive-presentation rank figure is documented, not reproduced
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         assert "not directly comparable" in readme

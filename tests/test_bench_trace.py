@@ -1,4 +1,5 @@
-"""One traced repetition of the bench's checks and odd cohomology workloads.
+"""One traced repetition of the bench's checks, free-algebra and odd cohomology
+workloads.
 
 The tracer in perfbench/layertrace.py wraps every binding of the package's
 public functions and fails when one is missed or when a layer the workload
@@ -30,6 +31,11 @@ def _traced_repetition(workload):
 
 def test_traced_checks_repetition():
     _traced_repetition("checks")
+
+
+def test_traced_free_repetition():
+    # the free-algebra layer: solve and its relation generators
+    _traced_repetition("free-n3-p6")
 
 
 def test_traced_coh_odd_repetition():

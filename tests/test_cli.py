@@ -189,6 +189,11 @@ def test_export_tree_format(capsys):
          "35ce6dd46e2812a59a80ea4975bc35f64aa2cbbc609a6024d13a68477440fd6c"),
         (("--n", "3", "--p", "5"),
          "39032b20d99b5b7edbf500fed4070ae459a36a30811de0799808ffd6558e79a4"),
+        (("--n", "3", "--p", "5", "--generator", "both"),
+         "f4f661adce0d8b22431adae7f1628b3a753ef4f625ecb7fceee0f10e74c02b47"),
+        # the tree output reads the joint quotient basis
+        (("--n", "3", "--p", "5", "--generator", "both", "--format", "tree"),
+         "b7bf96666f5eb2850846dd6d84abee3e2a5d362cf863b469cdae262c3dd5ebee"),
     ],
 )
 def test_export_output_is_pinned(capsys, argv, digest):

@@ -5,7 +5,6 @@ import pytest
 
 from naryalg.exactnum import (
     SparseMatrix,
-    in_row_space,
     kernel_basis,
     normalize_scalar,
     rref,
@@ -15,7 +14,7 @@ from naryalg.exactnum import (
 from naryalg import cohomology
 from naryalg.freealg import operadic_relations
 from naryalg.identities import matrix2, random_square_zero
-from oracles import dense_kernel, dense_rref, fraction_rref, same_row_space
+from oracles import dense_kernel, dense_rref, fraction_rref, in_row_space, same_row_space
 
 
 def test_rational_examples():

@@ -24,7 +24,9 @@ from naryalg.freealg import (
     normal_form,
     operadic_relations,
     paper_rule_relations,
+    relation_system,
     solve,
+    solve_stacked,
     solved_relations,
     stack_systems,
     tree_from_code,
@@ -34,7 +36,9 @@ from fixtures import bracket_associator, filiform5_bracket, square_zero_map
 from oracles import (
     brute_nary_trees,
     brute_ternary_trees,
+    fraction_rref,
     grafted_code,
+    in_row_space,
     same_row_space,
     tree_value,
 )
@@ -263,8 +267,110 @@ def test_stack_systems_mismatch():
 
 def test_multiplier_requires_solve():
     rs = operadic_relations(3, 2)
+    assert rs.dual is None and not rs.solved
+    for name in ("multiplier", "rank", "pivots", "quotient_basis", "reduced"):
+        with pytest.raises(ValueError):
+            getattr(rs, name)
+
+
+def test_multiplier_tables_n4_n5():
+    assert [solve(operadic_relations(4, p)).multiplier for p in range(2, 6)] == [3, 12, 55, 273]
+    assert [solve(operadic_relations(5, p)).multiplier for p in range(2, 5)] == [4, 21, 123]
+
+
+# ------------------------------------------------------------- dual basis
+
+
+def _typed(rows):
+    return [[(c, type(v), v) for c, v in row] for row in rows]
+
+
+def _assert_matches(solved, rank, pivots, reduced):
+    # the fields read off the dual basis against an elimination's output
+    assert solved.rank == rank
+    assert list(solved.pivots) == list(pivots)
+    assert _typed(solved.reduced.rows) == _typed(reduced)
+    pivot_set = set(pivots)
+    assert solved.quotient_basis == tuple(
+        c for i, c in enumerate(solved.codes) if i not in pivot_set
+    )
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(2, p) for p in range(1, 7)] + [(3, p) for p in range(1, 6)] + [(4, p) for p in range(1, 6)],
+)
+def test_dual_matches_fraction_oracle(n, p):
+    rs = relation_system(n, p)
+    solved = solve(rs)
+    _assert_matches(solved, *fraction_rref(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
+    for f, v in solved.dual.items():
+        assert v[f] == 1
+        assert all(v.get(g, 0) == 0 for g in solved.dual if g != f)
+
+
+def test_dual_of_stacked_system_matches_fraction_oracle():
+    rs = stack_systems(operadic_relations(3, 5), paper_rule_relations(5))
+    _assert_matches(solve(rs), *fraction_rref(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
+
+
+def test_dual_degree_six_matches_rref():
+    rs = operadic_relations(3, 6)
+    rank, pivots, reduced = rref(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    _assert_matches(solve(rs), rank, pivots, reduced.rows)
+
+
+def _assert_same_solution(got, want):
+    assert got.rows == want.rows
+    assert got.dual == want.dual
+    assert (got.rank, got.pivots, got.quotient_basis) == (want.rank, want.pivots, want.quotient_basis)
+    assert _typed(got.reduced.rows) == _typed(want.reduced.rows)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_solve_stacked_matches_joint_elimination(p):
+    op = solve(operadic_relations(3, p))
+    pr = paper_rule_relations(p)
+    joint, failing = solve_stacked(op, pr)
+    _assert_same_solution(joint, solve(stack_systems(op, pr)))
+    assert failing == []
+    if p <= 5:
+        assert all(in_row_space(op.reduced, row) for row in pr.rows)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_solve_stacked_with_rows_outside(p):
+    # rows 0 and 2 are op rows plus combinations of basis codes, so they lie
+    # outside op's row space; row 1 is an op row. The joint dual vector at f2
+    # is v_f2 - (v_f0 + v_f1)/2, so halves meet and must sum to exact ints.
+    op = solve(operadic_relations(3, p))
+    f0, f1, f2 = list(op.dual)[:3]
+
+    def plus(row, scale, extra):
+        out = {c: scale * v for c, v in row.items()}
+        for c, v in extra.items():
+            out[c] = out.get(c, 0) + v
+        return {c: v for c, v in out.items() if v}
+
+    extra_rows = (
+        plus(op.rows[0], 1, {f0: 2, f2: 1}),
+        dict(op.rows[0]),
+        plus(op.rows[1], Fraction(1, 2), {f1: 2, f2: 1}),
+    )
+    extra = RelationSystem(3, p, op.codes, extra_rows)
+    joint, failing = solve_stacked(op, extra)
+    _assert_same_solution(joint, solve(stack_systems(op, extra)))
+    assert failing == [i for i, row in enumerate(extra_rows) if not in_row_space(op.reduced, row)]
+    assert failing == [0, 2]
+    assert joint.rank == op.rank + 2
+    assert joint.dual[f2][f0] == joint.dual[f2][f1] == Fraction(-1, 2)
+
+
+def test_solve_stacked_guards():
     with pytest.raises(ValueError):
-        rs.multiplier
+        solve_stacked(operadic_relations(3, 3), paper_rule_relations(3))
+    with pytest.raises(ValueError):
+        solve_stacked(solve(operadic_relations(3, 4)), paper_rule_relations(3))
 
 
 # ------------------------------------------------------------- normal form
@@ -377,6 +483,16 @@ def test_product_trivial_patterns_degree_four():
     l5 = free_product(g1, leaf, leaf)
     l7b = free_product(l5, leaf, leaf)
     assert free_product(leaf, leaf, l7b).is_zero()
+
+
+def test_product_with_zero_first_factor():
+    g1 = FreeElement.from_code(TreeCode(3, 1, ()))
+    leaf = FreeElement.from_code(TreeCode(3, 0, ()))
+    x = free_product(g1, g1, g1)
+    assert x.is_zero()
+    for factors in ((x, g1, leaf), (g1, x, leaf), (leaf, g1, x)):
+        prod = free_product(*factors)
+        assert prod.is_zero() and prod.p == 6
 
 
 def test_product_mode_and_arity_guards():
