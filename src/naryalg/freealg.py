@@ -530,12 +530,12 @@ GENERATORS = ("operadic", "paper-rules", "both")
 
 
 def relation_system(n: int, p: int, generator: str = "operadic") -> RelationSystem:
-    """The unsolved degree-p relation system of the named generator.
+    """The unsolved degree-p system of the operadic or paper-rules generator.
 
     Degrees below 2 have no relations, and degree 2 is the single seed row
-    under every generator. paper-rules and both are 3-ary only.
+    under every generator. paper-rules is 3-ary only.
     """
-    if generator not in GENERATORS:
+    if generator not in ("operadic", "paper-rules"):
         raise ValueError(f"unknown generator {generator!r}")
     if generator != "operadic" and n != 3:
         raise ValueError("the textual rules are 3-ary only")
@@ -543,9 +543,7 @@ def relation_system(n: int, p: int, generator: str = "operadic") -> RelationSyst
         return RelationSystem(n, p, (TreeCode(n, p, ()),), ())
     if generator == "operadic" or p == 2:
         return operadic_relations(n, p)
-    if generator == "paper-rules":
-        return paper_rule_relations(p)
-    return stack_systems(operadic_relations(n, p), paper_rule_relations(p))
+    return paper_rule_relations(p)
 
 
 _solved_cache: dict = {}
@@ -637,7 +635,11 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
     report = []
     for p in range(1, p_max + 1):
         start = time.perf_counter()
-        solved = solve(relation_system(n, p, generator))
+        if generator == "both" and p > 2:
+            solved = solve_stacked(solve(operadic_relations(n, p)), paper_rule_relations(p))[0]
+        else:  # below degree 3 both is the seed system; p=1 rejects n != 3
+            kind = "paper-rules" if generator == "both" else generator
+            solved = solve(relation_system(n, p, kind))
         elapsed = time.perf_counter() - start
         report.append(
             {

@@ -675,6 +675,20 @@ def test_free_dims_generators_agree():
         free_dims(3, 3, generator="mathematica")
     with pytest.raises(ValueError):
         free_dims(2, 3, generator="paper-rules")
+    with pytest.raises(ValueError):
+        free_dims(2, 3, generator="both")
+
+
+def test_free_dims_both_matches_joint_elimination():
+    # both is solved through solve_stacked; the stacked elimination is the reference
+    for row in free_dims(3, 5, generator="both")[2:]:
+        p = row["p"]
+        joint = solve(stack_systems(operadic_relations(3, p), paper_rule_relations(p)))
+        assert (row["rows"], row["rank"], row["multiplier"]) == (
+            len(joint.rows), joint.rank, joint.multiplier
+        ), p
+    with pytest.raises(ValueError):
+        relation_system(3, 4, "both")
 
 
 def test_relation_system_json():
