@@ -518,8 +518,8 @@ def _suite_exactnum(rng, fixtures):
         ker = kernel_basis(sm)
         if len(ker) != 5 - rank:
             ok = False
-        for vec in ker:
-            if any(sum(r[c] * vec[c] for c in range(5)) for r in rows):
+        for vec in ker.values():
+            if any(sum(r[c] * x for c, x in vec.items()) for r in rows):
                 ok = False
     checks.append(("rank_nullity_and_kernel", ok))
     return checks

@@ -12,6 +12,7 @@ rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .exactnum import SparseMatrix, kernel_basis, rref
 from .gerstenhaber import (
@@ -41,7 +42,7 @@ def _dense_size_exceeds(dim: int, arity: int, cap: int) -> bool:
 
 def _check_cap(dim: int, arity: int, cap: int) -> None:
     if _dense_size_exceeds(dim, arity, cap):
-        size = dim ** arity * dim if dim > 1 else f"2^{arity + 1} (dim 1 counts as 2)"
+        size = f"{dim}^{arity + 1}" if dim > 1 else f"2^{arity + 1} (dim 1 counts as 2)"
         raise ValueError(f"cochain space size {size} exceeds cap {cap}")
 
 
@@ -93,59 +94,47 @@ def odd_coboundary_checked(mu: MultiMap, phi: MultiMap) -> MultiMap:
     return out
 
 
-def _flatten(d: int, inputs, out: int) -> int:
-    """Matrix column of the cochain coordinate (inputs, out): row-major
-    over the inputs, then the output."""
-    flat = 0
-    for i in inputs:
-        flat = flat * d + i
-    return flat * d + out
-
-
-def _unflatten(d: int, arity: int, flat: int) -> tuple[tuple, int]:
-    """Inverse of _flatten: the (inputs, out) key of a matrix column."""
-    rest, out = divmod(flat, d)
-    inputs = []
-    for _ in range(arity):
-        rest, r = divmod(rest, d)
-        inputs.append(r)
-    return tuple(reversed(inputs)), out
-
-
-def _basis_cochain(d: int, arity: int, flat: int) -> MultiMap:
-    return MultiMap(d, arity, {_unflatten(d, arity, flat): 1})
+def _cochain_keys(d: int, arity: int) -> list[tuple]:
+    """The (inputs, out) coordinates of the arity-cochains in the order of
+    product(range(d), repeat=arity + 1): the matrix columns of every linear
+    map on them."""
+    return [(key[:-1], key[-1]) for key in product(range(d), repeat=arity + 1)]
 
 
 def _operator_rows(d: int, arity: int, images) -> list[tuple]:
-    """Distinct rows of a linear map on arity-cochains, over their columns.
+    """Distinct rows of a linear map on arity-cochains, over _cochain_keys.
 
     images(e) is a tuple of maps linear in the cochain e; each (image index,
-    nonzero output coordinate) gives one row. Identical rows are kept once:
-    they add nothing to the rank and cost elimination time.
+    nonzero output key) gives one row, in order of first appearance. The
+    reduced echelon form is unique, so that order cannot change a rank.
+    Identical rows are kept once: they add nothing to the rank and cost
+    elimination time.
     """
-    rows: dict[tuple[int, int], dict[int, object]] = {}
-    for col in range(d ** arity * d):
-        for idx, image in enumerate(images(_basis_cochain(d, arity, col))):
-            for x, j, c in image.items():
-                rows.setdefault((idx, _flatten(d, x, j)), {})[col] = c
+    rows: dict[tuple, dict[int, object]] = {}
+    for col, key in enumerate(_cochain_keys(d, arity)):
+        for idx, image in enumerate(images(MultiMap(d, arity, {key: 1}))):
+            for out_key, c in image.terms.items():
+                rows.setdefault((idx, out_key), {})[col] = c
     return list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
-    """Basis of the restricted cochain space at the given arity.
+    """Basis of the restricted cochain space at the given arity, for mu of
+    odd arity (even arity restricts nothing).
 
     The three axioms are linear in phi, so the space is the kernel of one
-    stacked constraint matrix over the cochain coordinates.
+    stacked constraint matrix over the cochain coordinates, and each vector
+    of its kernel_basis is one basis cochain.
     """
+    if mu.arity % 2 == 0:
+        raise ValueError("restricted cochain space needs a map of odd arity")
     d = mu.dim
     _check_cap(d, arity, cap)
-    space = d ** arity * d
+    keys = _cochain_keys(d, arity)
     equations = _operator_rows(d, arity, lambda e: chi_defects(mu, e))
-    if not equations:
-        return [_basis_cochain(d, arity, col) for col in range(space)]
     return [
-        MultiMap(d, arity, {_unflatten(d, arity, col): v for col, v in enumerate(vec) if v})
-        for vec in kernel_basis(SparseMatrix(space, equations))
+        MultiMap(d, arity, {keys[col]: x for col, x in vec.items()})
+        for vec in kernel_basis(SparseMatrix(len(keys), equations)).values()
     ]
 
 

@@ -163,21 +163,18 @@ def rref(m: SparseMatrix):
     return len(pivots), pivots, SparseMatrix(m.n_cols, reduced)
 
 
-def kernel_basis(m: SparseMatrix):
-    """Basis of the right null space, one vector per non-pivot column, in
-    ascending free-column order."""
+def kernel_basis(m: SparseMatrix) -> dict:
+    """Dual basis of the right null space: {free column f: v_f}, one entry per
+    non-pivot column in ascending order. Each v_f is a sparse {column:
+    coefficient} dict with no stored zeros, v_f[f] = 1 and v_f zero at every
+    other free column; it is nonzero elsewhere only at pivots below f."""
     _, pivots, reduced = rref(m)
     pivot_set = set(pivots)
-    basis = {}
-    for f in range(m.n_cols):
-        if f not in pivot_set:
-            vec = [0] * m.n_cols
-            vec[f] = 1
-            basis[f] = vec
+    basis = {f: {f: 1} for f in range(m.n_cols) if f not in pivot_set}
     # a reduced row is zero in every other pivot column, so each entry past
     # the lead sits in a free column
     for row in reduced.rows:
         p = row[0][0]
         for f, v in row[1:]:
             basis[f][p] = normalize_scalar(-v)
-    return list(basis.values())
+    return basis

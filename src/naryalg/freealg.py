@@ -210,10 +210,11 @@ def ascii_tree(tree: PlanarTree) -> str:
 class RelationSystem:
     """Leaf-uniform relation rows over the lexicographic code list.
 
-    A solved system is its dual basis: dual maps each quotient-basis code
-    index f, ascending, to the kernel vector v_f = {code index: coef} of the
-    rows with v_f[f] = 1 and v_f zero at every other basis code. The rank,
-    pivots, quotient basis and reduced rows are read off it.
+    A solved system is its dual basis: dual is exactnum.kernel_basis of the
+    rows, mapping each quotient-basis code index f, ascending, to the kernel
+    vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at every
+    other basis code. The rank, pivots, quotient basis and reduced rows are
+    read off it.
     """
 
     n: int
@@ -390,18 +391,10 @@ def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
     return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows, a.discarded + b.discarded)
 
 
-def _dual(kernel) -> dict:
-    # kernel_basis's vector for free column f has v[f] = 1 and is nonzero
-    # elsewhere only at pivots c < f, so f is its last nonzero
-    vs = ({c: x for c, x in enumerate(vec) if x} for vec in kernel)
-    return {max(v): v for v in vs}
-
-
 def solve(rs: RelationSystem) -> RelationSystem:
     """Exact elimination over the lexicographic code order, kept as the dual
-    basis: one kernel vector per non-pivot code, from one kernel_basis call."""
-    kernel = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
-    return replace(rs, dual=_dual(kernel))
+    basis: the kernel_basis of the rows, stored unchanged."""
+    return replace(rs, dual=kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
 
 
 def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[RelationSystem, list]:
@@ -417,7 +410,7 @@ def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[Relati
         for row in extra.rows
     ]
     dual = {}
-    for j, k in _dual(kernel_basis(SparseMatrix.from_dense(images, len(vs)))).items():
+    for j, k in kernel_basis(SparseMatrix.from_dense(images, len(vs))).items():
         v = {}
         for l, coef in k.items():
             for c, x in vs[l].items():

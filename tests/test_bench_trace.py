@@ -1,5 +1,5 @@
-"""One traced repetition of the bench's checks, free-algebra and odd cohomology
-workloads.
+"""One traced repetition of each of the bench's workloads: checks, the free
+algebra, and the even and odd cohomology tables.
 
 The tracer in perfbench/layertrace.py wraps every binding of the package's
 public functions and fails when one is missed or when a layer the workload
@@ -36,6 +36,11 @@ def test_traced_checks_repetition():
 def test_traced_free_repetition():
     # the free-algebra layer: solve and its relation generators
     _traced_repetition("free-n3-p6")
+
+
+def test_traced_coh_even_repetition():
+    # the full-cochain table path: coboundary rows with no chi constraints
+    _traced_repetition("coh-even-matrix2")
 
 
 def test_traced_coh_odd_repetition():

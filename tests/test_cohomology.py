@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -25,11 +26,16 @@ from fixtures import (
     square_zero_map,
     upper_triangular2,
 )
-from oracles import dense_rref, restricted_table
+from oracles import dense_kernel, dense_rref, restricted_table, same_row_space
 
 
 def one_dim_product(k, a=1):
     return MultiMap.from_entries(1, k, {((0,) * k, 0): a})
+
+
+def nilpotent_ternary():
+    # partially associative, not square-zero
+    return MultiMap.from_entries(3, 3, {((0, 0, 0), 1): 1, ((0, 1, 0), 2): 1, ((1, 0, 0), 2): -1})
 
 
 def test_coboundary_zero_cochain():
@@ -353,6 +359,47 @@ def test_chi_basis_capped_on_one_dimensional_algebra():
     assert time.perf_counter() - start < 1
 
 
+def test_chi_basis_cap_message_at_large_arity():
+    # the size is written as a power: printing 2^20001 itself would exceed
+    # Python's int-to-string digit limit and raise a different ValueError
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"2\^20001 exceeds cap"):
+        chi_basis(random_square_zero(2, 3, 1, 1), 20000)
+    assert time.perf_counter() - start < 1
+
+
+def test_chi_basis_rejects_even_arity():
+    # chi is the odd-arity construction; an even product restricts nothing
+    with pytest.raises(ValueError, match="needs a map of odd arity"):
+        chi_basis(matrix2(), 1)
+
+
+@pytest.mark.parametrize(
+    "mu, arity",
+    [
+        (random_square_zero(2, 3, 1, 1), 2),
+        (nilpotent_ternary(), 2),
+    ],
+)
+def test_chi_basis_spans_dense_oracle_kernel(mu, arity):
+    # the three axioms of every unit cochain as dense rows, by gprod
+    d = mu.dim
+    keys = [(k[:-1], k[-1]) for k in product(range(d), repeat=arity + 1)]
+    rows = {}
+    for col, key in enumerate(keys):
+        phi = MultiMap(d, arity, {key: 1})
+        pm = gprod(phi, mu)
+        for idx, defect in enumerate((gprod(pm, mu), gprod(gprod(mu, phi), mu), gprod(mu, pm))):
+            for x, j, c in defect.items():
+                rows.setdefault((idx, x, j), [0] * len(keys))[col] = c
+    oracle = dense_kernel(list(rows.values()), len(keys))
+    assert 0 < len(oracle) < len(keys)
+    basis = chi_basis(mu, arity)
+    assert len(basis) == len(oracle)
+    dense = [[phi.coef(x, j) for x, j in keys] for phi in basis]
+    assert same_row_space(dense, oracle, len(keys))
+
+
 @pytest.mark.parametrize(
     "d, n, steps", [(2, 2, 4), (2, 3, 2), (2, 4, 1), (3, 2, 2), (3, 3, 1), (3, 4, 1)]
 )
@@ -370,7 +417,7 @@ def test_cohomology_dims_restriction_matters_on_nilpotent_ternary():
     # a partially associative ternary product that is not square-zero: here
     # some arity-3 cocycles of the full complex leave chi, so dropping the
     # chi constraints changes dim_ker (8 restricted, 9 unrestricted)
-    mu = MultiMap.from_entries(3, 3, {((0, 0, 0), 1): 1, ((0, 1, 0), 2): 1, ((1, 0, 0), 2): -1})
+    mu = nilpotent_ternary()
     assert partial_assoc_defect(mu).is_zero()
     got = cohomology_dims(mu, 1, 2).to_json_dict()["steps"]
     assert got == restricted_table(mu, 1, 2)

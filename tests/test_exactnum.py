@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -87,9 +88,9 @@ def test_rref_degree7_system():
 
 def test_kernel_vectors_annihilate():
     m = degree7_matrix()
-    for vec in kernel_basis(m):
+    for vec in kernel_basis(m).values():
         for row in m.rows:
-            assert sum(v * vec[c] for c, v in row) == 0
+            assert sum(v * vec.get(c, 0) for c, v in row) == 0
 
 
 def random_sparse(rng, n_rows, n_cols, density=0.4):
@@ -249,8 +250,45 @@ def test_rref_empty_shapes():
         rank, pivots, red = rref(m)
         assert (rank, pivots, red.rows, red.n_cols) == (0, [], [], m.n_cols)
         assert_matches_oracles(m, dense=False)
-    assert kernel_basis(SparseMatrix(0, [])) == []
-    assert kernel_basis(SparseMatrix(2, [[]])) == [[1, 0], [0, 1]]
+    assert kernel_basis(SparseMatrix(0, [])) == {}
+    assert kernel_basis(SparseMatrix(2, [[]])) == {0: {0: 1}, 1: {1: 1}}
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_kernel_basis_matches_dense_oracle(fractions):
+    # the dual basis against the textbook kernel, on empty shapes and on
+    # random rows with repeats, multiples and empty rows
+    rng = random.Random(20261020 + fractions)
+    shapes = [(0, 0), (3, 0), (0, 4), (2, 5)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 10)) for _ in range(40)]
+    for n_rows, n_cols in shapes:
+        m = random_wide(rng, n_rows, n_cols, fractions)
+        ker = kernel_basis(m)
+        _, o_pivots, _ = dense_rref(m.to_dense())
+        oracle = dense_kernel(m.to_dense(), n_cols)
+        free = [c for c in range(n_cols) if c not in o_pivots]
+        assert len(ker) == len(oracle)
+        assert list(ker) == free
+        for f, v in ker.items():
+            assert v[f] == 1
+            assert all(v.get(g, 0) == 0 for g in free if g != f)
+            assert all(v.values())
+            for row in m.rows:
+                assert sum(x * v.get(c, 0) for c, x in row) == 0
+        dense = [[v.get(c, 0) for c in range(n_cols)] for v in ker.values()]
+        assert same_row_space(dense, oracle, n_cols)
+
+
+def test_kernel_basis_memory_is_sparse():
+    # 1999 free columns: a dense vector per column would hold 2000 entries
+    tracemalloc.start()
+    try:
+        ker = kernel_basis(SparseMatrix(2000, [[(0, 1)]]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ker) == 1999 and ker[1999] == {1999: 1}
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("p", range(2, 6))

@@ -274,8 +274,8 @@ def test_multiplier_requires_solve():
 
 
 def test_multiplier_tables_n4_n5():
-    assert [solve(operadic_relations(4, p)).multiplier for p in range(2, 6)] == [3, 12, 55, 273]
-    assert [solve(operadic_relations(5, p)).multiplier for p in range(2, 5)] == [4, 21, 123]
+    assert [solve(operadic_relations(4, p)).multiplier for p in range(2, 7)] == [3, 12, 55, 273, 1428]
+    assert [solve(operadic_relations(5, p)).multiplier for p in range(2, 6)] == [4, 21, 123, 759]
 
 
 # ------------------------------------------------------------- dual basis
