@@ -506,7 +506,7 @@ def _sink_graded_product(rng, degrees, n, mu_degree, sources):
             return mu
 
 
-def _suite_exactnum(rng, fixtures):
+def _suite_exactnum(rng):
     checks = []
     rank, pivots, _ = rref(SparseMatrix.from_dense([[1, 2, 0], [0, 1, 1], [1, 3, 1]], 3))
     checks.append(("known_rank", rank == 2 and list(pivots) == [0, 1]))
@@ -525,9 +525,9 @@ def _suite_exactnum(rng, fixtures):
     return checks
 
 
-def _suite_gerstenhaber(rng, fixtures):
+def _suite_gerstenhaber(rng):
     checks = []
-    sign = fixtures["prelie_mirror_sign"]
+    sign = SELFTEST_FIXTURES["prelie_mirror_sign"]
     ok = True
     for kg, kh in ((2, 2), (3, 2), (2, 3), (2, 2)):
         f = _random_map(rng, 2, 2)
@@ -544,7 +544,7 @@ def _suite_gerstenhaber(rng, fixtures):
     return checks
 
 
-def _suite_cohomology(rng, fixtures):
+def _suite_cohomology(rng):
     checks = []
     mu = builtin_algebra("matrix2")
     ok = True
@@ -565,7 +565,7 @@ def _suite_cohomology(rng, fixtures):
     return checks
 
 
-def _suite_freealg(rng, fixtures):
+def _suite_freealg(rng):
     checks = []
     checks.append(
         ("code_counts", all(len(enumerate_codes(3, p)) == fuss_catalan(3, p) for p in range(1, 5)))
@@ -586,7 +586,7 @@ def _suite_freealg(rng, fixtures):
     return checks
 
 
-def _suite_graded(rng, fixtures):
+def _suite_graded(rng):
     checks = []
     sp = GradedSpace((0, 0, 1, 1))
     ok = True
@@ -613,7 +613,7 @@ def _suite_graded(rng, fixtures):
     return checks
 
 
-def _suite_coalg(rng, fixtures):
+def _suite_coalg(rng):
     checks = []
     ok = True
     for _ in range(3):
@@ -631,7 +631,7 @@ def _suite_coalg(rng, fixtures):
     return checks
 
 
-def _suite_identities(rng, fixtures):
+def _suite_identities(rng):
     checks = []
     checks.append(
         (
@@ -673,16 +673,12 @@ class SuiteResult:
     failures: tuple
 
 
-def run_selftest(seed: int = 0, suites=None, fixtures=None) -> list:
+def run_selftest(seed: int = 0, suites=None) -> list:
     """Run the named suites (all by default), sorted by suite name.
 
     Each suite draws from its own stream seeded by (seed, suite name), so
-    results do not depend on which other suites were selected. fixtures
-    overrides entries of SELFTEST_FIXTURES.
+    results do not depend on which other suites were selected.
     """
-    table = dict(SELFTEST_FIXTURES)
-    if fixtures:
-        table.update(fixtures)
     if suites is None:
         names = sorted(SELFTEST_SUITES)
     else:
@@ -695,7 +691,7 @@ def run_selftest(seed: int = 0, suites=None, fixtures=None) -> list:
     results = []
     for name in names:
         rng = random.Random(f"{seed}:{name}")
-        outcome = SELFTEST_SUITES[name](rng, table)
+        outcome = SELFTEST_SUITES[name](rng)
         failures = tuple(check for check, ok in outcome if not ok)
         results.append(SuiteResult(name, len(outcome) - len(failures), len(failures), failures))
     return results

@@ -1,4 +1,4 @@
-"""Free 3-ary partially associative algebra: trees, relations, exact ranks.
+"""Free n-ary partially associative algebras: trees, relations, exact ranks.
 
 Homogeneous components are spanned by planar trees with n-ary internal
 nodes, coded by the sorted leaf positions of their opening brackets. Two
@@ -10,8 +10,9 @@ row spaces can be compared instead of trusted.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .exactnum import (
@@ -293,8 +294,12 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
 
     A context is a tree A with k internal nodes, a leaf q of A, and subtrees
     B_1..B_{2n-1} with k + 2 + sum(nodes(B)) = p. The row is the signed sum
-    over i of the code of A with leaf q replaced by the two-level tree of
-    mu._i mu carrying the B's. Duplicate rows are dropped.
+    over i of the codes T_i of A with leaf q replaced by mu o_i mu carrying
+    the B's. Re-bracketing moves no leaf, so T_i is T_1 with the inner
+    bracket opening at q + leaves(B_1) + ... + leaves(B_{i-1}) instead of at
+    q: the n codes increase with i, the lowest one, T_1, has sign +1, and
+    T_1 with T_2's bracket fixes the context, so the rows are distinct,
+    C(np-1, p-2) of them.
     """
     if p < 2:
         raise ValueError("relations start at two internal nodes")
@@ -303,34 +308,27 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     shapes = {0: [(0, ())]}
     for k in range(1, p - 1):
         shapes[k] = [(k, c.indices) for c in enumerate_codes(n, k)]
+    signs = [-1 if (i * (n - 1)) % 2 else 1 for i in range(1, n)]
     rows = []
-    seen = set()
     for k in range(p - 1):
-        budget = p - 2 - k
+        # mu(mu(B_1..B_n), B_{n+1}..B_{2n-1}) and the inner bracket's shifts
+        fillers = []
+        for parts in _compositions(p - 2 - k, 2 * n - 1):
+            shifts = tuple(accumulate(b * (n - 1) + 1 for b in parts[: n - 1]))
+            for subs in product(*(shapes[b] for b in parts)):
+                inner = _corolla_with(n, subs[:n])
+                fillers.append((_corolla_with(n, (inner,) + subs[n:]), shifts))
         for context in shapes[k]:
-            n_leaves = k * (n - 1) + 1
-            for q in range(1, n_leaves + 1):
-                for parts in _compositions(budget, 2 * n - 1):
-                    for subs in product(*(shapes[b] for b in parts)):
-                        row = {}
-                        for i in range(1, n + 1):
-                            inner = _corolla_with(n, subs[i - 1 : i - 1 + n])
-                            filled = _corolla_with(
-                                n, subs[: i - 1] + (inner,) + subs[i - 1 + n :]
-                            )
-                            idx = col[_graft(n, context, q, filled)[1]]
-                            sign = -1 if ((i - 1) * (n - 1)) % 2 else 1
-                            row[idx] = row.get(idx, 0) + sign
-                        row = {c: v for c, v in row.items() if v}
-                        if not row:
-                            continue
-                        lead = row[min(row)]
-                        if lead < 0:
-                            row = {c: -v for c, v in row.items()}
-                        key = tuple(sorted(row.items()))
-                        if key not in seen:
-                            seen.add(key)
-                            rows.append(row)
+            for q in range(1, k * (n - 1) + 2):
+                for filled, shifts in fillers:
+                    first = _graft(n, context, q, filled)[1]
+                    at = first.index(q)
+                    rest = first[:at] + first[at + 1 :]
+                    row = {col[first]: 1}
+                    for shift, sign in zip(shifts, signs):
+                        j = bisect(rest, q + shift)
+                        row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
+                    rows.append(row)
     return RelationSystem(n, p, tuple(codes), tuple(rows))
 
 
@@ -628,11 +626,11 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
     report = []
     for p in range(1, p_max + 1):
         start = time.perf_counter()
-        if generator == "both" and p > 2:
-            solved = solve_stacked(solve(operadic_relations(n, p)), paper_rule_relations(p))[0]
-        else:  # below degree 3 both is the seed system; p=1 rejects n != 3
-            kind = "paper-rules" if generator == "both" else generator
-            solved = solve(relation_system(n, p, kind))
+        if generator == "both":  # the 3-ary-only system first: n != 3 fails early
+            pr = relation_system(n, p, "paper-rules")
+            solved = solve_stacked(solve(relation_system(n, p, "operadic")), pr)[0]
+        else:
+            solved = solve(relation_system(n, p, generator))
         elapsed = time.perf_counter() - start
         report.append(
             {

@@ -259,20 +259,23 @@ def _shape(node):
     return tuple(_shape(ch) for ch in node.children)
 
 
-def grafted_code(tree_a, q, tree_b):
-    """Replace leaf q of tree_a by tree_b, then read the code of the result
-    by a depth-first walk: (internal nodes, sorted leftmost-leaf positions
-    of the non-root internal nodes)."""
+def _graft_leaf(shape, q, sub):
+    """Nested-tuple tree shape with its q-th leaf replaced by sub."""
     leaves = [0]
 
     def graft(node):
         if not node:
             leaves[0] += 1
-            return _shape(tree_b) if leaves[0] == q else node
+            return sub if leaves[0] == q else node
         return tuple(graft(ch) for ch in node)
 
-    whole = graft(_shape(tree_a))
-    leaves[0] = 0
+    return graft(shape)
+
+
+def _read_code(shape):
+    """Code of a nested-tuple tree by a depth-first walk: (internal nodes,
+    sorted leftmost-leaf positions of the non-root internal nodes)."""
+    leaves = [0]
     positions = []
 
     def read(node, is_root):
@@ -289,8 +292,48 @@ def grafted_code(tree_a, q, tree_b):
             positions.append(first)
         return first, nodes
 
-    _, p = read(whole, True)
+    _, p = read(shape, True)
     return p, tuple(sorted(positions))
+
+
+def grafted_code(tree_a, q, tree_b):
+    """Replace leaf q of tree_a by tree_b, then read the code of the result."""
+    return _read_code(_graft_leaf(_shape(tree_a), q, _shape(tree_b)))
+
+
+def operadic_rows(n, p):
+    """The operadic relation rows of degree p, each built term by term.
+
+    Trees are nested tuples (a leaf is ()), listed per node count by
+    ascending code. For each context tree A with k nodes, leaf q of A and
+    subtrees B_1..B_{2n-1} (node counts in lexicographic order) the row is
+    sum_i (-1)^((i-1)(n-1)) code(A[q <- mu(B_1..mu(B_i..B_{i+n-1})..)]),
+    keyed by column in i order, with nothing cancelled, flipped or dropped.
+    """
+    trees = {0: [()]}
+    for k in range(1, p + 1):
+        grown = []
+        for split in product(range(k), repeat=n):
+            if sum(split) == k - 1:
+                grown.extend(product(*(trees[s] for s in split)))
+        trees[k] = sorted(grown, key=_read_code)
+    col = {_read_code(t): c for c, t in enumerate(trees[p])}
+    rows = []
+    for k in range(p - 1):
+        budget = p - 2 - k
+        for context in trees[k]:
+            for q in range(1, k * (n - 1) + 2):
+                for parts in product(range(budget + 1), repeat=2 * n - 1):
+                    if sum(parts) != budget:
+                        continue
+                    for subs in product(*(trees[b] for b in parts)):
+                        row = {}
+                        for i in range(n):
+                            term = subs[:i] + (subs[i : i + n],) + subs[i + n :]
+                            c = col[_read_code(_graft_leaf(context, q, term))]
+                            row[c] = row.get(c, 0) + (-1) ** (i * (n - 1))
+                        rows.append(row)
+    return rows
 
 
 def tree_value(tree, word, m):

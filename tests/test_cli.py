@@ -211,8 +211,8 @@ def test_export_errors(tmp_path, capsys):
 
 
 def test_free_dims_and_export_share_the_dispatch(capsys):
-    # p=1 has no relations, p=2 is the seed row under every generator, and
-    # both reports the joint system
+    # p=1 has no relations, p=2 is the seed row under either generator, and
+    # both reports the joint system, which stacks the two seed rows at p=2
     for generator in ("operadic", "paper-rules", "both"):
         rc, out, _ = run(
             capsys, "free-dims", "--n", "3", "--p-max", "4", "--generator", generator,
@@ -230,8 +230,9 @@ def test_free_dims_and_export_share_the_dispatch(capsys):
             data = json.loads(out)
             if generator == "both":
                 data = data["joint"]
-            assert (data["rank"], data["quotient_multiplier"]) == (
-                row["rank"], row["multiplier"]
+            rows = data["rows"] if generator == "both" else len(data["relations"])
+            assert (rows, data["rank"], data["quotient_multiplier"]) == (
+                row["rows"], row["rank"], row["multiplier"]
             ), (generator, row["p"])
         assert run(
             capsys, "free-export", "--n", "2", "--p", "1", "--generator", generator
@@ -814,10 +815,12 @@ def test_selftest_broken_fixture_fails(capsys, monkeypatch):
     assert all(s["failed"] == 0 for s in others)
 
 
-def test_selftest_fixture_override_many_seeds():
+def test_selftest_fixture_override_many_seeds(monkeypatch):
     for seed in (0, 4, 12):
         assert all(r.failed == 0 for r in run_selftest(seed=seed))
-        mutated = run_selftest(seed=seed, fixtures={"prelie_mirror_sign": -1})
+        with monkeypatch.context() as m:
+            m.setitem(cli.SELFTEST_FIXTURES, "prelie_mirror_sign", -1)
+            mutated = run_selftest(seed=seed)
         broken = [r for r in mutated if r.suite == "gerstenhaber"][0]
         assert "prelie_identity" in broken.failures
 

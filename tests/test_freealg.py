@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -39,6 +40,7 @@ from oracles import (
     fraction_rref,
     grafted_code,
     in_row_space,
+    operadic_rows,
     same_row_space,
     tree_value,
 )
@@ -210,6 +212,30 @@ def test_operadic_binary_signs():
 def test_operadic_rejects_degree_below_two():
     with pytest.raises(ValueError):
         operadic_relations(3, 1)
+
+
+def test_operadic_rows_are_distinct_signed_n_term_rows():
+    # each row's n codes are distinct, so nothing cancels, and ascend with i,
+    # so the signs (-1)^((i-1)(n-1)) read off in code order and the lowest is
+    # +1; no context repeats a row: C(np-1, p-2) rows in all
+    for n in range(2, 7):
+        signs = [(-1) ** (i * (n - 1)) for i in range(n)]
+        for p in range(2, 9):
+            if fuss_catalan(n, p) > 1428:
+                break
+            rows = operadic_relations(n, p).rows
+            assert len(rows) == comb(n * p - 1, p - 2), (n, p)
+            for row in rows:
+                assert [row[c] for c in sorted(row)] == signs, (n, p, row)
+            assert len({tuple(sorted(row.items())) for row in rows}) == len(rows), (n, p)
+
+
+def test_operadic_rows_match_term_by_term_oracle():
+    # same rows in the same order, with the keys of each row in term order
+    for n in (2, 3, 4):
+        for p in range(2, 6):
+            got = [list(row.items()) for row in operadic_relations(n, p).rows]
+            assert got == [list(row.items()) for row in operadic_rows(n, p)], (n, p)
 
 
 def test_paper_rules_degree_three_exact_rows():
@@ -680,10 +706,13 @@ def test_free_dims_generators_agree():
 
 
 def test_free_dims_both_matches_joint_elimination():
-    # both is solved through solve_stacked; the stacked elimination is the reference
-    for row in free_dims(3, 5, generator="both")[2:]:
+    # both is solved through solve_stacked; the stacked elimination is the
+    # reference, from the seed degree on
+    for row in free_dims(3, 5, generator="both")[1:]:
         p = row["p"]
-        joint = solve(stack_systems(operadic_relations(3, p), paper_rule_relations(p)))
+        joint = solve(stack_systems(
+            relation_system(3, p, "operadic"), relation_system(3, p, "paper-rules")
+        ))
         assert (row["rows"], row["rank"], row["multiplier"]) == (
             len(joint.rows), joint.rank, joint.multiplier
         ), p
