@@ -7,6 +7,13 @@ for odd n only on the restricted space chi cut out by three linear axioms.
 The tables need no basis of chi: with C the axioms (none for even n) and D
 the coboundary as rows over the cochain columns, dim ker = space -
 rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
+Both ranks come from one forward elimination, exactnum.stacked_ranks.
+
+coboundary and chi_defects act on one cochain through gprod. The tables
+instead read C and D straight off mu's terms, indexed once: with
+L(e) = gprod(e, mu) and R(e) = gprod(mu, e) as direct loops on a unit
+cochain e of arity a, delta = (-1)^(a-1) R - L and the axioms are L(L(e)),
+L(R(e)) and R(L(e)) (coboundary_rows, chi_rows).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .exactnum import SparseMatrix, kernel_basis, rref
+from .exactnum import SparseMatrix, kernel_basis, stacked_ranks
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
@@ -101,21 +108,106 @@ def _cochain_keys(d: int, arity: int) -> list[tuple]:
     return [(key[:-1], key[-1]) for key in product(range(d), repeat=arity + 1)]
 
 
+def _mu_index(mu: MultiMap):
+    """mu's terms by output, as (inputs, c), and per slot by the input there,
+    as (inputs before, inputs after, output, c)."""
+    by_out: dict[int, list] = {}
+    by_slot: list[dict[int, list]] = [{} for _ in range(mu.arity)]
+    for (y, m), c in mu.terms.items():
+        by_out.setdefault(m, []).append((y, c))
+        for i, t in enumerate(y):
+            by_slot[i].setdefault(t, []).append((y[:i], y[i + 1:], m, c))
+    return by_out, by_slot
+
+
+def _left_into(acc: dict, by_out, n: int, x: tuple, j: int, c) -> None:
+    """Add c * gprod(e, mu) to acc, e the unit cochain at (x, j): mu goes in
+    each slot of e with sign (-1)^((i-1)(n-1))."""
+    for i, t in enumerate(x):
+        terms = by_out.get(t)
+        if terms:
+            s = -c if i * (n - 1) % 2 else c
+            head, tail = x[:i], x[i + 1:]
+            for y, cm in terms:
+                key = (head + y + tail, j)
+                acc[key] = acc.get(key, 0) + s * cm
+
+
+def _right_into(acc: dict, by_slot, x: tuple, j: int, c) -> None:
+    """Add c * gprod(mu, e) to acc, e the unit cochain at (x, j): e goes in
+    each slot of mu with sign (-1)^((i-1)(len(x)-1))."""
+    odd = (len(x) - 1) % 2
+    for i, slot in enumerate(by_slot):
+        terms = slot.get(j)
+        if terms:
+            s = -c if odd and i % 2 else c
+            for head, tail, k, cm in terms:
+                key = (head + x + tail, k)
+                acc[key] = acc.get(key, 0) + s * cm
+
+
 def _operator_rows(d: int, arity: int, images) -> list[tuple]:
     """Distinct rows of a linear map on arity-cochains, over _cochain_keys.
 
-    images(e) is a tuple of maps linear in the cochain e; each (image index,
-    nonzero output key) gives one row, in order of first appearance. The
-    reduced echelon form is unique, so that order cannot change a rank.
-    Identical rows are kept once: they add nothing to the rank and cost
-    elimination time.
+    images(x, j) is a tuple of {output key: coefficient} dicts, the images of
+    the unit cochain at (x, j) under maps linear in the cochain; each (image
+    index, output key with nonzero coefficient) gives one row, in order of
+    first appearance. The reduced echelon form is unique, so that order
+    cannot change a rank. Identical rows are kept once: they add nothing to
+    the rank and cost elimination time.
     """
     rows: dict[tuple, dict[int, object]] = {}
-    for col, key in enumerate(_cochain_keys(d, arity)):
-        for idx, image in enumerate(images(MultiMap(d, arity, {key: 1}))):
-            for out_key, c in image.terms.items():
-                rows.setdefault((idx, out_key), {})[col] = c
+    for col, (x, j) in enumerate(_cochain_keys(d, arity)):
+        for idx, image in enumerate(images(x, j)):
+            for out_key, c in image.items():
+                if c:
+                    rows.setdefault((idx, out_key), {})[col] = c
     return list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
+
+
+def coboundary_rows(mu: MultiMap, arity: int) -> list[tuple]:
+    """Distinct rows of delta on the arity-cochains, over the unit cochains in
+    product order: coboundary(mu, e) of each unit cochain e, read off mu's
+    terms, with (-1)^(arity-1) gprod(mu, e) - gprod(e, mu) as direct loops."""
+    by_out, by_slot = _mu_index(mu)
+    n = mu.arity
+    sign = -1 if (arity - 1) % 2 else 1
+
+    def images(x, j):
+        acc: dict = {}
+        _right_into(acc, by_slot, x, j, sign)
+        _left_into(acc, by_out, n, x, j, -1)
+        return (acc,)
+
+    return _operator_rows(mu.dim, arity, images)
+
+
+def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
+    """Distinct rows of the three chi axioms on the arity-cochains, over the
+    unit cochains in product order: the chi_defects of each unit cochain e,
+    read off mu's terms. With L(e) = gprod(e, mu) and R(e) = gprod(mu, e) the
+    defects are L(L(e)), L(R(e)) and R(L(e))."""
+    by_out, by_slot = _mu_index(mu)
+    n = mu.arity
+
+    def images(x, j):
+        left: dict = {}
+        right: dict = {}
+        _left_into(left, by_out, n, x, j, 1)
+        _right_into(right, by_slot, x, j, 1)
+        ll: dict = {}
+        lr: dict = {}
+        rl: dict = {}
+        for (y, k), c in left.items():
+            if c:
+                _left_into(ll, by_out, n, y, k, c)
+                _right_into(rl, by_slot, y, k, c)
+        for (y, k), c in right.items():
+            if c:
+                _left_into(lr, by_out, n, y, k, c)
+        return ll, lr, rl
+
+    return _operator_rows(mu.dim, arity, images)
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -131,7 +223,7 @@ def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap
     d = mu.dim
     _check_cap(d, arity, cap)
     keys = _cochain_keys(d, arity)
-    equations = _operator_rows(d, arity, lambda e: chi_defects(mu, e))
+    equations = chi_rows(mu, arity)
     return [
         MultiMap(d, arity, {keys[col]: x for col, x in vec.items()})
         for vec in kernel_basis(SparseMatrix(len(keys), equations)).values()
@@ -202,10 +294,8 @@ def cohomology_dims(
     dim_im_prev = 0
     for a in arities[:-1]:
         space = d ** a * d
-        constraints = _operator_rows(d, a, lambda e: chi_defects(mu, e)) if n % 2 else []
-        rank_c, _, reduced = rref(SparseMatrix(space, constraints))
-        delta = _operator_rows(d, a, lambda e: (coboundary(mu, e),))
-        rank_cd, _, _ = rref(SparseMatrix(space, reduced.rows + delta))
+        constraints = chi_rows(mu, a) if n % 2 else []
+        rank_c, rank_cd = stacked_ranks(space, (constraints, coboundary_rows(mu, a)))
         table_steps.append(CohomologyStep(a, space - rank_cd, dim_im_prev))
         dim_im_prev = rank_cd - rank_c
     return CohomologyTable(slot, table_steps)

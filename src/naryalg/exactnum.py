@@ -5,6 +5,7 @@ is decidable. Scalars are plain ints or fractions.Fraction, and arithmetic
 mixes the two freely. Row reduction is fraction-free: rows are eliminated
 as primitive integer rows, sorted so that little fill-in arises, and turn
 into exact scalars only once reduced, as ints where the denominator is 1.
+Where only ranks are read, stacked_ranks stops after the forward pass.
 """
 
 from __future__ import annotations
@@ -123,6 +124,21 @@ def _combine(r: dict, c: int, prow: dict) -> None:
     _divide_content(r)
 
 
+def _forward(pivot_rows: dict, rows) -> None:
+    # The forward pass of rref, in the row order its docstring gives: each
+    # row is eliminated into pivot_rows, {pivot column: primitive integer
+    # row}, and one that reduces to zero adds nothing.
+    for row in sorted((row for row in rows if row), key=lambda row: (-row[-1][0], len(row))):
+        r = _primitive(row)
+        while r:
+            c = min(r)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                pivot_rows[c] = r
+                break
+            _combine(r, c, prow)
+
+
 def rref(m: SparseMatrix):
     """Reduced row echelon form.
 
@@ -137,17 +153,8 @@ def rref(m: SparseMatrix):
     SparseMatrix with rows ordered by pivot); an entry is an int exactly when
     its denominator is 1.
     """
-    rows = sorted((row for row in m.rows if row), key=lambda row: (-row[-1][0], len(row)))
     pivot_rows: dict[int, dict] = {}
-    for row in rows:
-        r = _primitive(row)
-        while r:
-            c = min(r)
-            prow = pivot_rows.get(c)
-            if prow is None:
-                pivot_rows[c] = r
-                break
-            _combine(r, c, prow)
+    _forward(pivot_rows, m.rows)
     # Back-substitute from the highest pivot down; rows eliminated against are
     # already fully reduced, so one pass suffices.
     for c in sorted(pivot_rows, reverse=True):
@@ -161,6 +168,22 @@ def rref(m: SparseMatrix):
         lead = prow[p]
         reduced.append(sorted((c, normalize_scalar(Fraction(v, lead))) for c, v in prow.items()))
     return len(pivots), pivots, SparseMatrix(m.n_cols, reduced)
+
+
+def stacked_ranks(n_cols: int, blocks) -> list[int]:
+    """Rank of each prefix stack of blocks: entry k is the rank of blocks 0..k
+    stacked, each block a list of rows as SparseMatrix takes them.
+
+    One forward elimination over all blocks, in order, into one set of pivot
+    rows; with no back-substitution and no Fractions it costs less than rref
+    where only ranks are read.
+    """
+    pivot_rows: dict[int, dict] = {}
+    ranks = []
+    for block in blocks:
+        _forward(pivot_rows, SparseMatrix(n_cols, block).rows)
+        ranks.append(len(pivot_rows))
+    return ranks
 
 
 def kernel_basis(m: SparseMatrix) -> dict:

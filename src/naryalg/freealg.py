@@ -19,8 +19,8 @@ from .exactnum import (
     SparseMatrix,
     kernel_basis,
     normalize_scalar,
-    rref,
     scalar_to_str,
+    stacked_ranks,
 )
 from .gerstenhaber import MultiMap, partial_assoc_defect
 
@@ -616,7 +616,7 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
     matrix = tuple(
         tuple(v.get(c, 0) for v in rs.dual.values()) for c in map(rs.codes.index, candidates)
     )
-    rank, _, _ = rref(SparseMatrix.from_dense(matrix, qdim))
+    (rank,) = stacked_ranks(qdim, [[list(enumerate(row)) for row in matrix]])
     invertible = rank == len(candidates) == qdim
     return BasisComparison(qdim, candidates, invertible, tuple(matrix), invertible)
 

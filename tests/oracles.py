@@ -2,8 +2,10 @@
 
 Everything here is written the slow, textbook way on dense lists of
 Fractions, deliberately sharing no code with the package under test; the
-one exception, restricted_table, takes its maps from the package and checks
-only the linear algebra done on them. fraction_rref is sparse: it is the
+two exceptions, restricted_table and gprod_operator_rows, take their maps
+from the package and check only what is built from them: the linear
+algebra, and the operator rows of one gprod-built map per unit cochain.
+fraction_rref is sparse: it is the
 package's earlier eliminator (Fraction entries, rows in input order), kept
 as the differential oracle for the fraction-free one.
 """
@@ -397,6 +399,25 @@ def compose_word(phi, word):
                 if v:
                     table[x, j] = table.get((x, j), 0) + v
     return CoefTable(d, sum(widths), {k: v for k, v in table.items() if v})
+
+
+def gprod_operator_rows(d, arity, images):
+    """Distinct rows of maps linear in an arity-cochain, one gprod-built
+    MultiMap per unit cochain, over the unit cochains in product order.
+
+    images(e) is a tuple of MultiMaps linear in the unit cochain e, such as
+    (coboundary(mu, e),) or chi_defects(mu, e); each (image index, nonzero
+    output key) gives one row, a tuple of (column, coefficient) pairs.
+    """
+    from naryalg.gerstenhaber import MultiMap
+
+    rows = {}
+    for col, key in enumerate(product(range(d), repeat=arity + 1)):
+        e = MultiMap(d, arity, {(key[:-1], key[-1]): 1})
+        for idx, image in enumerate(images(e)):
+            for out_key, c in image.terms.items():
+                rows.setdefault((idx, out_key), {})[col] = c
+    return list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
 
 
 def restricted_table(mu, slot, steps):

@@ -6,11 +6,17 @@ from itertools import product
 
 import pytest
 
+from fractions import Fraction
+
+from naryalg import cohomology
 from naryalg.cli import main
 from naryalg.cohomology import (
     chi_basis,
+    chi_defects,
     chi_membership,
+    chi_rows,
     coboundary,
+    coboundary_rows,
     cohomology_dims,
     odd_coboundary_checked,
     unital_check,
@@ -26,7 +32,13 @@ from fixtures import (
     square_zero_map,
     upper_triangular2,
 )
-from oracles import dense_kernel, dense_rref, restricted_table, same_row_space
+from oracles import (
+    dense_kernel,
+    dense_rref,
+    gprod_operator_rows,
+    restricted_table,
+    same_row_space,
+)
 
 
 def one_dim_product(k, a=1):
@@ -422,3 +434,51 @@ def test_cohomology_dims_restriction_matters_on_nilpotent_ternary():
     got = cohomology_dims(mu, 1, 2).to_json_dict()["steps"]
     assert got == restricted_table(mu, 1, 2)
     assert [s["dim_ker"] for s in got] == [3, 8]
+
+
+def sparse_fraction_map(rng, d, n):
+    # a few terms with Fraction coefficients, not partially associative in
+    # general: the operators are linear maps whatever mu is
+    entries = {}
+    for _ in range(rng.randint(2, 3)):
+        x = tuple(rng.randrange(d) for _ in range(n))
+        entries[x, rng.randrange(d)] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    return MultiMap.from_entries(d, n, entries)
+
+
+def operator_oracle_maps():
+    rng = random.Random(20261018)
+    maps = [sparse_fraction_map(rng, d, n) for d in (1, 2, 3) for n in (2, 3, 4)]
+    return maps + [matrix2(), nilpotent_ternary()]
+
+
+@pytest.mark.parametrize("mu", operator_oracle_maps(), ids=repr)
+def test_operator_rows_match_gprod_oracle(mu):
+    # every arity whose cochain space d^(a+1) is at most 512, a dimension of
+    # 1 counted as 2 as the cap does; compared as row sets, since the row
+    # order cannot change a rank
+    d = mu.dim
+    arities = [a for a in range(1, 10) if max(d, 2) ** (a + 1) <= 512]
+    for a in arities:
+        got = coboundary_rows(mu, a)
+        oracle = gprod_operator_rows(d, a, lambda e: (coboundary(mu, e),))
+        assert len(got) == len(oracle) and set(got) == set(oracle), ("delta", a)
+        got = chi_rows(mu, a)
+        oracle = gprod_operator_rows(d, a, lambda e: chi_defects(mu, e))
+        assert len(got) == len(oracle) and set(got) == set(oracle), ("chi", a)
+
+
+def test_cohomology_tables_build_no_map_per_cochain(monkeypatch):
+    # the table path reads its operators off mu's terms: no gprod, coboundary
+    # or chi_defects call per unit cochain, nor any at all
+    calls = []
+    for name in ("gprod", "coboundary", "chi_defects"):
+        original = getattr(cohomology, name)
+        monkeypatch.setattr(
+            cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    even = cohomology_dims(matrix2(), 0, 4)
+    odd = cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 4)
+    assert calls == []
+    assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
+    assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]

@@ -11,6 +11,7 @@ from naryalg.exactnum import (
     rref,
     scalar_from_str,
     scalar_to_str,
+    stacked_ranks,
 )
 from naryalg import cohomology
 from naryalg.freealg import operadic_relations
@@ -298,18 +299,62 @@ def test_rref_matches_oracle_on_free_relations(p):
 
 
 def test_rref_matches_oracle_on_cohomology_matrices(monkeypatch):
-    # every constraint and stacked matrix cohomology_dims eliminates, for
-    # the binary matrix2 (no constraints) and an odd square-zero product
+    # every stack cohomology_dims ranks, for the binary matrix2 (no
+    # constraints) and an odd square-zero product: rref of each prefix stack
+    # matches the oracles, and its rank is the one stacked_ranks reports
     seen = []
 
-    def recording_rref(m):
-        seen.append(m)
-        return rref(m)
+    def recording_stacked_ranks(n_cols, blocks):
+        blocks = [list(block) for block in blocks]
+        ranks = stacked_ranks(n_cols, blocks)
+        seen.append((n_cols, blocks, ranks))
+        return ranks
 
-    monkeypatch.setattr(cohomology, "rref", recording_rref)
+    monkeypatch.setattr(cohomology, "stacked_ranks", recording_stacked_ranks)
     cohomology.cohomology_dims(matrix2(), 0, 3)
-    assert len(seen) == 6
+    assert len(seen) == 3 and all(not blocks[0] for _, blocks, _ in seen)
     cohomology.cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 2)
-    assert len(seen) == 10 and any(m.rows for m in seen[6::2])
-    for m in seen:
-        assert_matches_oracles(m, dense=False)
+    assert len(seen) == 5 and all(blocks[0] for _, blocks, _ in seen[3:])
+    for n_cols, blocks, ranks in seen:
+        for k, rank in enumerate(ranks):
+            m = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
+            assert_matches_oracles(m, dense=False)
+            assert rank == rref(m)[0]
+
+
+def random_blocks(rng, m):
+    """m's rows cut into consecutive blocks, some of them empty."""
+    blocks, rows = [], list(m.rows)
+    while rows or rng.random() < 0.5:
+        k = rng.randint(0, len(rows))
+        blocks.append(rows[:k])
+        rows = rows[k:]
+    return blocks
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_stacked_ranks_match_fraction_oracle(fractions):
+    # random sparse rows with repeats, multiples and empty rows, cut into
+    # blocks with empty ones among them: each prefix stack's rank is the
+    # oracle's rank of those rows
+    rng = random.Random(20261019 + fractions)
+    for _ in range(40):
+        n_cols = rng.randint(1, 25)
+        m = random_wide(rng, rng.randint(0, 40), n_cols, fractions)
+        blocks = random_blocks(rng, m)
+        ranks = stacked_ranks(n_cols, blocks)
+        assert len(ranks) == len(blocks)
+        for k, rank in enumerate(ranks):
+            stack = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
+            assert rank == fraction_rref(stack)[0]
+    assert stacked_ranks(3, []) == []
+    assert stacked_ranks(0, [[], [[]]]) == [0, 0]
+    assert stacked_ranks(2, [[[(0, 0)], [(1, 0), (0, 0)]], [[(1, 4)]]]) == [0, 1]
+    assert stacked_ranks(2, [[[(0, Fraction(1, 2))]], [[(0, 3)]], [], [[(0, 1), (1, 1)]]]) == [1, 1, 1, 2]
+
+
+def test_stacked_ranks_validates_rows():
+    with pytest.raises(ValueError, match="out of range"):
+        stacked_ranks(2, [[[(2, 1)]]])
+    with pytest.raises(ValueError, match="duplicate column"):
+        stacked_ranks(2, [[], [[(1, 1), (1, 2)]]])
