@@ -9,11 +9,13 @@ the coboundary as rows over the cochain columns, dim ker = space -
 rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
 Both ranks come from one forward elimination, exactnum.stacked_ranks.
 
-coboundary and chi_defects act on one cochain through gprod. The tables
-instead read C and D straight off mu's terms, indexed once: with
-L(e) = gprod(e, mu) and R(e) = gprod(mu, e) as direct loops on a unit
-cochain e of arity a, delta = (-1)^(a-1) R - L and the axioms are L(L(e)),
-L(R(e)) and R(L(e)) (coboundary_rows, chi_rows).
+delta and the three axioms are each written once (_delta, _chi), on mu's
+terms indexed once and a cochain phi given by its terms. L(phi) = phi * mu
+and R(phi) = mu * phi are the two insertion loops of gerstenhaber; then
+delta = (-1)^(k-1) R - L and the axioms are L(L(phi)), L(R(phi)) and
+R(L(phi)). coboundary and chi_defects feed them one cochain's terms,
+coboundary_rows and chi_rows each unit cochain's, so the tables build no
+map per cochain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .exactnum import SparseMatrix, kernel_basis, stacked_ranks
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
-    gprod,
+    _insert_each_slot_into,
+    _insert_into,
+    _slot_index,
     partial_assoc_defect,
 )
 
@@ -53,25 +57,55 @@ def _check_cap(dim: int, arity: int, cap: int) -> None:
         raise ValueError(f"cochain space size {size} exceeds cap {cap}")
 
 
+def _mu_index(mu: MultiMap):
+    """mu's terms indexed for both insertion loops: by output, as (inputs, c),
+    for L, per slot for R; with mu's arity."""
+    by_out: dict[int, list] = {}
+    for (y, m), c in mu.terms.items():
+        by_out.setdefault(m, []).append((y, c))
+    return by_out, _slot_index(mu, range(1, mu.arity + 1)), mu.arity
+
+
+def _delta(index, terms, k: int) -> dict:
+    """Terms of delta(phi) = (-1)^(k-1) R(phi) - L(phi), phi of arity k given
+    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
+    by_out, slots, n = index
+    acc: dict = {}
+    _insert_into(acc, slots, terms, -1 if (k - 1) % 2 else 1)
+    _insert_each_slot_into(acc, by_out, n, terms, -1)
+    return acc
+
+
+def _chi(index, terms) -> tuple[dict, dict, dict]:
+    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi given
+    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
+    by_out, slots, n = index
+    left, right = {}, {}
+    _insert_each_slot_into(left, by_out, n, terms)
+    _insert_into(right, slots, terms)
+    left = [(key, c) for key, c in left.items() if c]
+    right = [(key, c) for key, c in right.items() if c]
+    ll, lr, rl = {}, {}, {}
+    _insert_each_slot_into(ll, by_out, n, left)
+    _insert_into(rl, slots, left)
+    _insert_each_slot_into(lr, by_out, n, right)
+    return ll, lr, rl
+
+
 def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
     """delta(phi), raising the arity by arity(mu) - 1."""
     if mu.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {phi.dim}")
-    k = phi.arity
-    left = gprod(mu, phi)
-    if (k - 1) % 2:
-        left = -left
-    return left - gprod(phi, mu)
+    acc = _delta(_mu_index(mu), phi.terms.items(), phi.arity)
+    return MultiMap(mu.dim, phi.arity + mu.arity - 1, acc)
 
 
 def chi_defects(mu: MultiMap, phi: MultiMap):
     """The three restriction axioms as defect maps, in display order."""
-    pm = gprod(phi, mu)
-    return (
-        gprod(pm, mu),
-        gprod(gprod(mu, phi), mu),
-        gprod(mu, pm),
-    )
+    if mu.dim != phi.dim:
+        raise ValueError(f"dimension mismatch: {phi.dim} vs {mu.dim}")
+    arity = phi.arity + 2 * (mu.arity - 1)
+    return tuple(MultiMap(mu.dim, arity, acc) for acc in _chi(_mu_index(mu), phi.terms.items()))
 
 
 def chi_membership(mu: MultiMap, phi: MultiMap) -> IdentityReport:
@@ -108,44 +142,6 @@ def _cochain_keys(d: int, arity: int) -> list[tuple]:
     return [(key[:-1], key[-1]) for key in product(range(d), repeat=arity + 1)]
 
 
-def _mu_index(mu: MultiMap):
-    """mu's terms by output, as (inputs, c), and per slot by the input there,
-    as (inputs before, inputs after, output, c)."""
-    by_out: dict[int, list] = {}
-    by_slot: list[dict[int, list]] = [{} for _ in range(mu.arity)]
-    for (y, m), c in mu.terms.items():
-        by_out.setdefault(m, []).append((y, c))
-        for i, t in enumerate(y):
-            by_slot[i].setdefault(t, []).append((y[:i], y[i + 1:], m, c))
-    return by_out, by_slot
-
-
-def _left_into(acc: dict, by_out, n: int, x: tuple, j: int, c) -> None:
-    """Add c * gprod(e, mu) to acc, e the unit cochain at (x, j): mu goes in
-    each slot of e with sign (-1)^((i-1)(n-1))."""
-    for i, t in enumerate(x):
-        terms = by_out.get(t)
-        if terms:
-            s = -c if i * (n - 1) % 2 else c
-            head, tail = x[:i], x[i + 1:]
-            for y, cm in terms:
-                key = (head + y + tail, j)
-                acc[key] = acc.get(key, 0) + s * cm
-
-
-def _right_into(acc: dict, by_slot, x: tuple, j: int, c) -> None:
-    """Add c * gprod(mu, e) to acc, e the unit cochain at (x, j): e goes in
-    each slot of mu with sign (-1)^((i-1)(len(x)-1))."""
-    odd = (len(x) - 1) % 2
-    for i, slot in enumerate(by_slot):
-        terms = slot.get(j)
-        if terms:
-            s = -c if odd and i % 2 else c
-            for head, tail, k, cm in terms:
-                key = (head + x + tail, k)
-                acc[key] = acc.get(key, 0) + s * cm
-
-
 def _operator_rows(d: int, arity: int, images) -> list[tuple]:
     """Distinct rows of a linear map on arity-cochains, over _cochain_keys.
 
@@ -167,47 +163,16 @@ def _operator_rows(d: int, arity: int, images) -> list[tuple]:
 
 def coboundary_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of delta on the arity-cochains, over the unit cochains in
-    product order: coboundary(mu, e) of each unit cochain e, read off mu's
-    terms, with (-1)^(arity-1) gprod(mu, e) - gprod(e, mu) as direct loops."""
-    by_out, by_slot = _mu_index(mu)
-    n = mu.arity
-    sign = -1 if (arity - 1) % 2 else 1
-
-    def images(x, j):
-        acc: dict = {}
-        _right_into(acc, by_slot, x, j, sign)
-        _left_into(acc, by_out, n, x, j, -1)
-        return (acc,)
-
-    return _operator_rows(mu.dim, arity, images)
+    product order: the _delta of each unit cochain."""
+    index = _mu_index(mu)
+    return _operator_rows(mu.dim, arity, lambda x, j: (_delta(index, (((x, j), 1),), arity),))
 
 
 def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of the three chi axioms on the arity-cochains, over the
-    unit cochains in product order: the chi_defects of each unit cochain e,
-    read off mu's terms. With L(e) = gprod(e, mu) and R(e) = gprod(mu, e) the
-    defects are L(L(e)), L(R(e)) and R(L(e))."""
-    by_out, by_slot = _mu_index(mu)
-    n = mu.arity
-
-    def images(x, j):
-        left: dict = {}
-        right: dict = {}
-        _left_into(left, by_out, n, x, j, 1)
-        _right_into(right, by_slot, x, j, 1)
-        ll: dict = {}
-        lr: dict = {}
-        rl: dict = {}
-        for (y, k), c in left.items():
-            if c:
-                _left_into(ll, by_out, n, y, k, c)
-                _right_into(rl, by_slot, y, k, c)
-        for (y, k), c in right.items():
-            if c:
-                _left_into(lr, by_out, n, y, k, c)
-        return ll, lr, rl
-
-    return _operator_rows(mu.dim, arity, images)
+    unit cochains in product order: the _chi of each unit cochain."""
+    index = _mu_index(mu)
+    return _operator_rows(mu.dim, arity, lambda x, j: _chi(index, (((x, j), 1),)))
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:

@@ -33,6 +33,8 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(s: str) -> Scalar:
+    if isinstance(s, bool):
+        raise ValueError(f"coefficient {s!r} is not a number")
     return normalize_scalar(Fraction(s))
 
 

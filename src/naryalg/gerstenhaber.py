@@ -6,9 +6,12 @@ The module implements the comb-insertion f at slot i, the signed insertion
 sum f * g, the partial associativity defect A(mu), the theta operator, the
 shuffle Jacobi sum, and the degree-7 composition identities for ternary
 multiplications. A tensor word of maps composes as a series of insertions.
-The insertion kernel, the pre-Lie symmetry and the composition-relation walk
-also serve the graded calculus in graded.py, which adds a Koszul sign; on a
-space concentrated in degree 0 that sign is +1.
+Every insertion runs on one of two loops with the comb signs: _insert_into
+(g's terms into a slot index of f; insert_at, gprod, the graded products)
+and _insert_each_slot_into (an output index of g into every slot of f's
+terms). The slot index, the pre-Lie symmetry and the composition-relation
+walk also serve the graded calculus in graded.py, which adds a Koszul sign;
+on a space concentrated in degree 0 that sign is +1.
 MultiMap.apply is the one evaluation on sparse coordinate vectors, and
 _permute_into the one argument-permutation kernel.
 """
@@ -39,9 +42,9 @@ class MultiMap:
     min_arity = 1
 
     def __init__(self, dim: int, arity: int, terms: dict):
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not isinstance(arity, int) or arity < self.min_arity:
+        if type(arity) is not int or arity < self.min_arity:
             raise ValueError(f"arity must be an integer of at least {self.min_arity}")
         self.dim = dim
         self.arity = arity
@@ -60,8 +63,8 @@ class MultiMap:
             inputs = tuple(inputs)
             if len(inputs) != arity:
                 raise ValueError(f"index tuple {inputs} has wrong length")
-            if not all(isinstance(i, int) and 0 <= i < dim for i in inputs + (out,)):
-                raise ValueError(f"index out of range in ({inputs}, {out})")
+            if not all(type(i) is int and 0 <= i < dim for i in inputs + (out,)):
+                raise ValueError(f"index in ({inputs}, {out}) is not an integer in 0..{dim - 1}")
             terms[inputs, out] = terms.get((inputs, out), 0) + coef
         return cls(dim, arity, {
             key: c if isinstance(c, int) else normalize_scalar(Fraction(c))
@@ -214,35 +217,61 @@ def report_from_defect(name: str, defect: MultiMap) -> IdentityReport:
     return IdentityReport(name, False, w)
 
 
-def _insert_into(acc: dict, f: MultiMap, g: MultiMap, i: int, sign: int,
-                 degrees=(), g_degree: int = 0) -> None:
-    """Add sign times (f with g at slot i) to the terms in acc.
-
-    With the degrees of a graded space and the degree of g, g also picks up
-    the Koszul sign (-1)^(g_degree * degree of the i-1 arguments it crosses).
-    An even g_degree, or slot 1, crosses with sign +1, so that case does no
-    sign work per term.
-    """
-    koszul = g_degree % 2 and i > 1
-    by_slot: dict[int, list] = {}
-    for (x, j), cf in f.terms.items():
-        head = x[: i - 1]
-        if koszul and sum(degrees[t] for t in head) % 2:
-            cf = -cf
-        by_slot.setdefault(x[i - 1], []).append((head, x[i:], j, sign * cf))
-    for (y, m), cg in g.terms.items():
-        for head, tail, j, cf in by_slot.get(m, ()):
-            key = (head + y + tail, j)
-            acc[key] = acc.get(key, 0) + cf * cg
+def _slot_index(f: MultiMap, slots, degrees=(), g_degree: int = 0) -> list[dict]:
+    """f's terms for each slot i in slots (1-based), keyed by the input at
+    slot i, as (inputs before, inputs after, output, coefficient). For a g
+    of odd degree on a graded space, each coefficient carries the Koszul
+    sign (-1)^(degree of the i-1 inputs before, which g moves past)."""
+    index = []
+    for i in slots:
+        koszul = g_degree % 2 and i > 1
+        by_in: dict[int, list] = {}
+        for (x, j), c in f.terms.items():
+            head = x[: i - 1]
+            if koszul and sum(degrees[t] for t in head) % 2:
+                c = -c
+            by_in.setdefault(x[i - 1], []).append((head, x[i:], j, c))
+        index.append(by_in)
+    return index
 
 
-def _gprod_terms(f: MultiMap, g: MultiMap, degrees=(), g_degree: int = 0) -> dict:
-    """Terms of the signed insertion sum, every slot in one accumulator."""
-    l = g.arity
+def _insert_into(acc: dict, index: list[dict], terms, sign: int = 1) -> None:
+    """Add sign (+1 or -1) times f with g inserted at the slots of index =
+    _slot_index(f, slots) to acc, g given by its ((inputs, out), c) terms: the
+    k-th slot (from 0) gets the comb sign (-1)^(k(arity(g)-1)), so a single
+    slot gets +1 and the slots 1..arity(f) give the signed insertion sum."""
+    for (y, m), c in terms:
+        c = -c if sign < 0 else c
+        odd = (len(y) - 1) % 2
+        for k, by_in in enumerate(index):
+            found = by_in.get(m)
+            if found:
+                s = -c if odd and k % 2 else c
+                for head, tail, j, cf in found:
+                    key = (head + y + tail, j)
+                    acc[key] = acc.get(key, 0) + s * cf
+
+
+def _insert_each_slot_into(acc: dict, by_out: dict, l: int, terms, sign: int = 1) -> None:
+    """Add sign (+1 or -1) times f * g to acc, f given by its ((inputs, out),
+    c) terms and g of arity l by by_out, its terms keyed by output as
+    (inputs, c): g goes into each slot i of f with sign (-1)^((i-1)(l-1))."""
+    for (x, j), c in terms:
+        c = -c if sign < 0 else c
+        for i, t in enumerate(x):
+            found = by_out.get(t)
+            if found:
+                s = -c if i * (l - 1) % 2 else c
+                head, tail = x[:i], x[i + 1:]
+                for y, cg in found:
+                    key = (head + y + tail, j)
+                    acc[key] = acc.get(key, 0) + s * cg
+
+
+def _inserted(f: MultiMap, g: MultiMap, slots, degrees=(), g_degree: int = 0) -> dict:
+    """Terms of f with g inserted at slots, signed as in _insert_into."""
     acc: dict = {}
-    for i in range(1, f.arity + 1):
-        sign = -1 if ((i - 1) * (l - 1)) % 2 else 1
-        _insert_into(acc, f, g, i, sign, degrees, g_degree)
+    _insert_into(acc, _slot_index(f, slots, degrees, g_degree), g.terms.items())
     return acc
 
 
@@ -252,16 +281,14 @@ def insert_at(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
-    acc: dict = {}
-    _insert_into(acc, f, g, i, 1)
-    return MultiMap(f.dim, f.arity + g.arity - 1, acc)
+    return MultiMap(f.dim, f.arity + g.arity - 1, _inserted(f, g, (i,)))
 
 
 def gprod(f: MultiMap, g: MultiMap) -> MultiMap:
     """Signed insertion sum: sum_i (-1)^((i-1)(arity(g)-1)) f with g at slot i."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    return MultiMap(f.dim, f.arity + g.arity - 1, _gprod_terms(f, g))
+    return MultiMap(f.dim, f.arity + g.arity - 1, _inserted(f, g, range(1, f.arity + 1)))
 
 
 def partial_assoc_defect(mu: MultiMap) -> MultiMap:

@@ -17,8 +17,7 @@ from .gerstenhaber import (
     IdentityReport,
     MultiMap,
     _composition_report,
-    _gprod_terms,
-    _insert_into,
+    _inserted,
     _prelie_symmetry,
     report_from_defect,
 )
@@ -221,8 +220,7 @@ def graded_insert(f: GradedMultiMap, g: GradedMultiMap, i: int) -> GradedMultiMa
         raise ValueError("graded space mismatch")
     if not 1 <= i <= f.arity:
         raise ValueError(f"position {i} not in 1..{f.arity}")
-    acc: dict = {}
-    _insert_into(acc, f, g, i, 1, f.space.degrees, g.degree)
+    acc = _inserted(f, g, (i,), f.space.degrees, g.degree)
     base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
     return GradedMultiMap(base, f.degree + g.degree, f.space)
 
@@ -231,7 +229,7 @@ def graded_gprod(f: GradedMultiMap, g: GradedMultiMap) -> GradedMultiMap:
     """Signed insertion sum with the comb signs (-1)^((i-1)(arity(g)-1))."""
     if f.space != g.space:
         raise ValueError("graded space mismatch")
-    acc = _gprod_terms(f, g, f.space.degrees, g.degree)
+    acc = _inserted(f, g, range(1, f.arity + 1), f.space.degrees, g.degree)
     base = MultiMap(f.dim, f.arity + g.arity - 1, acc)
     return GradedMultiMap(base, f.degree + g.degree, f.space)
 

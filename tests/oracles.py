@@ -2,9 +2,12 @@
 
 Everything here is written the slow, textbook way on dense lists of
 Fractions, deliberately sharing no code with the package under test; the
-two exceptions, restricted_table and gprod_operator_rows, take their maps
-from the package and check only what is built from them: the linear
-algebra, and the operator rows of one gprod-built map per unit cochain.
+exceptions, gprod_coboundary, gprod_chi_defects, restricted_table and
+gprod_operator_rows, take their maps from the package's gprod and check
+only what is built from them: delta and the chi axioms as gprod formulas,
+the linear algebra, and the operator rows of one gprod-built map per unit
+cochain. The package's own coboundary and chi_defects run on the insertion
+loops its tables use, so the oracles build both from gprod instead.
 fraction_rref is sparse: it is the
 package's earlier eliminator (Fraction entries, rows in input order), kept
 as the differential oracle for the fraction-free one.
@@ -401,13 +404,32 @@ def compose_word(phi, word):
     return CoefTable(d, sum(widths), {k: v for k, v in table.items() if v})
 
 
+def gprod_coboundary(mu, phi):
+    """delta(phi) = (-1)^(k-1) gprod(mu, phi) - gprod(phi, mu), k = arity(phi)."""
+    from naryalg.gerstenhaber import gprod
+
+    left = gprod(mu, phi)
+    if (phi.arity - 1) % 2:
+        left = -left
+    return left - gprod(phi, mu)
+
+
+def gprod_chi_defects(mu, phi):
+    """The three restriction axioms of phi as gprod composites, in display order."""
+    from naryalg.gerstenhaber import gprod
+
+    pm = gprod(phi, mu)
+    return gprod(pm, mu), gprod(gprod(mu, phi), mu), gprod(mu, pm)
+
+
 def gprod_operator_rows(d, arity, images):
     """Distinct rows of maps linear in an arity-cochain, one gprod-built
     MultiMap per unit cochain, over the unit cochains in product order.
 
     images(e) is a tuple of MultiMaps linear in the unit cochain e, such as
-    (coboundary(mu, e),) or chi_defects(mu, e); each (image index, nonzero
-    output key) gives one row, a tuple of (column, coefficient) pairs.
+    (gprod_coboundary(mu, e),) or gprod_chi_defects(mu, e); each (image
+    index, nonzero output key) gives one row, a tuple of (column,
+    coefficient) pairs.
     """
     from naryalg.gerstenhaber import MultiMap
 
@@ -423,14 +445,13 @@ def gprod_operator_rows(d, arity, images):
 def restricted_table(mu, slot, steps):
     """Kernel/image dimensions along one cohomology row, the textbook way.
 
-    Builds the cochain complex from the package's chi_defects and coboundary
+    Builds the cochain complex from gprod_chi_defects and gprod_coboundary
     on unit cochains, but finds every dimension by dense elimination: the
     dense chi constraint rows (none for even n), a dense kernel basis of
     them, the coboundary of each basis vector as a combination of unit
     images, and the rank of those images. Returns the steps in the format of
     CohomologyTable.to_json_dict.
     """
-    from naryalg.cohomology import chi_defects, coboundary
     from naryalg.gerstenhaber import MultiMap
 
     d, n = mu.dim, mu.arity
@@ -447,7 +468,7 @@ def restricted_table(mu, slot, steps):
         if n % 2:
             constraints = {}
             for col, e in enumerate(units):
-                for idx, defect in enumerate(chi_defects(mu, e)):
+                for idx, defect in enumerate(gprod_chi_defects(mu, e)):
                     for x, j, c in defect.items():
                         row = constraints.setdefault((idx, x, j), [0] * space)
                         row[col] = c
@@ -455,7 +476,7 @@ def restricted_table(mu, slot, steps):
             kernel = dense_kernel(distinct, space)
         else:
             kernel = [[int(i == col) for i in range(space)] for col in range(space)]
-        images = [{(x, j): c for x, j, c in coboundary(mu, e).items()} for e in units]
+        images = [{(x, j): c for x, j, c in gprod_coboundary(mu, e).items()} for e in units]
         keys = sorted({key for image in images for key in image})
         rows = []
         for vec in kernel:

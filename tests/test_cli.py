@@ -420,6 +420,31 @@ def test_check_zero_denominator_coefficient(tmp_path, capsys):
     assert rc == 2 and out == "" and "malformed" in err
 
 
+def test_json_booleans_are_not_numbers(tmp_path, capsys):
+    # bool is a subclass of int in Python, but a JSON true or false is no
+    # index, dimension, arity or coefficient
+    def product(dim=2, arity=3, **entry):
+        return {"dim": dim, "arity": arity,
+                "entries": [{"in": [0] * arity, "out": 0, "coef": "1", **entry}]}
+
+    cases = {
+        "index": (product(**{"in": [True, False, 0]}), "not an integer"),
+        "out": (product(out=True), "not an integer"),
+        "dim": (product(dim=True), "dim must be a positive integer"),
+        "arity": ({**product(arity=1), "arity": True}, "arity must be an integer"),
+        "coef": (product(coef=True), "is not a number"),
+    }
+    for name, (data, message) in cases.items():
+        path = write_json(tmp_path / f"{name}.json", data)
+        for argv in (
+            ("check", "--algebra", path, "--identity", "partial-assoc"),
+            ("cohomology", "--algebra", path, "--steps", "1"),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == "" and "malformed" in err, (name, argv[0])
+            assert message in err, (name, argv[0], err)
+
+
 def _one_coef_file(path, coef_json):
     """A ternary product file whose one entry has the coefficient coef_json,
     written as raw JSON text."""

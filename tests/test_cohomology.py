@@ -35,6 +35,8 @@ from fixtures import (
 from oracles import (
     dense_kernel,
     dense_rref,
+    gprod_chi_defects,
+    gprod_coboundary,
     gprod_operator_rows,
     restricted_table,
     same_row_space,
@@ -461,18 +463,53 @@ def test_operator_rows_match_gprod_oracle(mu):
     arities = [a for a in range(1, 10) if max(d, 2) ** (a + 1) <= 512]
     for a in arities:
         got = coboundary_rows(mu, a)
-        oracle = gprod_operator_rows(d, a, lambda e: (coboundary(mu, e),))
+        oracle = gprod_operator_rows(d, a, lambda e: (gprod_coboundary(mu, e),))
         assert len(got) == len(oracle) and set(got) == set(oracle), ("delta", a)
         got = chi_rows(mu, a)
-        oracle = gprod_operator_rows(d, a, lambda e: chi_defects(mu, e))
+        oracle = gprod_operator_rows(d, a, lambda e: gprod_chi_defects(mu, e))
         assert len(got) == len(oracle) and set(got) == set(oracle), ("chi", a)
 
 
+def sparse_fraction_cochain(rng, d, k):
+    # several terms with Fraction coefficients, a few of them on one key
+    entries = {}
+    for _ in range(rng.randint(1, 5)):
+        key = tuple(rng.randrange(d) for _ in range(k)), rng.randrange(d)
+        entries[key] = entries.get(key, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return MultiMap.from_entries(d, k, entries)
+
+
+def test_coboundary_and_chi_defects_match_gprod_formulas():
+    # delta = (-1)^(k-1) mu * phi - phi * mu and the axioms (phi*mu)*mu,
+    # (mu*phi)*mu, mu*(phi*mu), written out here with gprod
+    rng = random.Random(20261019)
+    for d in (1, 2, 3):
+        for n in (2, 3, 4):
+            mu = sparse_fraction_map(rng, d, n)
+            for k in (1, 2, 3):
+                phi = sparse_fraction_cochain(rng, d, k)
+                sign = -1 if (k - 1) % 2 else 1
+                delta = gprod(mu, phi).scale(sign) - gprod(phi, mu)
+                got = coboundary(mu, phi)
+                assert got == delta and got.arity == k + n - 1, (d, n, k)
+                expect = (
+                    gprod(gprod(phi, mu), mu),
+                    gprod(gprod(mu, phi), mu),
+                    gprod(mu, gprod(phi, mu)),
+                )
+                assert chi_defects(mu, phi) == expect, (d, n, k)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        coboundary(matrix2(), MultiMap.zero(3, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        chi_defects(nilpotent_ternary(), MultiMap.zero(2, 1))
+
+
 def test_cohomology_tables_build_no_map_per_cochain(monkeypatch):
-    # the table path reads its operators off mu's terms: no gprod, coboundary
-    # or chi_defects call per unit cochain, nor any at all
+    # the table path feeds unit cochains to the operators as terms: no
+    # MultiMap is built in cohomology and no coboundary or chi_defects call
+    # is made, per unit cochain or at all
     calls = []
-    for name in ("gprod", "coboundary", "chi_defects"):
+    for name in ("MultiMap", "coboundary", "chi_defects"):
         original = getattr(cohomology, name)
         monkeypatch.setattr(
             cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
