@@ -186,15 +186,19 @@ def _coerce_kind(loaded, kind: str, ref: str):
     data = loaded
     try:
         _check_coef_digits(data, ref)
+        antisymmetric = data.get("antisymmetric", False)
+        if not isinstance(antisymmetric, bool):
+            shown = json.dumps(antisymmetric)
+            raise ValueError(f'"antisymmetric" must be true or false, not {shown}')
         if kind == "comultiplication":
             return Comultiplication.from_json_dict(data)
         if kind == "bracket":
-            if not data.get("antisymmetric"):
+            if not antisymmetric:
                 raise InputError(
                     f'{ref}: the identity needs a bracket; set "antisymmetric": true'
                 )
             return BracketAlgebra.from_json_dict(data)
-        if data.get("antisymmetric"):
+        if antisymmetric:
             return BracketAlgebra.from_json_dict(data).bracket
         return MultiMap.from_json_dict(data)
     except InputError:

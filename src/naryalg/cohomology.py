@@ -7,7 +7,7 @@ for odd n only on the restricted space chi cut out by three linear axioms.
 The tables need no basis of chi: with C the axioms (none for even n) and D
 the coboundary as rows over the cochain columns, dim ker = space -
 rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
-Both ranks come from one forward elimination, exactnum.stacked_ranks.
+Both ranks come from one elimination, exactnum.stacked_ranks.
 
 delta and the three axioms are each written once (_delta, _chi), on mu's
 terms indexed once and a cochain phi given by its terms. L(phi) = phi * mu

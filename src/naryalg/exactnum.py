@@ -2,14 +2,17 @@
 
 Everything downstream stores structure constants exactly, so "defect == 0"
 is decidable. Scalars are plain ints or fractions.Fraction, and arithmetic
-mixes the two freely. Row reduction is fraction-free: rows are eliminated
-as primitive integer rows, sorted so that little fill-in arises, and turn
-into exact scalars only once reduced, as ints where the denominator is 1.
-Where only ranks are read, stacked_ranks stops after the forward pass.
+mixes the two freely. Row reduction is fraction-free incremental
+Gauss-Jordan, rows by lowest column descending: rows are eliminated as
+primitive integer rows into pivot rows that stay reduced against each
+other, and turn into exact scalars only once reduced, as ints where the
+denominator is 1. Where only ranks are read, stacked_ranks makes no
+Fractions.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -126,43 +129,47 @@ def _combine(r: dict, c: int, prow: dict) -> None:
     _divide_content(r)
 
 
-def _forward(pivot_rows: dict, rows) -> None:
-    # The forward pass of rref, in the row order its docstring gives: each
-    # row is eliminated into pivot_rows, {pivot column: primitive integer
-    # row}, and one that reduces to zero adds nothing.
-    for row in sorted((row for row in rows if row), key=lambda row: (-row[-1][0], len(row))):
+def _forward(pivot_rows: dict, holders: dict, rows) -> None:
+    # Incremental Gauss-Jordan, in the row order rref's docstring gives.
+    # pivot_rows, {pivot column: primitive integer row}, stay reduced against
+    # each other, so one combine clears each pivot column from a row and
+    # brings in no other. holders, a defaultdict(set), maps a column to the
+    # leads of the pivot rows that hold it past their lead. In this order a
+    # new pivot is mostly below every lead, so few pivot rows hold it.
+    for row in sorted((row for row in rows if row), key=lambda row: (-row[0][0], len(row))):
         r = _primitive(row)
-        while r:
-            c = min(r)
-            prow = pivot_rows.get(c)
-            if prow is None:
-                pivot_rows[c] = r
-                break
-            _combine(r, c, prow)
+        for c in [c for c in r if c in pivot_rows]:
+            _combine(r, c, pivot_rows[c])
+        if not r:
+            continue
+        c = min(r)
+        for lead in holders.pop(c, ()):
+            prow = pivot_rows[lead]
+            held = prow.keys() & r.keys()  # only r's columns enter or leave prow
+            _combine(prow, c, r)
+            for k in held ^ (prow.keys() & r.keys()):
+                (holders[k].add if k in prow else holders[k].discard)(lead)
+        pivot_rows[c] = r
+        for k in r:
+            if k != c:
+                holders[k].add(c)
 
 
 def rref(m: SparseMatrix):
     """Reduced row echelon form.
 
-    Fraction-free and fill-ordered: empty rows are dropped and the rest are
-    eliminated sorted by highest column, descending, then by length. Each
-    row is kept as a primitive integer row (Bareiss-style integer-preserving
-    elimination), and a pivot row keeps its integer lead. A row's pivot is
-    its lowest-index nonzero column. Back-substitution runs over the integer
-    rows from the highest pivot down; only then is each row divided by its
-    lead. The reduced echelon form of a row space is unique, so the row order
+    Fraction-free incremental Gauss-Jordan, rows by lowest column
+    descending: empty rows are dropped and the rest are eliminated in that
+    order, ties by length. Each row is kept as a primitive integer row
+    (Bareiss-style integer-preserving elimination). A row's pivot is its
+    lowest-index nonzero column, and the pivot rows stay reduced against
+    each other; only at the end is each divided by its lead. The reduced echelon form of a row space is unique, so the row order
     cannot change the result. Returns (rank, sorted pivot columns, reduced
     SparseMatrix with rows ordered by pivot); an entry is an int exactly when
     its denominator is 1.
     """
     pivot_rows: dict[int, dict] = {}
-    _forward(pivot_rows, m.rows)
-    # Back-substitute from the highest pivot down; rows eliminated against are
-    # already fully reduced, so one pass suffices.
-    for c in sorted(pivot_rows, reverse=True):
-        prow = pivot_rows[c]
-        for c2 in sorted(c2 for c2 in prow if c2 != c and c2 in pivot_rows):
-            _combine(prow, c2, pivot_rows[c2])
+    _forward(pivot_rows, defaultdict(set), m.rows)
     pivots = sorted(pivot_rows)
     reduced = []
     for p in pivots:
@@ -176,14 +183,14 @@ def stacked_ranks(n_cols: int, blocks) -> list[int]:
     """Rank of each prefix stack of blocks: entry k is the rank of blocks 0..k
     stacked, each block a list of rows as SparseMatrix takes them.
 
-    One forward elimination over all blocks, in order, into one set of pivot
-    rows; with no back-substitution and no Fractions it costs less than rref
-    where only ranks are read.
+    The incremental Gauss-Jordan of rref over all blocks, in order, into one
+    set of mutually reduced pivot rows; no Fractions are made.
     """
     pivot_rows: dict[int, dict] = {}
+    holders = defaultdict(set)
     ranks = []
     for block in blocks:
-        _forward(pivot_rows, SparseMatrix(n_cols, block).rows)
+        _forward(pivot_rows, holders, SparseMatrix(n_cols, block).rows)
         ranks.append(len(pivot_rows))
     return ranks
 

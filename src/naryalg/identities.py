@@ -119,10 +119,13 @@ class BracketAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BracketAlgebra":
+        antisymmetric = data.get("antisymmetric", True)
+        if not isinstance(antisymmetric, bool):
+            raise ValueError(f'"antisymmetric" must be true or false, not {antisymmetric!r}')
         space = GradedSpace(tuple(data["degrees"])) if "degrees" in data else None
         return cls(
             MultiMap.from_json_dict(data),
-            antisymmetric=data.get("antisymmetric", True),
+            antisymmetric=antisymmetric,
             space=space,
         )
 

@@ -19,6 +19,7 @@ from naryalg.coalg import grouplike
 from naryalg.freealg import GENERATORS
 from naryalg.gerstenhaber import MultiMap
 from naryalg.identities import (
+    BracketAlgebra,
     bracket_from_pairs,
     builtin_algebra,
     heisenberg3,
@@ -443,6 +444,26 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys):
             rc, out, err = run(capsys, *argv)
             assert rc == 2 and out == "" and "malformed" in err, (name, argv[0])
             assert message in err, (name, argv[0], err)
+
+
+def test_antisymmetric_must_be_a_json_boolean(tmp_path, capsys):
+    # "false", 0 and null are not false: a non-boolean "antisymmetric" is
+    # malformed for every kind of input and for cohomology
+    for name, value in (("string", "false"), ("zero", 0), ("null", None)):
+        data = {"dim": 2, "arity": 2, "antisymmetric": value,
+                "entries": [{"in": [0, 1], "out": 0, "coef": "1"}]}
+        path = write_json(tmp_path / f"{name}.json", data)
+        for argv in (
+            ("check", "--algebra", path, "--identity", "partial-assoc"),
+            ("check", "--algebra", path, "--identity", "jacobi"),
+            ("check", "--algebra", path, "--identity", "partial-coassoc"),
+            ("cohomology", "--algebra", path, "--steps", "1"),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == "" and "malformed" in err, (name, argv)
+            assert '"antisymmetric" must be true or false' in err, (name, argv, err)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            BracketAlgebra.from_json_dict(data)
 
 
 def _one_coef_file(path, coef_json):

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from naryalg.exactnum import (
     SparseMatrix,
+    _forward,
     kernel_basis,
     normalize_scalar,
     rref,
@@ -358,3 +360,79 @@ def test_stacked_ranks_validates_rows():
         stacked_ranks(2, [[[(2, 1)]]])
     with pytest.raises(ValueError, match="duplicate column"):
         stacked_ranks(2, [[], [[(1, 1), (1, 2)]]])
+
+
+def assert_mutually_reduced(pivot_rows, holders):
+    # no pivot column appears in another pivot row, and holders names
+    # exactly the pivot rows holding each column past their lead
+    held = {}
+    for lead, prow in pivot_rows.items():
+        assert min(prow) == lead
+        for k in prow:
+            if k != lead:
+                assert k not in pivot_rows, (lead, k)
+                held.setdefault(k, set()).add(lead)
+    assert {k: leads for k, leads in holders.items() if leads} == held
+
+
+def reduced_rows(pivot_rows):
+    """_forward's integer pivot rows divided by their leads, ordered by pivot."""
+    return [
+        sorted((c, normalize_scalar(Fraction(v, prow[p]))) for c, v in prow.items())
+        for p, prow in sorted(pivot_rows.items())
+    ]
+
+
+def test_forward_tracks_a_cancellation_past_the_new_pivot():
+    # Rows are taken by lowest column, descending, then by length, ties in
+    # input order: [0 1 1 1] becomes the pivot row of column 1; [0 1 0 0 1 1]
+    # reduces to [0 0 -1 -1 1 1], the pivot row of column 2, and clearing
+    # column 2 from the first pivot row also cancels its column 3, so that
+    # row no longer holds 3. The last row then reduces to lowest column 3.
+    m = SparseMatrix.from_dense([
+        [0, 1, 1, 1, 0, 0, 0],
+        [0, 1, 0, 0, 1, 1, 0],
+        [0, 1, 0, 1, 0, 0, 1],
+    ])
+    pivot_rows, holders = {}, defaultdict(set)
+    _forward(pivot_rows, holders, m.rows[:2])
+    assert pivot_rows[1] == {1: 1, 4: 1, 5: 1}
+    assert holders[3] == {2}
+    assert_mutually_reduced(pivot_rows, holders)
+    _forward(pivot_rows, holders, m.rows[2:])
+    assert sorted(pivot_rows) == [1, 2, 3]
+    assert_mutually_reduced(pivot_rows, holders)
+    assert_matches_oracles(m)
+
+
+def test_stacked_ranks_clear_a_new_pivot_from_an_earlier_block():
+    # block 1 makes the pivot row [1 1 0 0]; block 2's [0 1 1 0] takes
+    # column 1, which must be cleared from that earlier row, or [1 0 0 1]
+    # would reduce to lowest column 1 and replace a pivot row instead of
+    # adding one
+    blocks = [[[(0, 1), (1, 1)]], [[(1, 1), (2, 1)], [(0, 1), (3, 1)]]]
+    assert stacked_ranks(4, blocks) == [1, 3]
+    stack = SparseMatrix(4, [row for block in blocks for row in block])
+    assert fraction_rref(stack)[0] == 3
+
+
+def test_forward_keeps_pivot_rows_mutually_reduced():
+    # random blocks with coefficients from {-2, -1, 1, 2}, so that entries
+    # cancel: after each block the pivot rows hold no other pivot column,
+    # holders is exact, and the rows divided by their leads are the
+    # oracle's reduced rows of the stack so far
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n_cols = rng.randint(1, 14)
+        pivot_rows, holders, stack = {}, defaultdict(set), []
+        for _ in range(rng.randint(1, 4)):
+            block = []
+            for _ in range(rng.randint(0, 8)):
+                cols = rng.sample(range(n_cols), rng.randint(0, min(n_cols, 5)))
+                block.append(sorted((c, rng.choice((-2, -1, 1, 2))) for c in cols))
+            _forward(pivot_rows, holders, block)
+            stack += block
+            assert_mutually_reduced(pivot_rows, holders)
+            rank, pivots, reduced = fraction_rref(SparseMatrix(n_cols, stack))
+            assert sorted(pivot_rows) == pivots
+            assert typed_rows(reduced_rows(pivot_rows)) == typed_rows(reduced)

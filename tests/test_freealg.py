@@ -276,9 +276,16 @@ def test_multiplier_table():
 
 
 def test_multiplier_degree_seven():
-    solved = solve(operadic_relations(3, 7))
+    rs = operadic_relations(3, 7)
+    solved = solve(rs)
     assert (solved.rank, len(solved.codes)) == (7744, 7752)
     assert solved.multiplier == 8
+    # the kernel half of the certificate: each v_f, independent of the others
+    # by its unit entry at f, annihilates every relation row
+    assert len(rs.rows) == 15504
+    for f, v in solved.dual.items():
+        assert v[f] == 1 and all(v.get(g, 0) == 0 for g in solved.dual if g != f)
+        assert all(sum(c * v.get(k, 0) for k, c in row.items()) == 0 for row in rs.rows)
 
 
 def test_binary_multiplier_always_one():
