@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 Scalar = int | Fraction
 
@@ -41,6 +42,27 @@ def scalar_from_str(s: str) -> Scalar:
     return normalize_scalar(Fraction(s))
 
 
+def _checked_row(row, n_cols: int) -> list:
+    # One pass: zeros dropped, columns range-checked; sorted by column only
+    # when out of order, and only then can a column repeat.
+    out = []
+    last = -1
+    ordered = True
+    for c, v in row:
+        if v:
+            if not 0 <= c < n_cols:
+                raise ValueError(f"column {c} out of range 0..{n_cols - 1}")
+            if c <= last:
+                ordered = False
+            last = c
+            out.append((c, v))
+    if not ordered:
+        out.sort(key=itemgetter(0))
+        if any(a[0] == b[0] for a, b in zip(out, out[1:])):
+            raise ValueError("duplicate column in row")
+    return out
+
+
 class SparseMatrix:
     """Rows of sorted (column, nonzero coefficient) pairs over n_cols columns."""
 
@@ -49,20 +71,16 @@ class SparseMatrix:
     def __init__(self, n_cols: int, rows):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
-        clean = []
-        for row in rows:
-            row = [(c, v) for c, v in row if v]
-            for c, _ in row:
-                if not 0 <= c < n_cols:
-                    raise ValueError(f"column {c} out of range 0..{n_cols - 1}")
-            cols = [c for c, _ in row]
-            if cols != sorted(set(cols)):
-                row = sorted(row)
-                if [c for c, _ in row] != sorted(set(cols)):
-                    raise ValueError("duplicate column in row")
-            clean.append(row)
         self.n_cols = n_cols
-        self.rows = clean
+        self.rows = [_checked_row(row, n_cols) for row in rows]
+
+    @classmethod
+    def _of_clean(cls, n_cols: int, rows: list):
+        # rows already sorted, in range, without zeros or repeated columns
+        m = cls.__new__(cls)
+        m.n_cols = n_cols
+        m.rows = rows
+        return m
 
     @classmethod
     def from_dense(cls, rows2d, n_cols=None):
@@ -73,7 +91,7 @@ class SparseMatrix:
 
     @classmethod
     def from_dicts(cls, n_cols, dicts):
-        return cls(n_cols, [sorted(d.items()) for d in dicts])
+        return cls(n_cols, [d.items() for d in dicts])
 
     def to_dense(self):
         out = []
@@ -163,10 +181,11 @@ def rref(m: SparseMatrix):
     order, ties by length. Each row is kept as a primitive integer row
     (Bareiss-style integer-preserving elimination). A row's pivot is its
     lowest-index nonzero column, and the pivot rows stay reduced against
-    each other; only at the end is each divided by its lead. The reduced echelon form of a row space is unique, so the row order
-    cannot change the result. Returns (rank, sorted pivot columns, reduced
-    SparseMatrix with rows ordered by pivot); an entry is an int exactly when
-    its denominator is 1.
+    each other; only at the end is each divided by its lead. The reduced
+    echelon form of a row space is unique, so the row order cannot change
+    the result. Returns (rank, sorted pivot columns, reduced SparseMatrix
+    with rows ordered by pivot); an entry is an int exactly when its
+    denominator is 1.
     """
     pivot_rows: dict[int, dict] = {}
     _forward(pivot_rows, defaultdict(set), m.rows)
@@ -176,7 +195,7 @@ def rref(m: SparseMatrix):
         prow = pivot_rows[p]
         lead = prow[p]
         reduced.append(sorted((c, normalize_scalar(Fraction(v, lead))) for c, v in prow.items()))
-    return len(pivots), pivots, SparseMatrix(m.n_cols, reduced)
+    return len(pivots), pivots, SparseMatrix._of_clean(m.n_cols, reduced)
 
 
 def stacked_ranks(n_cols: int, blocks) -> list[int]:

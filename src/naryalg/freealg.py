@@ -5,13 +5,20 @@ nodes, coded by the sorted leaf positions of their opening brackets. Two
 relation generators are kept deliberately separate: the operadic-context
 construction (ground truth) and the textual prepend-and-shift rules, so the
 row spaces can be compared instead of trusted.
+
+solve finds a degree from the degree below where that pays. The one-node
+operations, a corolla grafted at a leaf or the tree grafted as a child of a
+new root, map the operadic rows of degree p-1 onto those of degree p, so the
+grafted reduced rows of degree p-1 span the degree-p relations, and most of
+them are single codes. Such a result is certified: each of its kernel
+vectors must annihilate every relation row, or the rows are eliminated.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -211,11 +218,13 @@ def ascii_tree(tree: PlanarTree) -> str:
 class RelationSystem:
     """Leaf-uniform relation rows over the lexicographic code list.
 
-    A solved system is its dual basis: dual is exactnum.kernel_basis of the
-    rows, mapping each quotient-basis code index f, ascending, to the kernel
-    vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at every
-    other basis code. The rank, pivots, quotient basis and reduced rows are
-    read off it.
+    A solved system is its dual basis: dual equals exactnum.kernel_basis of
+    the rows, mapping each quotient-basis code index f, ascending, to the
+    kernel vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at
+    every other basis code. The rank, pivots, quotient basis and reduced
+    rows are read off it. generator is "operadic" on the rows of
+    operadic_relations, which solve reads, and method says how solve found
+    dual: "recursion" or "elimination".
     """
 
     n: int
@@ -224,6 +233,8 @@ class RelationSystem:
     rows: tuple  # of {code index: coefficient}
     discarded: tuple = ()
     dual: dict | None = None
+    generator: str | None = None
+    method: str | None = field(default=None, compare=False)
 
     @property
     def solved(self) -> bool:
@@ -329,7 +340,7 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
                         j = bisect(rest, q + shift)
                         row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
                     rows.append(row)
-    return RelationSystem(n, p, tuple(codes), tuple(rows))
+    return RelationSystem(n, p, tuple(codes), tuple(rows), generator="operadic")
 
 
 def _seed_rule_system() -> list:
@@ -389,10 +400,139 @@ def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
     return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows, a.discarded + b.discarded)
 
 
+def _one_node_images(code: TreeCode) -> list:
+    """The index tuples that the one-node operations make of code, in a fixed
+    order: a corolla grafted at leaf 1, ..., at the last leaf, then code
+    grafted as child 1, ..., n of a new root."""
+    n, tree = code.n, (code.p, code.indices)
+    grafts = [_graft(n, tree, q, (1, ())) for q in range(1, code.leaves + 1)]
+    grafts += [_graft(n, (1, ()), j, tree) for j in range(1, n + 1)]
+    return [idx for _, idx in grafts]
+
+
+def _one_node_preimages(n: int, idx: tuple):
+    """Index tuples that include every code a one-node operation maps onto the
+    code idx, the others being no code. _graft puts a corolla grafted at leaf
+    l after the indices <= l and moves those past l right by n - 1, so
+    bracket k came from one iff it is the last bracket or the next opens
+    past idx[k] + n - 1; removing it moves the later ones back. The first
+    bracket opens the child that a new root was grafted on."""
+    yield idx[:-1]
+    for k in range(len(idx) - 1):
+        if idx[k + 1] > idx[k] + n - 1:
+            yield idx[:k] + tuple(j - n + 1 for j in idx[k + 1 :])
+    yield tuple(j - idx[0] + 1 for j in idx[1:])
+
+
+def _tails(solved: RelationSystem) -> dict:
+    """Reduced row past its lead, [(f, coefficient)], of each pivot that has
+    one; the other pivots are the zero codes, whose reduced row is e_c."""
+    tails = {}
+    for f, v in solved.dual.items():
+        for c, x in v.items():
+            if c != f:
+                tails.setdefault(c, []).append((f, -x))
+    return tails
+
+
+def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> dict:
+    """The dual basis of the span S of the one-node images of the reduced rows
+    of prev, the solved degree below rs, whose _tails are given.
+
+    The images of prev's zero codes form the zero set Z; the images of the
+    other reduced rows, with their entries in Z dropped, form the core, and
+    its kernel_basis at the columns outside Z is the dual of S.
+    """
+    n = rs.n
+    zero = {
+        code.indices
+        for c, code in enumerate(prev.codes)
+        if c not in prev.dual and c not in tails
+    }
+    # the columns outside Z, ascending, found from their preimages; removing
+    # the last bracket is always one, and it settles most codes
+    live = [
+        c
+        for c, code in enumerate(rs.codes)
+        if code.indices[:-1] not in zero
+        and not any(q in zero for q in _one_node_preimages(n, code.indices))
+    ]
+    at = {rs.codes[c].indices: i for i, c in enumerate(live)}
+    images = {c: _one_node_images(prev.codes[c]) for c in tails.keys() | prev.dual.keys()}
+    core = {}  # over the columns of live, deduplicated, in order
+    for c, tail in tails.items():
+        terms = [(c, 1)] + tail
+        for k in range(len(images[c])):
+            row = tuple(sorted((at[images[b][k]], x) for b, x in terms if images[b][k] in at))
+            if row:
+                core[row] = None
+    # live is ascending, so the core's reduced rows carry over column by column
+    basis = kernel_basis(SparseMatrix(len(live), core))
+    return {live[f]: {live[c]: x for c, x in v.items()} for f, v in basis.items()}
+
+
+def _annihilates(dual: dict, rows) -> bool:
+    """Whether every v_f of dual is orthogonal to every row, read through the
+    normal-form map code -> [(f, v_f[code])]; a row holding no code of the
+    map passes at once."""
+    nf = {}
+    for f, v in dual.items():
+        for c, x in v.items():
+            nf.setdefault(c, []).append((f, x))
+    held = nf.keys()
+    for row in rows:
+        if held.isdisjoint(row):
+            continue
+        acc = {}
+        for c, x in row.items():
+            for f, y in nf.get(c, ()):
+                acc[f] = acc.get(f, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
 def solve(rs: RelationSystem) -> RelationSystem:
-    """Exact elimination over the lexicographic code order, kept as the dual
-    basis: the kernel_basis of the rows, stored unchanged."""
-    return replace(rs, dual=kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
+    """The dual basis of the rows, from exactnum.kernel_basis or from the
+    degree below; both give the same dual, since the reduced echelon form of
+    a row space is unique. method names the path taken.
+
+    Recursion. The one-node operations map the degree-(p-1) rows of
+    operadic_relations onto its degree-p rows, signs included, so the
+    degree-p relation space R is the span S of the one-node images of the
+    solved degree-(p-1) reduced rows, and _recursive_dual finds its dual
+    from them. It is tried for an operadic system that is complete: tagged
+    by its generator and holding all C(np-1, p-2) rows, with p >= 3. It
+    pays only when degree p-1 has more zero codes than other pivots, whose
+    images are single codes that cost no arithmetic: as measured, for n = 3
+    from p = 6 on, and not for n = 2, 4 or 5. Degree p-1 comes
+    from _solved_cache, where solve keeps every complete operadic result,
+    or is solved first.
+
+    Certificate. The recursive dual is kept only if each v_f annihilates
+    every row, so that R lies in S; S lies in R because the reduced rows are
+    combinations of the degree-(p-1) rows, whose images are rows of a
+    complete system. Otherwise the rows are eliminated and the result is
+    not cached.
+    """
+    n, p = rs.n, rs.p
+    complete = rs.generator == "operadic" and len(rs.rows) == comb(n * p - 1, p - 2)
+    solved = None
+    if complete and p >= 3:
+        prev = solved_relations(n, p - 1)
+        tails = _tails(prev)
+        if prev.rank - len(tails) > len(tails):
+            dual = _recursive_dual(rs, prev, tails)
+            if _annihilates(dual, rs.rows):
+                solved = replace(rs, dual=dual, method="recursion")
+            else:
+                complete = False
+    if solved is None:
+        dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+        solved = replace(rs, dual=dual, method="elimination")
+    if complete:
+        _solved_cache[(n, p)] = solved
+    return solved
 
 
 def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[RelationSystem, list]:
@@ -622,15 +762,19 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
 
 
 def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
-    """Quotient multipliers per degree, with timing and the p+1 comparison."""
+    """Quotient multipliers per degree, with timing, the p+1 comparison and
+    the method solve took (for both, that of the operadic system)."""
     report = []
     for p in range(1, p_max + 1):
         start = time.perf_counter()
         if generator == "both":  # the 3-ary-only system first: n != 3 fails early
             pr = relation_system(n, p, "paper-rules")
-            solved = solve_stacked(solve(relation_system(n, p, "operadic")), pr)[0]
+            operadic = solve(relation_system(n, p, "operadic"))
+            solved = solve_stacked(operadic, pr)[0]
+            method = operadic.method
         else:
             solved = solve(relation_system(n, p, generator))
+            method = solved.method
         elapsed = time.perf_counter() - start
         report.append(
             {
@@ -644,6 +788,7 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
                 "matches_formula": solved.multiplier == p + 1,
                 "discarded": len(solved.discarded),
                 "seconds": elapsed,
+                "method": method,
             }
         )
     return report

@@ -185,6 +185,21 @@ def test_sparse_matrix_validation():
     assert m.rows == [[(1, 2)]]
 
 
+def test_sparse_matrix_sorts_only_rows_out_of_order():
+    m = SparseMatrix(4, [[(3, 1), (0, 0), (1, Fraction(1, 2))], [(0, 2), (2, 0), (3, 1)]])
+    assert m.rows == [[(1, Fraction(1, 2)), (3, 1)], [(0, 2), (3, 1)]]
+    assert SparseMatrix.from_dicts(3, [{2: 1, 0: -1}]).rows == [[(0, -1), (2, 1)]]
+    # a repeat is found after sorting, a column out of range in any order,
+    # and a zero entry is dropped before either check
+    with pytest.raises(ValueError, match="duplicate column"):
+        SparseMatrix(4, [[(2, 1), (0, 1), (2, 3)]])
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix(4, [[(1, 1), (4, 1)]])
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix(4, [[(3, 1), (-1, 1)]])
+    assert SparseMatrix(4, [[(9, 0), (1, 1), (1, 0)]]).rows == [[(1, 1)]]
+
+
 def typed_rows(rows):
     # entries with their type, so an int and an equal Fraction differ
     return [[(c, type(v), v) for c, v in row] for row in rows]

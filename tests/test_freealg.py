@@ -1,13 +1,20 @@
 import random
+from dataclasses import replace
 from itertools import product
 from math import comb
 
 import pytest
 
-from naryalg.exactnum import Fraction, SparseMatrix, rref
+from naryalg.exactnum import Fraction, SparseMatrix, kernel_basis, rref
 from naryalg.freealg import (
+    _annihilates,
     _compositions,
     _graft,
+    _one_node_images,
+    _one_node_preimages,
+    _recursive_dual,
+    _solved_cache,
+    _tails,
     BasisComparison,
     FreeElement,
     PlanarTree,
@@ -406,6 +413,122 @@ def test_solve_stacked_guards():
         solve_stacked(solve(operadic_relations(3, 4)), paper_rule_relations(3))
 
 
+# ------------------------------------------------------------- recursion
+
+
+def test_one_node_preimages_invert_the_images():
+    for n in (2, 3, 4):
+        for p in range(1, 5):
+            codes = enumerate_codes(n, p)
+            sources = {c.indices: set() for c in enumerate_codes(n, p + 1)}
+            for code in codes:
+                images = _one_node_images(code)
+                assert len(images) == code.leaves + n
+                for idx in images:
+                    sources[idx].add(code.indices)
+            valid = {c.indices for c in codes}
+            for idx, found in sources.items():
+                assert found == set(_one_node_preimages(n, idx)) & valid, (n, idx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_node_operations_map_rows_onto_rows(n):
+    # the fact the recursion rests on: the images of the degree-(p-1) rows
+    # under the one-node operations are exactly the degree-p rows, signs
+    # included
+    for p in range(3, 6):
+        prev, rs = operadic_relations(n, p - 1), operadic_relations(n, p)
+        col = {c.indices: i for i, c in enumerate(rs.codes)}
+        images = [_one_node_images(c) for c in prev.codes]
+        grafted = {
+            frozenset((col[images[c][k]], x) for c, x in row.items())
+            for row in prev.rows
+            for k in range(len(images[0]))
+        }
+        assert grafted == {frozenset(row.items()) for row in rs.rows}, (n, p)
+
+
+def _recursive(n, p):
+    prev = solved_relations(n, p - 1)
+    return _recursive_dual(operadic_relations(n, p), prev, _tails(prev))
+
+
+def _oracle_dual(rs):
+    # the dual basis from oracles.fraction_rref, rows by lowest column
+    # descending, which keeps the Fraction elimination fast
+    m = SparseMatrix.from_dicts(len(rs.codes), rs.rows)
+    m.rows.sort(key=lambda row: -row[0][0])
+    _, pivots, reduced = fraction_rref(m)
+    dual = {f: {f: 1} for f in sorted(set(range(len(rs.codes))) - set(pivots))}
+    for row in reduced:
+        for f, x in row[1:]:
+            dual[f][row[0][0]] = -x
+    return dual
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(2, p) for p in range(3, 7)] + [(3, p) for p in range(3, 7)]
+    + [(4, 3), (4, 4), (5, 3), (5, 4)],
+)
+def test_recursive_dual_matches_elimination_and_fraction_oracle(n, p):
+    # for every arity, not only where solve takes the recursion
+    rs = operadic_relations(n, p)
+    got = _recursive(n, p)
+    assert got == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    assert got == _oracle_dual(rs)
+    assert _annihilates(got, rs.rows)
+
+
+def test_solve_by_recursion_matches_elimination_to_degree_seven():
+    for p in range(2, 8):
+        rs = operadic_relations(3, p)
+        solved = solve(rs)
+        assert solved.method == ("recursion" if p >= 6 else "elimination"), p
+        assert solved.dual == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+        assert _solved_cache[(3, p)] is solved
+
+
+def test_solve_eliminates_other_arities_and_untagged_systems():
+    for n, p in ((2, 6), (4, 5), (5, 4)):
+        assert solve(operadic_relations(n, p)).method == "elimination"
+    rs = operadic_relations(3, 6)
+    for other in (replace(rs, generator=None), stack_systems(rs, rs), paper_rule_relations(6)):
+        solved = solve(other)
+        assert solved.method == "elimination"
+        assert solved.dual == solve(rs).dual
+
+
+def test_tampered_tagged_system_is_eliminated_and_not_cached():
+    rs = operadic_relations(3, 6)
+    genuine = solve(rs)
+    f = next(iter(genuine.dual))
+    r = next(i for i, row in enumerate(rs.rows) if f in row)
+    changed = [dict(row) for row in rs.rows]
+    changed[r][f] += 1  # moves row r out of the span: it meets v_f at 1
+    for tampered in (replace(rs, rows=rs.rows[1:]), replace(rs, rows=tuple(changed))):
+        assert tampered.generator == "operadic"
+        solved = solve(tampered)
+        assert solved.method == "elimination"
+        assert solved.dual == kernel_basis(
+            SparseMatrix.from_dicts(len(rs.codes), tampered.rows)
+        )
+        assert _solved_cache[(3, 6)].dual == genuine.dual
+    assert solve(replace(rs, rows=tuple(changed))).rank == genuine.rank + 1
+
+
+def test_certificate_rejects_a_corrupted_dual_vector():
+    rs = operadic_relations(3, 6)
+    dual = solve(rs).dual
+    assert _annihilates(dual, rs.rows)
+    zero = next(c for c in range(len(rs.codes)) if all(c not in v for v in dual.values()))
+    for f, v in dual.items():
+        for c, bump in [(c, 1) for c in v] + [(zero, 1), (f, Fraction(1, 2))]:
+            corrupted = dict(dual)
+            corrupted[f] = {**v, c: v.get(c, 0) + bump}
+            assert not _annihilates(corrupted, rs.rows), (f, c)
+
+
 # ------------------------------------------------------------- normal form
 
 
@@ -697,6 +820,9 @@ def test_free_dims_table_and_formula_flags():
     assert [r["matches_formula"] for r in report] == [False, False, True, True]
     assert [r["codes"] for r in report] == [1, 3, 12, 55]
     assert all(r["seconds"] >= 0 for r in report)
+    assert [r["method"] for r in free_dims(3, 6)] == ["elimination"] * 5 + ["recursion"]
+    assert {r["method"] for r in free_dims(4, 4, generator="operadic")} == {"elimination"}
+    assert free_dims(3, 6, generator="both")[-1]["method"] == "recursion"
 
 
 def test_free_dims_generators_agree():
