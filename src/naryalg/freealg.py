@@ -12,6 +12,8 @@ new root, map the operadic rows of degree p-1 onto those of degree p, so the
 grafted reduced rows of degree p-1 span the degree-p relations, and most of
 them are single codes. Such a result is certified: each of its kernel
 vectors must annihilate every relation row, or the rows are eliminated.
+Only the read-only rows that operadic_relations marks take this path or
+enter the cache of solved degrees.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from bisect import bisect
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
 from math import comb
+from types import MappingProxyType
 
 from .exactnum import (
     SparseMatrix,
@@ -222,9 +225,14 @@ class RelationSystem:
     the rows, mapping each quotient-basis code index f, ascending, to the
     kernel vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at
     every other basis code. The rank, pivots, quotient basis and reduced
-    rows are read off it. generator is "operadic" on the rows of
-    operadic_relations, which solve reads, and method says how solve found
-    dual: "recursion" or "elimination".
+    rows are read off it. method says how solve found dual: "recursion" or
+    "elimination".
+
+    generator is "operadic" on a system exactly as operadic_relations built
+    it, and solve trusts such rows. It is not an init field, so the
+    constructor and dataclasses.replace leave it None, and the rows
+    it marks are read-only mappings: a system with edited rows is never
+    marked.
     """
 
     n: int
@@ -233,8 +241,8 @@ class RelationSystem:
     rows: tuple  # of {code index: coefficient}
     discarded: tuple = ()
     dual: dict | None = None
-    generator: str | None = None
     method: str | None = field(default=None, compare=False)
+    generator: str | None = field(default=None, init=False, compare=False)
 
     @property
     def solved(self) -> bool:
@@ -263,15 +271,21 @@ class RelationSystem:
     def quotient_basis(self) -> tuple:
         return tuple(self.codes[f] for f in self._solution())
 
+    def _tails(self) -> dict:
+        """Each pivot's reduced row past its lead, [(f, -v_f[c])] by
+        ascending f; empty for a zero code, whose reduced row is e_c."""
+        tails = {c: [] for c in self.pivots}
+        for f, v in self._solution().items():
+            for c, x in v.items():
+                if c != f:
+                    tails[c].append((f, -x))
+        return tails
+
     @property
     def reduced(self) -> SparseMatrix:
         """The rref of the rows: row c is e_c - sum_f v_f[c] e_f."""
-        rows = {c: [(c, 1)] for c in self.pivots}
-        for f, v in self.dual.items():
-            for c, x in v.items():
-                if c != f:
-                    rows[c].append((f, -x))
-        return SparseMatrix(len(self.codes), rows.values())
+        rows = [[(c, 1)] + tail for c, tail in self._tails().items()]
+        return SparseMatrix(len(self.codes), rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,8 +353,10 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
                     for shift, sign in zip(shifts, signs):
                         j = bisect(rest, q + shift)
                         row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
-                    rows.append(row)
-    return RelationSystem(n, p, tuple(codes), tuple(rows), generator="operadic")
+                    rows.append(MappingProxyType(row))
+    rs = RelationSystem(n, p, tuple(codes), tuple(rows))
+    object.__setattr__(rs, "generator", "operadic")
+    return rs
 
 
 def _seed_rule_system() -> list:
@@ -403,11 +419,17 @@ def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
 def _one_node_images(code: TreeCode) -> list:
     """The index tuples that the one-node operations make of code, in a fixed
     order: a corolla grafted at leaf 1, ..., at the last leaf, then code
-    grafted as child 1, ..., n of a new root."""
-    n, tree = code.n, (code.p, code.indices)
-    grafts = [_graft(n, tree, q, (1, ())) for q in range(1, code.leaves + 1)]
-    grafts += [_graft(n, (1, ()), j, tree) for j in range(1, n + 1)]
-    return [idx for _, idx in grafts]
+    grafted as child 1, ..., n of a new root. As in _graft, a corolla at
+    leaf q opens a bracket at q and moves the brackets past q right by
+    n - 1; as child j, code's root opens at j and its brackets move by
+    j - 1."""
+    n, idx = code.n, code.indices
+    images = []
+    for q in range(1, code.leaves + 1):
+        k = bisect(idx, q)
+        images.append(idx[:k] + (q,) + tuple(j + n - 1 for j in idx[k:]))
+    images += [(j,) + tuple(i + j - 1 for i in idx) for j in range(1, n + 1)]
+    return images
 
 
 def _one_node_preimages(n: int, idx: tuple):
@@ -424,17 +446,6 @@ def _one_node_preimages(n: int, idx: tuple):
     yield tuple(j - idx[0] + 1 for j in idx[1:])
 
 
-def _tails(solved: RelationSystem) -> dict:
-    """Reduced row past its lead, [(f, coefficient)], of each pivot that has
-    one; the other pivots are the zero codes, whose reduced row is e_c."""
-    tails = {}
-    for f, v in solved.dual.items():
-        for c, x in v.items():
-            if c != f:
-                tails.setdefault(c, []).append((f, -x))
-    return tails
-
-
 def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> dict:
     """The dual basis of the span S of the one-node images of the reduced rows
     of prev, the solved degree below rs, whose _tails are given.
@@ -444,13 +455,11 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> di
     its kernel_basis at the columns outside Z is the dual of S.
     """
     n = rs.n
-    zero = {
-        code.indices
-        for c, code in enumerate(prev.codes)
-        if c not in prev.dual and c not in tails
-    }
+    zero = {prev.codes[c].indices for c, tail in tails.items() if not tail}
     # the columns outside Z, ascending, found from their preimages; removing
-    # the last bracket is always one, and it settles most codes
+    # the last bracket settles most codes, so it is tested before the
+    # generator is made (at p=8 on a 2-vCPU x86 VM, 15 ms for this list
+    # against 48 ms)
     live = [
         c
         for c, code in enumerate(rs.codes)
@@ -458,6 +467,7 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> di
         and not any(q in zero for q in _one_node_preimages(n, code.indices))
     ]
     at = {rs.codes[c].indices: i for i, c in enumerate(live)}
+    tails = {c: tail for c, tail in tails.items() if tail}
     images = {c: _one_node_images(prev.codes[c]) for c in tails.keys() | prev.dual.keys()}
     core = {}  # over the columns of live, deduplicated, in order
     for c, tail in tails.items():
@@ -501,36 +511,37 @@ def solve(rs: RelationSystem) -> RelationSystem:
     operadic_relations onto its degree-p rows, signs included, so the
     degree-p relation space R is the span S of the one-node images of the
     solved degree-(p-1) reduced rows, and _recursive_dual finds its dual
-    from them. It is tried for an operadic system that is complete: tagged
-    by its generator and holding all C(np-1, p-2) rows, with p >= 3. It
-    pays only when degree p-1 has more zero codes than other pivots, whose
+    from them. It is tried, for p >= 3, only on rows operadic_relations
+    built, as its generator mark says, all C(np-1, p-2) of them. It pays
+    only when degree p-1 has more zero codes than other pivots, whose
     images are single codes that cost no arithmetic: as measured, for n = 3
-    from p = 6 on, and not for n = 2, 4 or 5. Degree p-1 comes
-    from _solved_cache, where solve keeps every complete operadic result,
-    or is solved first.
+    from p = 6 on, and not for n = 2, 4 or 5. Degree p-1 comes from
+    _solved_cache or is solved first, so a lone call solves every lower
+    degree too.
 
     Certificate. The recursive dual is kept only if each v_f annihilates
     every row, so that R lies in S; S lies in R because the reduced rows are
-    combinations of the degree-(p-1) rows, whose images are rows of a
-    complete system. Otherwise the rows are eliminated and the result is
-    not cached.
+    combinations of the degree-(p-1) rows, whose images are rows of R.
+    Otherwise the rows are eliminated.
+
+    Only results on marked rows enter _solved_cache, so a system with
+    edited rows never changes what a later solve reads.
     """
     n, p = rs.n, rs.p
-    complete = rs.generator == "operadic" and len(rs.rows) == comb(n * p - 1, p - 2)
+    marked = rs.generator == "operadic" and len(rs.rows) == comb(n * p - 1, p - 2)
     solved = None
-    if complete and p >= 3:
+    if marked and p >= 3:
         prev = solved_relations(n, p - 1)
-        tails = _tails(prev)
-        if prev.rank - len(tails) > len(tails):
+        tails = prev._tails()
+        zeros = sum(not tail for tail in tails.values())
+        if zeros > len(tails) - zeros:
             dual = _recursive_dual(rs, prev, tails)
             if _annihilates(dual, rs.rows):
                 solved = replace(rs, dual=dual, method="recursion")
-            else:
-                complete = False
     if solved is None:
         dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
         solved = replace(rs, dual=dual, method="elimination")
-    if complete:
+    if marked:
         _solved_cache[(n, p)] = solved
     return solved
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from naryalg.exactnum import Fraction, SparseMatrix, kernel_basis, rref
+from naryalg import freealg
 from naryalg.freealg import (
     _annihilates,
     _compositions,
@@ -14,7 +15,6 @@ from naryalg.freealg import (
     _one_node_preimages,
     _recursive_dual,
     _solved_cache,
-    _tails,
     BasisComparison,
     FreeElement,
     PlanarTree,
@@ -450,7 +450,7 @@ def test_one_node_operations_map_rows_onto_rows(n):
 
 def _recursive(n, p):
     prev = solved_relations(n, p - 1)
-    return _recursive_dual(operadic_relations(n, p), prev, _tails(prev))
+    return _recursive_dual(operadic_relations(n, p), prev, prev._tails())
 
 
 def _oracle_dual(rs):
@@ -489,32 +489,77 @@ def test_solve_by_recursion_matches_elimination_to_degree_seven():
         assert _solved_cache[(3, p)] is solved
 
 
-def test_solve_eliminates_other_arities_and_untagged_systems():
+def test_solve_eliminates_other_arities_and_unmarked_systems():
     for n, p in ((2, 6), (4, 5), (5, 4)):
         assert solve(operadic_relations(n, p)).method == "elimination"
     rs = operadic_relations(3, 6)
-    for other in (replace(rs, generator=None), stack_systems(rs, rs), paper_rule_relations(6)):
+    assert rs.generator == "operadic"
+    for other in (replace(rs), stack_systems(rs, rs), paper_rule_relations(6)):
+        assert other.generator is None
         solved = solve(other)
         assert solved.method == "elimination"
         assert solved.dual == solve(rs).dual
 
 
-def test_tampered_tagged_system_is_eliminated_and_not_cached():
-    rs = operadic_relations(3, 6)
-    genuine = solve(rs)
-    f = next(iter(genuine.dual))
+def _edited(rs, dual):
+    # rs with one row dropped, and with a coefficient moved off the span:
+    # the changed row meets some v_f of rs's dual at 1
+    f = next(iter(dual))
     r = next(i for i, row in enumerate(rs.rows) if f in row)
     changed = [dict(row) for row in rs.rows]
-    changed[r][f] += 1  # moves row r out of the span: it meets v_f at 1
-    for tampered in (replace(rs, rows=rs.rows[1:]), replace(rs, rows=tuple(changed))):
-        assert tampered.generator == "operadic"
-        solved = solve(tampered)
+    changed[r][f] += 1
+    return replace(rs, rows=rs.rows[1:]), replace(rs, rows=tuple(changed))
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_edited_system_is_eliminated_and_not_cached(p):
+    # p = 5 is eliminated anyway; p = 6 would take the recursion
+    rs = operadic_relations(3, p)
+    genuine = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    with pytest.raises(TypeError):
+        rs.rows[0][0] = 1
+    for edited in _edited(rs, genuine):
+        assert edited.generator is None
+        _solved_cache.pop((3, p), None)
+        solved = solve(edited)
         assert solved.method == "elimination"
         assert solved.dual == kernel_basis(
-            SparseMatrix.from_dicts(len(rs.codes), tampered.rows)
+            SparseMatrix.from_dicts(len(rs.codes), edited.rows)
         )
-        assert _solved_cache[(3, 6)].dual == genuine.dual
-    assert solve(replace(rs, rows=tuple(changed))).rank == genuine.rank + 1
+        assert (3, p) not in _solved_cache
+        assert solved_relations(3, p).dual == genuine
+    assert solve(_edited(rs, genuine)[1]).rank == len(rs.codes) - len(genuine) + 1
+
+
+def test_edited_degree_below_leaves_the_recursion_genuine():
+    # an edited degree-5 system enlarges the row space; it must not become
+    # the degree below that degree 6 is grafted from
+    below = operadic_relations(3, 5)
+    dual = kernel_basis(SparseMatrix.from_dicts(len(below.codes), below.rows))
+    for p in (5, 6):
+        _solved_cache.pop((3, p), None)
+    solve(_edited(below, dual)[1])
+    assert (3, 5) not in _solved_cache
+    rs = operadic_relations(3, 6)
+    solved = solve(rs)
+    assert solved.method == "recursion"
+    assert solved.dual == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+
+
+def test_failed_certificate_falls_back_to_elimination(monkeypatch):
+    rs = operadic_relations(3, 6)
+    genuine = solve(rs).dual
+
+    def corrupted(*args):
+        dual = {f: dict(v) for f, v in genuine.items()}
+        f = next(iter(dual))
+        dual[f][f] = 2
+        return dual
+
+    monkeypatch.setattr(freealg, "_recursive_dual", corrupted)
+    solved = solve(rs)
+    assert solved.method == "elimination"
+    assert solved.dual == genuine
 
 
 def test_certificate_rejects_a_corrupted_dual_vector():
