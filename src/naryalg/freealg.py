@@ -4,7 +4,8 @@ Homogeneous components are spanned by planar trees with n-ary internal
 nodes, coded by the sorted leaf positions of their opening brackets. Two
 relation generators are kept deliberately separate: the operadic-context
 construction (ground truth) and the textual prepend-and-shift rules, so the
-row spaces can be compared instead of trusted.
+row spaces can be compared instead of trusted. Every reader of a solved
+system reads its dual basis as one normal-form map, code c -> sum_f v_f[c] e_f.
 
 solve finds a degree from the degree below where that pays. The one-node
 operations, a corolla grafted at a leaf or the tree grafted as a child of a
@@ -271,20 +272,11 @@ class RelationSystem:
     def quotient_basis(self) -> tuple:
         return tuple(self.codes[f] for f in self._solution())
 
-    def _tails(self) -> dict:
-        """Each pivot's reduced row past its lead, [(f, -v_f[c])] by
-        ascending f; empty for a zero code, whose reduced row is e_c."""
-        tails = {c: [] for c in self.pivots}
-        for f, v in self._solution().items():
-            for c, x in v.items():
-                if c != f:
-                    tails[c].append((f, -x))
-        return tails
-
     @property
     def reduced(self) -> SparseMatrix:
-        """The rref of the rows: row c is e_c - sum_f v_f[c] e_f."""
-        rows = [[(c, 1)] + tail for c, tail in self._tails().items()]
+        """The rref of the rows: row c is e_c - sum_f v_f[c] e_f, one per pivot."""
+        nf = _normal_forms(self._solution())
+        rows = [[(c, 1)] + [(f, -x) for f, x in nf.get(c, ())] for c in self.pivots]
         return SparseMatrix(len(self.codes), rows)
 
     def to_json_dict(self) -> dict:
@@ -446,16 +438,35 @@ def _one_node_preimages(n: int, idx: tuple):
     yield tuple(j - idx[0] + 1 for j in idx[1:])
 
 
-def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> dict:
-    """The dual basis of the span S of the one-node images of the reduced rows
-    of prev, the solved degree below rs, whose _tails are given.
+def _normal_forms(dual: dict) -> dict:
+    """The one inversion of a dual basis: code c -> [(f, v_f[c])] by ascending
+    f; a basis code f maps to [(f, 1)], and a zero code is absent."""
+    nf = {}
+    for f, v in dual.items():
+        for c, x in v.items():
+            nf.setdefault(c, []).append((f, x))
+    return nf
 
-    The images of prev's zero codes form the zero set Z; the images of the
-    other reduced rows, with their entries in Z dropped, form the core, and
-    its kernel_basis at the columns outside Z is the dual of S.
+
+def _image(nf: dict, row) -> dict:
+    """A row's quotient coordinates {f: sum_c row[c] v_f[c]}, zeros dropped."""
+    acc = {}
+    for c, x in row.items():
+        for f, y in nf.get(c, ()):
+            acc[f] = acc.get(f, 0) + x * y
+    return {f: x for f, x in acc.items() if x}
+
+
+def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
+    """The dual basis of the span S of the one-node images of the reduced rows
+    of prev, the solved degree below rs, whose normal-form map nf is given.
+
+    The images of prev's zero codes, absent from nf, form the zero set Z; the
+    images of the other reduced rows, with their entries in Z dropped, form
+    the core, and its kernel_basis at the columns outside Z is the dual of S.
     """
     n = rs.n
-    zero = {prev.codes[c].indices for c, tail in tails.items() if not tail}
+    zero = {code.indices for c, code in enumerate(prev.codes) if c not in nf}
     # the columns outside Z, ascending, found from their preimages; removing
     # the last bracket settles most codes, so it is tested before the
     # generator is made (at p=8 on a 2-vCPU x86 VM, 15 ms for this list
@@ -467,11 +478,10 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> di
         and not any(q in zero for q in _one_node_preimages(n, code.indices))
     ]
     at = {rs.codes[c].indices: i for i, c in enumerate(live)}
-    tails = {c: tail for c, tail in tails.items() if tail}
-    images = {c: _one_node_images(prev.codes[c]) for c in tails.keys() | prev.dual.keys()}
+    images = {c: _one_node_images(prev.codes[c]) for c in nf}
     core = {}  # over the columns of live, deduplicated, in order
-    for c, tail in tails.items():
-        terms = [(c, 1)] + tail
+    for c in nf.keys() - prev.dual.keys():  # the pivots of nonzero class
+        terms = [(c, 1)] + [(f, -x) for f, x in nf[c]]
         for k in range(len(images[c])):
             row = tuple(sorted((at[images[b][k]], x) for b, x in terms if images[b][k] in at))
             if row:
@@ -482,22 +492,12 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, tails: dict) -> di
 
 
 def _annihilates(dual: dict, rows) -> bool:
-    """Whether every v_f of dual is orthogonal to every row, read through the
-    normal-form map code -> [(f, v_f[code])]; a row holding no code of the
-    map passes at once."""
-    nf = {}
-    for f, v in dual.items():
-        for c, x in v.items():
-            nf.setdefault(c, []).append((f, x))
+    """Whether every row has a zero image through the normal-form map of dual,
+    each v_f orthogonal to it; a row holding no code of the map passes at once."""
+    nf = _normal_forms(dual)
     held = nf.keys()
     for row in rows:
-        if held.isdisjoint(row):
-            continue
-        acc = {}
-        for c, x in row.items():
-            for f, y in nf.get(c, ()):
-                acc[f] = acc.get(f, 0) + x * y
-        if any(acc.values()):
+        if not held.isdisjoint(row) and _image(nf, row):
             return False
     return True
 
@@ -511,18 +511,18 @@ def solve(rs: RelationSystem) -> RelationSystem:
     operadic_relations onto its degree-p rows, signs included, so the
     degree-p relation space R is the span S of the one-node images of the
     solved degree-(p-1) reduced rows, and _recursive_dual finds its dual
-    from them. It is tried, for p >= 3, only on rows operadic_relations
-    built, as its generator mark says, all C(np-1, p-2) of them. It pays
-    only when degree p-1 has more zero codes than other pivots, whose
-    images are single codes that cost no arithmetic: as measured, for n = 3
-    from p = 6 on, and not for n = 2, 4 or 5. Degree p-1 comes from
-    _solved_cache or is solved first, so a lone call solves every lower
-    degree too.
+    from its normal-form map. It is tried, for p >= 3, only on rows
+    operadic_relations built, as its generator mark says, all C(np-1, p-2)
+    of them. It pays only when degree p-1 has more zero codes (absent from
+    the map) than other pivots, whose images are single codes that cost no
+    arithmetic: as measured, for n = 3 from p = 6 on, and not for n = 2, 4
+    or 5. Degree p-1 comes from _solved_cache or is solved first, so a lone
+    call solves every lower degree too.
 
-    Certificate. The recursive dual is kept only if each v_f annihilates
-    every row, so that R lies in S; S lies in R because the reduced rows are
-    combinations of the degree-(p-1) rows, whose images are rows of R.
-    Otherwise the rows are eliminated.
+    Certificate. The recursive dual is kept only if every row has a zero
+    image through its normal-form map, so that R lies in S; S lies in R
+    because the reduced rows are combinations of the degree-(p-1) rows,
+    whose images are rows of R. Otherwise the rows are eliminated.
 
     Only results on marked rows enter _solved_cache, so a system with
     edited rows never changes what a later solve reads.
@@ -532,10 +532,10 @@ def solve(rs: RelationSystem) -> RelationSystem:
     solved = None
     if marked and p >= 3:
         prev = solved_relations(n, p - 1)
-        tails = prev._tails()
-        zeros = sum(not tail for tail in tails.values())
-        if zeros > len(tails) - zeros:
-            dual = _recursive_dual(rs, prev, tails)
+        nf = _normal_forms(prev.dual)
+        zeros = len(prev.codes) - len(nf)
+        if zeros > prev.rank - zeros:
+            dual = _recursive_dual(rs, prev, nf)
             if _annihilates(dual, rs.rows):
                 solved = replace(rs, dual=dual, method="recursion")
     if solved is None:
@@ -549,23 +549,21 @@ def solve(rs: RelationSystem) -> RelationSystem:
 def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[RelationSystem, list]:
     """solve(stack_systems(solved, extra)) from the dual basis of solved, and
     the indices of extra's rows outside solved's row space: row r is outside
-    iff some r . v_f != 0. The images form a matrix M with one column per
-    basis code f_l; the joint rank adds rank M, and each kernel vector k of M
-    gives the joint dual vector sum_l k[l] v_l at its free column."""
+    iff its image, some r . v_f, is nonzero. The images form a matrix M with
+    one column per basis code f_l; the joint rank adds rank M, and each kernel
+    vector k of M gives the joint dual vector sum_l k[l] v_l at its free column."""
     joint = stack_systems(solved, extra)
     basis, vs = list(solved._solution()), list(solved.dual.values())
-    images = [
-        [sum(coef * v.get(c, 0) for c, coef in row.items()) for v in vs]
-        for row in extra.rows
-    ]
+    nf = _normal_forms(dict(enumerate(vs)))  # over the basis positions l
+    images = [_image(nf, row) for row in extra.rows]
     dual = {}
-    for j, k in kernel_basis(SparseMatrix.from_dense(images, len(vs))).items():
+    for j, k in kernel_basis(SparseMatrix.from_dicts(len(vs), images)).items():
         v = {}
         for l, coef in k.items():
             for c, x in vs[l].items():
                 v[c] = v.get(c, 0) + coef * x
         dual[basis[j]] = {c: normalize_scalar(x) for c, x in v.items() if x}
-    failing = [i for i, image in enumerate(images) if any(image)]
+    failing = [i for i, image in enumerate(images) if image]
     return replace(joint, dual=dual), failing
 
 
@@ -650,9 +648,9 @@ class FreeElement:
 
 
 def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
-    """Each code c goes to sum_f v_f[c] e_f over the dual basis of rs: the
-    pivot codes are rewritten, the basis codes fixed. Idempotent and linear."""
-    dual = rs._solution()
+    """Each code c goes to its entry sum_f v_f[c] e_f in the normal-form map:
+    the pivot codes are rewritten, the basis codes fixed. Idempotent, linear."""
+    nf = _normal_forms(rs._solution())
     if (x.n, x.p) != (rs.n, rs.p):
         raise ValueError(
             f"element lives at (n={x.n}, p={x.p}), system at (n={rs.n}, p={rs.p})"
@@ -660,11 +658,9 @@ def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
     col = {code: idx for idx, code in enumerate(rs.codes)}
     out = {}
     for (code, word), coef in x.entries.items():
-        c = col[code]
-        for f, v in dual.items():
-            if c in v:
-                key = (rs.codes[f], word)
-                out[key] = out.get(key, 0) + coef * v[c]
+        for f, y in nf.get(col[code], ()):
+            key = (rs.codes[f], word)
+            out[key] = out.get(key, 0) + coef * y
     return FreeElement(x.n, x.p, out)
 
 
@@ -763,13 +759,13 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
         raise ValueError("need the solved degree-4 system")
     qdim = len(rs.dual)
     candidates = tuple(TreeCode(3, 4, t) for t in PUBLISHED_L9_CODES)
-    # candidate c in lex quotient coordinates is (v_f[c]) over the basis f
-    matrix = tuple(
-        tuple(v.get(c, 0) for v in rs.dual.values()) for c in map(rs.codes.index, candidates)
-    )
+    nf = _normal_forms(rs.dual)
+    # candidate c in lex quotient coordinates is its normal form (v_f[c]) over f
+    coords = [dict(nf.get(rs.codes.index(c), ())) for c in candidates]
+    matrix = tuple(tuple(row.get(f, 0) for f in rs.dual) for row in coords)
     (rank,) = stacked_ranks(qdim, [[list(enumerate(row)) for row in matrix]])
-    invertible = rank == len(candidates) == qdim
-    return BasisComparison(qdim, candidates, invertible, tuple(matrix), invertible)
+    independent = rank == len(candidates)
+    return BasisComparison(qdim, candidates, independent, matrix, independent and rank == qdim)
 
 
 def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:

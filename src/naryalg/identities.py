@@ -253,7 +253,8 @@ def nilpotency_class(b: BracketAlgebra):
 
 
 def commutativity_defect(mu: MultiMap) -> MultiMap:
-    """Signed sum of mu over all argument permutations; zero iff commutative."""
+    """Signed sum of mu over all argument permutations: zero iff commutative
+    at arity 2, weaker from arity 3 on, where the signed terms can cancel."""
     return antisymmetrize(mu)
 
 

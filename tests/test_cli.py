@@ -321,9 +321,13 @@ def test_check_comultiplication_file(tmp_path, capsys):
 
 def test_check_commutativity_symmetric_product(tmp_path, capsys):
     diag = MultiMap.from_entries(2, 2, {((i, i), i): 1 for i in range(2)})
-    path = write_json(tmp_path / "diag.json", diag.to_json_dict())
-    rc, _, _ = run(capsys, "check", "--algebra", path, "--identity", "commutativity")
-    assert rc == 0
+    # the check is the alternating sum, weaker than commutativity from arity
+    # 3 on: this ternary product passes, though mu(e1,e1,e0) != mu(e0,e1,e1)
+    ternary = MultiMap.from_entries(2, 3, {((0, 1, 1), 0): 1, ((1, 0, 1), 0): 1})
+    for name, mu in (("diag", diag), ("ternary", ternary)):
+        path = write_json(tmp_path / f"{name}.json", mu.to_json_dict())
+        rc, _, _ = run(capsys, "check", "--algebra", path, "--identity", "commutativity")
+        assert rc == 0
 
 
 def test_check_input_errors(tmp_path, capsys):

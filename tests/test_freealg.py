@@ -11,10 +11,13 @@ from naryalg.freealg import (
     _annihilates,
     _compositions,
     _graft,
+    _image,
+    _normal_forms,
     _one_node_images,
     _one_node_preimages,
     _recursive_dual,
     _solved_cache,
+    PUBLISHED_L9_CODES,
     BasisComparison,
     FreeElement,
     PlanarTree,
@@ -450,7 +453,7 @@ def test_one_node_operations_map_rows_onto_rows(n):
 
 def _recursive(n, p):
     prev = solved_relations(n, p - 1)
-    return _recursive_dual(operadic_relations(n, p), prev, prev._tails())
+    return _recursive_dual(operadic_relations(n, p), prev, _normal_forms(prev.dual))
 
 
 def _oracle_dual(rs):
@@ -572,6 +575,45 @@ def test_certificate_rejects_a_corrupted_dual_vector():
             corrupted = dict(dual)
             corrupted[f] = {**v, c: v.get(c, 0) + bump}
             assert not _annihilates(corrupted, rs.rows), (f, c)
+
+
+@pytest.mark.parametrize("n, p", [(3, p) for p in range(2, 7)] + [(4, p) for p in range(2, 5)])
+def test_normal_form_map_matches_reduced_rows_and_fraction_oracle(n, p):
+    # the one normal-form map against its two readings: a basis code is
+    # fixed, a pivot goes to minus its reduced row's tail (a zero code to 0),
+    # and the coordinates are those of the Fraction elimination's dual
+    rs = solve(operadic_relations(n, p))
+    nf = _normal_forms(rs.dual)
+    tails = {row[0][0]: row[1:] for row in rs.reduced.rows}
+    oracle = _oracle_dual(rs)
+    for c, code in enumerate(rs.codes):
+        want = {c: 1} if c in rs.dual else {f: -x for f, x in tails[c]}
+        assert {f: v[c] for f, v in oracle.items() if c in v} == want
+        got = normal_form(FreeElement.from_code(code), rs)
+        assert got.entries == {(rs.codes[f], None): x for f, x in want.items()}
+        assert (c in nf) == bool(want)
+        assert [f for f, _ in nf.get(c, ())] == sorted(want)
+
+
+@pytest.mark.parametrize("n, p", [(3, 4), (3, 6), (4, 4)])
+def test_solve_stacked_keeps_a_sum_of_relation_rows_inside(n, p):
+    # both rows hold codes of the map, so the summed row's codes have nonzero
+    # normal forms that cancel only once summed over the row
+    op = solve(operadic_relations(n, p))
+    nf = _normal_forms(op.dual)
+    a, b = [row for row in op.rows if not nf.keys().isdisjoint(row)][:2]
+    row = {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()}
+    row = {c: x for c, x in row.items() if x}
+    assert any(_image(nf, {c: x}) for c, x in row.items())
+    assert _image(nf, row) == {}
+    f = next(iter(op.dual))
+    extra = RelationSystem(n, p, op.codes, (row, {f: 1}))
+    joint, failing = solve_stacked(op, extra)
+    assert failing == [1]
+    _assert_same_solution(joint, solve(stack_systems(op, extra)))
+    joint, failing = solve_stacked(op, RelationSystem(n, p, op.codes, (row,)))
+    assert failing == []
+    assert joint.dual == op.dual
 
 
 # ------------------------------------------------------------- normal form
@@ -838,6 +880,21 @@ def test_published_degree_four_basis():
     ]
     rank, _, _ = rref(SparseMatrix.from_dense([list(r) for r in rep.change_of_basis], 5))
     assert rank == 5
+
+
+def test_basis_report_tells_independent_from_invertible():
+    # with no relations the five published codes are distinct unit classes
+    # of the 55-dimensional quotient: independent, not a basis
+    codes = relation_system(3, 4).codes
+    rep = l9_basis_report(solve(RelationSystem(3, 4, codes, ())))
+    assert rep.quotient_dim == 55
+    assert rep.independent and not rep.invertible
+    assert sorted(map(sorted, rep.change_of_basis)) == [[0] * 54 + [1]] * 5
+    # one relation identifying two of them leaves them dependent
+    a, b = (codes.index(TreeCode(3, 4, t)) for t in PUBLISHED_L9_CODES[:2])
+    rep = l9_basis_report(solve(RelationSystem(3, 4, codes, ({a: 1, b: -1},))))
+    assert rep.quotient_dim == 54
+    assert not rep.independent and not rep.invertible
 
 
 def test_six_codes_always_dependent():

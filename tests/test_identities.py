@@ -201,6 +201,15 @@ def test_commutativity_of_lie_associators():
         assert commutativity_defect(A).is_zero()
 
 
+def test_commutativity_defect_is_only_the_alternating_sum():
+    # from arity 3 on, a zero signed permutation sum does not make mu
+    # commutative: here mu(e0,e1,e1) = mu(e1,e0,e1) = e0 cancel in the sum,
+    # while mu(e1,e1,e0) = 0
+    mu = MultiMap.from_entries(2, 3, {((0, 1, 1), 0): 1, ((1, 0, 1), 0): 1})
+    assert commutativity_defect(mu).is_zero()
+    assert mu.value_at((1, 1, 0)) != mu.value_at((0, 1, 1))
+
+
 def test_commutativity_symmetric_and_antisymmetric():
     sym = MultiMap.from_entries(
         2, 3, {((i, j, k), 0): 1 for i, j, k in product(range(2), repeat=3)}
