@@ -7,12 +7,14 @@ cross-module invariant suites). All arithmetic is exact; there is no
 configuration file, only flags.
 
 Exit codes: 0 when every requested check passes, 1 when an identity or a
-selftest check is violated, 2 on bad input (file, flag, or cap).
+selftest check is violated, 2 on bad input (file, flag, or cap). main is the
+one place that maps an InputError or a library ValueError to exit 2.
 """
 
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import re
@@ -79,6 +81,7 @@ from .identities import (
     nilpotency_class,
     poisson_leibniz_defect,
     random_square_zero,
+    random_square_zero_graded,
     roby_defects,
 )
 
@@ -128,9 +131,18 @@ def _jsonable(x):
 # ------------------------------------------------------------------ algebras
 
 
+def _decimal_text(text: str):
+    """parse_float hook: a finite JSON decimal stays its literal text, which
+    the coefficient reader sizes and reads exactly as the decimal it writes;
+    a literal past the float range stays the float inf."""
+    value = float(text)
+    return text if math.isfinite(value) else value
+
+
 def _load_algebra(ref):
     """Built-in instance by name, or the parsed JSON object from a path that
-    is not a directory (a pipe such as /dev/stdin too); "-" reads stdin."""
+    is not a directory (a pipe such as /dev/stdin too); "-" reads stdin. A
+    JSON decimal such as 0.1 is kept as its text, so that it reads as 1/10."""
     if ref in BUILTIN_ALGEBRAS:
         return builtin_algebra(ref)
     if ref == "-":
@@ -145,7 +157,7 @@ def _load_algebra(ref):
             f"({', '.join(sorted(BUILTIN_ALGEBRAS))}) nor a file"
         )
     try:
-        data = json.loads(read())
+        data = json.loads(read(), parse_float=_decimal_text)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read algebra file {ref}: {e}") from None
     except RecursionError:
@@ -155,56 +167,45 @@ def _load_algebra(ref):
     return data
 
 
-def _coerce_algebra(loaded, kind: str, ref: str, cap: int):
-    """Shape the loaded input into what an identity checker consumes.
+def _algebra(ref: str, kind: str, cap: int):
+    """The algebra ref names, shaped into what an identity checker consumes.
 
     kind is "product" (MultiMap; a bracket's underlying map is accepted),
     "bracket" (BracketAlgebra), or "comultiplication" (Comultiplication).
     A structure whose dense size dim^(arity+1) exceeds cap is rejected.
     """
-    algebra = _coerce_kind(loaded, kind, ref)
+    algebra = _load_algebra(ref)
+    if isinstance(algebra, dict):
+        try:
+            _check_coef_digits(algebra, ref)
+            antisymmetric = algebra.get("antisymmetric", False)
+            if not isinstance(antisymmetric, bool):
+                shown = json.dumps(antisymmetric)
+                raise ValueError(f'"antisymmetric" must be true or false, not {shown}')
+            if kind == "comultiplication":
+                algebra = Comultiplication.from_json_dict(algebra)
+            elif antisymmetric:
+                algebra = BracketAlgebra.from_json_dict(algebra)
+            elif kind == "bracket":
+                raise InputError(
+                    f'{ref}: the identity needs a bracket; set "antisymmetric": true'
+                )
+            else:
+                algebra = MultiMap.from_json_dict(algebra)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+            raise InputError(f"malformed algebra file {ref}: {e}") from None
+    elif isinstance(algebra, BracketAlgebra):
+        if kind == "comultiplication":
+            raise InputError(f"{ref} is a bracket algebra, not a comultiplication")
+    elif kind != "product":
+        raise InputError(f"{ref} is a plain product, but the identity needs a {kind}")
     base = algebra.bracket if isinstance(algebra, BracketAlgebra) else algebra
     if _dense_size_exceeds(base.dim, base.arity, cap):
         raise InputError(
             f"{ref}: dim {base.dim} and arity {base.arity} give a structure "
             f"larger than the cap {cap}"
         )
-    return algebra
-
-
-def _coerce_kind(loaded, kind: str, ref: str):
-    if isinstance(loaded, BracketAlgebra):
-        if kind == "bracket":
-            return loaded
-        if kind == "product":
-            return loaded.bracket
-        raise InputError(f"{ref} is a bracket algebra, not a comultiplication")
-    if isinstance(loaded, MultiMap):
-        if kind == "product":
-            return loaded
-        raise InputError(f"{ref} is a plain product, but the identity needs a {kind}")
-    data = loaded
-    try:
-        _check_coef_digits(data, ref)
-        antisymmetric = data.get("antisymmetric", False)
-        if not isinstance(antisymmetric, bool):
-            shown = json.dumps(antisymmetric)
-            raise ValueError(f'"antisymmetric" must be true or false, not {shown}')
-        if kind == "comultiplication":
-            return Comultiplication.from_json_dict(data)
-        if kind == "bracket":
-            if not antisymmetric:
-                raise InputError(
-                    f'{ref}: the identity needs a bracket; set "antisymmetric": true'
-                )
-            return BracketAlgebra.from_json_dict(data)
-        if antisymmetric:
-            return BracketAlgebra.from_json_dict(data).bracket
-        return MultiMap.from_json_dict(data)
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
-        raise InputError(f"malformed algebra file {ref}: {e}") from None
+    return base if kind == "product" else algebra
 
 
 def _digits(n: int) -> int:
@@ -244,66 +245,45 @@ def _check_coef_digits(data: dict, ref: str) -> None:
             )
 
 
-def _algebra_for_kind(ref: str, kind: str, cap: int):
-    return _coerce_algebra(_load_algebra(ref), kind, ref, cap)
-
-
 # ------------------------------------------------------------------ check
 
 
-def _check_partial_assoc(mu):
-    return report_from_defect("partial_associativity", partial_assoc_defect(mu))
-
-
-def _check_commutativity(mu):
-    return report_from_defect("commutativity", commutativity_defect(mu))
-
-
-def _check_partial_coassoc(delta):
-    return report_from_defect("partial_coassociativity", partial_coassoc_defect(delta))
-
-
-def _check_assoc_of_associator(b):
-    return report_from_defect(
-        "partial_assoc_of_associator",
-        partial_assoc_defect(associator_from_bracket(b)),
-    )
-
-
-def _check_poisson_of_associator(b):
-    return report_from_defect(
-        "poisson_leibniz_of_associator",
-        poisson_leibniz_defect(associator_from_bracket(b), b),
-    )
-
-
+# identity -> (kind of input, check, name). A check with a name returns a
+# defect map, which report_from_defect turns into the report of that name;
+# the other checks return their report.
 IDENTITY_CHECKS = {
-    "partial-assoc": ("product", _check_partial_assoc),
-    "total-assoc": ("product", total_assoc_check),
-    "composition-relations": ("product", composition_relation_defects),
-    "commutativity": ("product", _check_commutativity),
-    "roby": ("product", roby_defects),
-    "partial-coassoc": ("comultiplication", _check_partial_coassoc),
-    "total-coassoc": ("comultiplication", total_coassoc_check),
-    "jacobi": ("bracket", lambda b: b.jacobi_report()),
-    "partial-assoc-of-associator": ("bracket", _check_assoc_of_associator),
-    "poisson-of-associator": ("bracket", _check_poisson_of_associator),
+    "partial-assoc": ("product", partial_assoc_defect, "partial_associativity"),
+    "total-assoc": ("product", total_assoc_check, None),
+    "composition-relations": ("product", composition_relation_defects, None),
+    "commutativity": ("product", commutativity_defect, "commutativity"),
+    "roby": ("product", roby_defects, None),
+    "partial-coassoc": ("comultiplication", partial_coassoc_defect, "partial_coassociativity"),
+    "total-coassoc": ("comultiplication", total_coassoc_check, None),
+    "jacobi": ("bracket", lambda b: b.jacobi_report(), None),
+    "partial-assoc-of-associator": (
+        "bracket",
+        lambda b: partial_assoc_defect(associator_from_bracket(b)),
+        "partial_assoc_of_associator",
+    ),
+    "poisson-of-associator": (
+        "bracket",
+        lambda b: poisson_leibniz_defect(associator_from_bracket(b), b),
+        "poisson_leibniz_of_associator",
+    ),
 }
 
 
 def cmd_check(args) -> int:
     try:
-        kind, checker = IDENTITY_CHECKS[args.identity]
+        kind, check, name = IDENTITY_CHECKS[args.identity]
     except KeyError:
         raise InputError(
             f"unknown identity {args.identity!r}; "
             f"available: {', '.join(sorted(IDENTITY_CHECKS))}"
         ) from None
-    algebra = _algebra_for_kind(args.algebra, kind, _resolve_cap(None, DEFAULT_CAP))
-    try:
-        report = checker(algebra)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    report = check(_algebra(args.algebra, kind, _resolve_cap(None, DEFAULT_CAP)))
+    if name is not None:
+        report = report_from_defect(name, report)
     machine = {
         "identity": args.identity,
         "check": report.name,
@@ -346,10 +326,7 @@ def _check_free_component(n: int, p: int, flag: str, cap_flag) -> None:
 
 def cmd_free_dims(args) -> int:
     _check_free_component(args.n, args.p_max, "p-max", args.cap)
-    try:
-        report = free_dims(args.n, args.p_max, args.generator)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    report = free_dims(args.n, args.p_max, args.generator)
     if args.format == "json":
         print(json.dumps(_jsonable(report), indent=2))
         return 0
@@ -389,10 +366,7 @@ def cmd_free_export(args) -> int:
     # both exports the two systems apart; the 3-ary-only one is built first,
     # so that another n fails before any elimination
     kinds = ("paper-rules", "operadic") if args.generator == "both" else (args.generator,)
-    try:
-        solved = [solve(relation_system(args.n, args.p, kind)) for kind in kinds]
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    solved = [solve(relation_system(args.n, args.p, kind)) for kind in kinds]
     if args.generator == "both":
         pr, op = solved
         joint, failing = solve_stacked(op, pr)
@@ -433,11 +407,7 @@ def cmd_free_export(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cap = _resolve_cap(args.cap, DEFAULT_CAP)
-    mu = _algebra_for_kind(args.algebra, "product", cap)
-    try:
-        table = cohomology_dims(mu, args.slot, args.steps, cap)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    table = cohomology_dims(_algebra(args.algebra, "product", cap), args.slot, args.steps, cap)
     machine = {"algebra": args.algebra, **table.to_json_dict()}
     if args.format == "json":
         print(json.dumps(machine, indent=2))
@@ -471,17 +441,6 @@ def _random_map(rng, d, k, lo=-2, hi=2, terms=6):
             return m
 
 
-def _random_comultiplication(rng, d, n, terms=5):
-    while True:
-        entries = {}
-        for _ in range(terms):
-            key = (rng.randrange(d), tuple(rng.randrange(d) for _ in range(n)))
-            entries[key] = entries.get(key, 0) + rng.randint(-2, 2)
-        delta = Comultiplication.from_entries(d, n, entries)
-        if not delta.is_zero():
-            return delta
-
-
 def _random_homogeneous_map(rng, space, k, degree, density=0.6):
     entries = {}
     for idx in iproduct(range(space.dim), repeat=k):
@@ -492,22 +451,6 @@ def _random_homogeneous_map(rng, space, k, degree, density=0.6):
                 if v:
                     entries[(idx, j)] = v
     return GradedMultiMap.from_entries(space, k, degree, entries)
-
-
-def _sink_graded_product(rng, degrees, n, mu_degree, sources):
-    space = GradedSpace(degrees)
-    while True:
-        entries = {}
-        for idx in iproduct(range(sources), repeat=n):
-            want = space.tuple_degree(idx) + mu_degree
-            for j in range(sources, space.dim):
-                if space.degrees[j] == want:
-                    v = rng.randint(-2, 2)
-                    if v:
-                        entries[(idx, j)] = v
-        mu = GradedMultiMap.from_entries(space, n, mu_degree, entries)
-        if not mu.is_zero():
-            return mu
 
 
 def _suite_exactnum(rng):
@@ -605,7 +548,7 @@ def _suite_graded(rng):
             if not sign_formula_check(f, g, i).holds:
                 ok = False
     checks.append(("suspension_sign_transfer", ok and nontrivial))
-    mu = _sink_graded_product(rng, (0, 0, 1), 3, 1, 2)
+    mu = random_square_zero_graded(3, 3, rng.randrange(1 << 30), 2)
     checks.append(("graded_square_zero", graded_gprod(mu, mu).is_zero()))
     ok = True
     for _ in range(3):
@@ -621,7 +564,7 @@ def _suite_coalg(rng):
     checks = []
     ok = True
     for _ in range(3):
-        delta = _random_comultiplication(rng, 2, 3)
+        delta = dual_of_algebra(_random_map(rng, 2, 3))
         mm = dual_of_coalgebra(delta)
         if dual_of_algebra(mm) != delta:
             ok = False
@@ -706,10 +649,7 @@ def cmd_selftest(args) -> int:
         selected = None
     else:
         selected = [s.strip() for s in args.suites.split(",") if s.strip()]
-    try:
-        results = run_selftest(seed=args.seed, suites=selected)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    results = run_selftest(seed=args.seed, suites=selected)
     total_passed = sum(r.passed for r in results)
     total_failed = sum(r.failed for r in results)
     machine = {
@@ -828,7 +768,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (None, 0) else 2
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, ValueError) as e:  # a library ValueError is unusable input too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,11 @@ class Comultiplication(MultiMap):
 
     min_arity = 2
 
+    _shape_error = (
+        "entry {out} -> {inputs}: a comultiplication entry maps one source index "
+        "to {arity} output indices"
+    )
+
     @classmethod
     def from_entries(cls, dim: int, arity: int, entries) -> "Comultiplication":
         """entries: mapping (source index, output tuple) -> coefficient."""

@@ -20,10 +20,11 @@ enter the cache of solved degrees.
 from __future__ import annotations
 
 import time
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
 from math import comb
+from operator import attrgetter
 from types import MappingProxyType
 
 from .exactnum import (
@@ -647,6 +648,14 @@ class FreeElement:
         return f"FreeElement(n={self.n}, p={self.p}, terms={len(self.entries)})"
 
 
+def _code_index(rs: RelationSystem, code: TreeCode) -> int:
+    """The column of code in rs, found by bisection: rs.codes is in lex order."""
+    i = bisect_left(rs.codes, code.indices, key=attrgetter("indices"))
+    if i == len(rs.codes) or rs.codes[i] != code:
+        raise ValueError(f"{code} is not a code of the system at (n={rs.n}, p={rs.p})")
+    return i
+
+
 def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
     """Each code c goes to its entry sum_f v_f[c] e_f in the normal-form map:
     the pivot codes are rewritten, the basis codes fixed. Idempotent, linear."""
@@ -655,10 +664,9 @@ def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
         raise ValueError(
             f"element lives at (n={x.n}, p={x.p}), system at (n={rs.n}, p={rs.p})"
         )
-    col = {code: idx for idx, code in enumerate(rs.codes)}
     out = {}
     for (code, word), coef in x.entries.items():
-        for f, y in nf.get(col[code], ()):
+        for f, y in nf.get(_code_index(rs, code), ()):
             key = (rs.codes[f], word)
             out[key] = out.get(key, 0) + coef * y
     return FreeElement(x.n, x.p, out)
@@ -761,7 +769,7 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
     candidates = tuple(TreeCode(3, 4, t) for t in PUBLISHED_L9_CODES)
     nf = _normal_forms(rs.dual)
     # candidate c in lex quotient coordinates is its normal form (v_f[c]) over f
-    coords = [dict(nf.get(rs.codes.index(c), ())) for c in candidates]
+    coords = [dict(nf.get(_code_index(rs, c), ())) for c in candidates]
     matrix = tuple(tuple(row.get(f, 0) for f in rs.dual) for row in coords)
     (rank,) = stacked_ranks(qdim, [[list(enumerate(row)) for row in matrix]])
     independent = rank == len(candidates)

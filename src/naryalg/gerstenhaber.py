@@ -41,6 +41,12 @@ class MultiMap:
 
     min_arity = 1
 
+    # from_entries' message for a key of another shape
+    _shape_error = (
+        "entry {inputs} -> {out}: a product entry maps {arity} input indices "
+        "to one output index"
+    )
+
     def __init__(self, dim: int, arity: int, terms: dict):
         if type(dim) is not int or dim < 1:
             raise ValueError("dim must be a positive integer")
@@ -60,6 +66,8 @@ class MultiMap:
         """entries: mapping (input tuple, output index) -> coefficient."""
         terms = {}
         for (inputs, out), coef in entries.items():
+            if not isinstance(inputs, (tuple, list)) or isinstance(out, (tuple, list)):
+                raise ValueError(cls._shape_error.format(inputs=inputs, out=out, arity=arity))
             inputs = tuple(inputs)
             if len(inputs) != arity:
                 raise ValueError(f"index tuple {inputs} has wrong length")

@@ -5,9 +5,11 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -365,6 +367,23 @@ def test_check_input_errors(tmp_path, capsys):
     assert rc == 2 and "not an integer" in err
 
 
+def test_product_comultiplication_mixup_names_the_entry_shape(tmp_path, capsys):
+    # a comultiplication file read as a product, and a product file read as a
+    # comultiplication, exit 2 naming the entry and the shape the kind needs
+    comult = write_json(tmp_path / "grouplike.json", grouplike(2, 3).to_json_dict())
+    product = write_json(tmp_path / "matrix2.json", builtin_algebra("matrix2").to_json_dict())
+    product_shape = "a product entry maps 3 input indices to one output index"
+    comult_shape = "a comultiplication entry maps one source index to 2 output indices"
+    for argv, message in (
+        (("check", "--algebra", comult, "--identity", "partial-assoc"), "entry 0 -> (0, 0, 0): " + product_shape),
+        (("cohomology", "--algebra", comult), "entry 0 -> (0, 0, 0): " + product_shape),
+        (("check", "--algebra", product, "--identity", "total-coassoc"), "entry (0, 0) -> 0: " + comult_shape),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err == f"error: malformed algebra file {argv[2]}: {message}\n", (argv, err)
+
+
 def test_check_integral_fraction_witness_is_a_json_number(tmp_path, capsys):
     # fractional structure constants whose defect is a whole number: the
     # witness prints as a JSON number, as an int witness does, not as "4"
@@ -487,6 +506,22 @@ def test_check_non_finite_coefficient(tmp_path, capsys):
         rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
         assert rc == 2 and out == "" and "malformed" in err, name
         assert err.startswith("error:") and err.count("\n") == 1, name
+
+
+def test_check_decimal_coefficient_reads_as_written(tmp_path, capsys):
+    # a JSON number 0.1 is the decimal 1/10, as the string "0.1" is, and not
+    # the binary double nearest to it
+    for name, coef in (("number", "0.1"), ("string", '"0.1"'), ("exponent", "1E-1")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            '{"dim": 2, "arity": 2, "entries": [{"in": [0, 0], "out": 1, "coef": %s}, '
+            '{"in": [1, 1], "out": 0, "coef": 1}]}' % coef
+        )
+        rc, out, _ = run(
+            capsys, "check", "--algebra", str(path), "--identity", "partial-assoc", "--format", "json"
+        )
+        assert rc == 1, name
+        assert json.loads(out)["witness"] == [[0, 0, 1, 0], "1/10"], name
 
 
 def test_check_deeply_nested_file(tmp_path, capsys):
@@ -876,6 +911,52 @@ def test_selftest_fixture_override_many_seeds(monkeypatch):
 
 
 # ------------------------------------------------------------------ plumbing
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("library says no")
+
+
+@pytest.mark.parametrize(
+    "argv, patch",
+    [
+        (("check", "--algebra", "matrix2", "--identity", "partial-assoc"), "IDENTITY_CHECKS"),
+        (("free-dims", "--n", "3", "--p-max", "2"), "free_dims"),
+        (("free-export", "--n", "3", "--p", "2"), "solve"),
+        (("cohomology", "--algebra", "matrix2", "--steps", "1"), "cohomology_dims"),
+        (("selftest", "--seed", "0"), "run_selftest"),
+    ],
+)
+def test_library_value_error_exits_two(capsys, monkeypatch, argv, patch):
+    # main maps a ValueError from any command's library call to one error
+    # line and exit 2
+    if patch == "IDENTITY_CHECKS":
+        entry = ("product", _raise_value_error, "partial_associativity")
+        monkeypatch.setitem(cli.IDENTITY_CHECKS, "partial-assoc", entry)
+    else:
+        monkeypatch.setattr(cli, patch, _raise_value_error)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: library says no\n")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # the exit-code contract through python -m naryalg.cli, in a new process
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("NARY_CAP", None)
+    for argv, code in (
+        (("check", "--algebra", "matrix2", "--identity", "partial-assoc"), 0),
+        (("check", "--algebra", "so3", "--identity", "partial-assoc-of-associator"), 1),
+        (("check", "--algebra", str(tmp_path / "missing.json"), "--identity", "partial-assoc"), 2),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "naryalg.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, (argv, done.stderr)
+        assert "Traceback" not in done.stderr, argv
+        if code == 2:
+            assert done.stdout == "" and done.stderr.startswith("error: ")
+            assert done.stderr.count("\n") == 1
 
 
 def test_help_and_usage_exit_codes(capsys):

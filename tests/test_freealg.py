@@ -669,6 +669,20 @@ def test_normal_form_degree_mismatch():
         normal_form(FreeElement.from_code(TreeCode(3, 3, (1, 1))), rs)
 
 
+def test_code_lookup_rejects_a_code_outside_the_system():
+    # a system over part of the codes: the missing code is a ValueError for
+    # normal_form and for l9_basis_report, not a KeyError or a wrong column
+    codes = relation_system(3, 2).codes
+    rs = solve(RelationSystem(3, 2, codes[:2], ()))
+    assert normal_form(FreeElement.from_code(codes[1]), rs) == FreeElement.from_code(codes[1])
+    with pytest.raises(ValueError, match="not a code of the system"):
+        normal_form(FreeElement.from_code(codes[2]), rs)
+    first = TreeCode(3, 4, PUBLISHED_L9_CODES[0])
+    rest = tuple(c for c in relation_system(3, 4).codes if c != first)
+    with pytest.raises(ValueError, match="not a code of the system"):
+        l9_basis_report(solve(RelationSystem(3, 4, rest, ())))
+
+
 def test_normal_form_requires_solved():
     rs = operadic_relations(3, 2)
     with pytest.raises(ValueError):
