@@ -549,11 +549,24 @@ def _suite_graded(rng):
                 ok = False
     checks.append(("suspension_sign_transfer", ok and nontrivial))
     mu = random_square_zero_graded(3, 3, rng.randrange(1 << 30), 2)
+    while mu.is_zero():
+        mu = random_square_zero_graded(3, 3, rng.randrange(1 << 30), 2)
     checks.append(("graded_square_zero", graded_gprod(mu, mu).is_zero()))
+    # mu's space (1, 1, 4) has no cochain of arity 2 or of degree 1. A binary
+    # sink product of degree 1 over (0, 0, 1, -1) has both, and the degree -1
+    # vector lets a cochain feed its sources, so delta(phi) and
+    # delta(delta(phi)) need not vanish and the odd sign adds nonzero terms.
+    # One nonzero cochain of each parity.
+    base = random_square_zero(3, 2, rng.randrange(1 << 30), 2)
+    while base.is_zero():
+        base = random_square_zero(3, 2, rng.randrange(1 << 30), 2)
+    sink = GradedMultiMap.from_entries(GradedSpace((0, 0, 1, -1)), 2, 1, base.terms)
     ok = True
-    for _ in range(3):
-        phi = _random_homogeneous_map(rng, mu.space, rng.randint(1, 2), rng.choice([0, 1]))
-        if not graded_coboundary(mu, graded_coboundary(mu, phi)).is_zero():
+    for k, degree in ((2, 0), (1, 1)):
+        phi = _random_homogeneous_map(rng, sink.space, k, degree, density=1)
+        while phi.is_zero():
+            phi = _random_homogeneous_map(rng, sink.space, k, degree, density=1)
+        if not graded_coboundary(sink, graded_coboundary(sink, phi)).is_zero():
             ok = False
     checks.append(("graded_coboundary_squares_to_zero", ok))
     checks.append(("graded_assoc_equivalence", graded_assoc_equivalence(mu).holds))

@@ -38,8 +38,9 @@ class Comultiplication(MultiMap):
 
     min_arity = 2
 
+    _json_shape = (False, True)
     _shape_error = (
-        "entry {out} -> {inputs}: a comultiplication entry maps one source index "
+        "entry {} -> {}: a comultiplication entry maps one source index "
         "to {arity} output indices"
     )
 

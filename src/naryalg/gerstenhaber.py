@@ -41,9 +41,11 @@ class MultiMap:
 
     min_arity = 1
 
-    # from_entries' message for a key of another shape
+    # whether a JSON entry's "in" and "out" are index lists, and
+    # from_json_dict's message for an entry of another shape
+    _json_shape = (True, False)
     _shape_error = (
-        "entry {inputs} -> {out}: a product entry maps {arity} input indices "
+        "entry {} -> {}: a product entry maps {arity} input indices "
         "to one output index"
     )
 
@@ -66,8 +68,6 @@ class MultiMap:
         """entries: mapping (input tuple, output index) -> coefficient."""
         terms = {}
         for (inputs, out), coef in entries.items():
-            if not isinstance(inputs, (tuple, list)) or isinstance(out, (tuple, list)):
-                raise ValueError(cls._shape_error.format(inputs=inputs, out=out, arity=arity))
             inputs = tuple(inputs)
             if len(inputs) != arity:
                 raise ValueError(f"index tuple {inputs} has wrong length")
@@ -198,6 +198,8 @@ class MultiMap:
                 tuple(v) if isinstance(v, list) else v for v in (e["in"], e["out"])
             )
             entries[key] = entries.get(key, 0) + scalar_from_str(e["coef"])
+            if (isinstance(key[0], tuple), isinstance(key[1], tuple)) != cls._json_shape:
+                raise ValueError(cls._shape_error.format(*key, arity=data["arity"]))
         return cls.from_entries(data["dim"], data["arity"], entries)
 
     def __repr__(self):

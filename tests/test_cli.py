@@ -539,6 +539,8 @@ def test_check_huge_exact_coefficient(tmp_path, capsys):
         ("e10m", '"1e10000000"'),
         ("long", '"%s"' % ("7" * 1001)),
         ("int", "7" * 1001),
+        # a JSON number is sized as the decimal it writes: 10^-1500, not 0.0
+        ("tiny", "1e-1500"),
     ):
         path = _one_coef_file(tmp_path / f"{name}.json", coef)
         start = time.perf_counter()
@@ -887,6 +889,20 @@ def test_selftest_empty_selection(capsys):
 def test_selftest_unknown_suite(capsys):
     rc, _, err = run(capsys, "selftest", "--suites", "bogus")
     assert rc == 2 and "unknown suites" in err
+
+
+def test_selftest_graded_coboundary_sees_the_odd_sign(capsys, monkeypatch):
+    # the check's even cochain has an odd coboundary that need not vanish, so
+    # a coboundary that subtracts phi * mu for an odd phi too fails it (at
+    # each of seeds 0..299)
+    def even_sign_coboundary(mu, phi):
+        return cli.graded_gprod(mu, phi) - cli.graded_gprod(phi, mu)
+
+    monkeypatch.setattr(cli, "graded_coboundary", even_sign_coboundary)
+    for seed in range(4):
+        rc, out, _ = run(capsys, "selftest", "--seed", str(seed), "--suites", "graded", "--format", "json")
+        assert rc == 1
+        assert json.loads(out)["suites"][0]["failures"] == ["graded_coboundary_squares_to_zero"]
 
 
 def test_selftest_broken_fixture_fails(capsys, monkeypatch):
