@@ -332,14 +332,13 @@ def cmd_free_dims(args) -> int:
         return 0
     print(
         f"{'p':>2} {'len':>4} {'codes':>7} {'rows':>7} {'rank':>7} "
-        f"{'mult':>5} {'p+1':>4} {'match':>6} {'disc':>5} {'sec':>8}"
+        f"{'mult':>5} {'p+1':>4} {'match':>6} {'sec':>8}"
     )
     for r in report:
         print(
             f"{r['p']:>2} {r['word_length']:>4} {r['codes']:>7} {r['rows']:>7} "
             f"{r['rank']:>7} {r['multiplier']:>5} {r['formula_value']:>4} "
-            f"{'yes' if r['matches_formula'] else 'no':>6} "
-            f"{r['discarded']:>5} {r['seconds']:>8.3f}"
+            f"{'yes' if r['matches_formula'] else 'no':>6} {r['seconds']:>8.3f}"
         )
     print("multipliers: " + ", ".join(str(r["multiplier"]) for r in report))
     return 0

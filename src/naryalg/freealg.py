@@ -1,11 +1,13 @@
 """Free n-ary partially associative algebras: trees, relations, exact ranks.
 
 Homogeneous components are spanned by planar trees with n-ary internal
-nodes, coded by the sorted leaf positions of their opening brackets. Two
-relation generators are kept deliberately separate: the operadic-context
-construction (ground truth) and the textual prepend-and-shift rules, so the
-row spaces can be compared instead of trusted. Every reader of a solved
-system reads its dual basis as one normal-form map, code c -> sum_f v_f[c] e_f.
+nodes, coded by the sorted leaf positions of their opening brackets. There
+are two relation generators. The paper's two textual prepend-and-shift rules
+are the one-node operations below, iterated from the degree-2 seed row. The
+operadic-context construction stays independent of them, so it is the
+ground truth they and the recursion are compared against. Every reader of a
+solved system reads its dual basis as one normal-form map,
+code c -> sum_f v_f[c] e_f.
 
 solve finds a degree from the degree below where that pays. The one-node
 operations, a corolla grafted at a leaf or the tree grafted as a child of a
@@ -50,11 +52,11 @@ class TreeCode:
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(j) for j in self.indices))
-        if self.n < 2:
-            raise ValueError("arity must be at least 2")
-        if self.p < 0:
-            raise ValueError("node count must be nonnegative")
+        object.__setattr__(self, "indices", tuple(self.indices))
+        if type(self.n) is not int or self.n < 2:
+            raise ValueError("arity must be an integer of at least 2")
+        if type(self.p) is not int or self.p < 0:
+            raise ValueError("node count must be a nonnegative integer")
         want = max(self.p - 1, 0)
         if len(self.indices) != want:
             raise ValueError(
@@ -63,10 +65,8 @@ class TreeCode:
         prev = 1
         for m, j in enumerate(self.indices, start=1):
             hi = m * (self.n - 1) + 1
-            if not prev <= j <= hi:
-                raise ValueError(
-                    f"index {m} is {j}, allowed {prev}..{hi}"
-                )
+            if type(j) is not int or not prev <= j <= hi:
+                raise ValueError(f"index {m} is {j!r}, allowed integers {prev}..{hi}")
             prev = j
 
     @property
@@ -241,7 +241,6 @@ class RelationSystem:
     p: int
     codes: tuple
     rows: tuple  # of {code index: coefficient}
-    discarded: tuple = ()
     dual: dict | None = None
     method: str | None = field(default=None, compare=False)
     generator: str | None = field(default=None, init=False, compare=False)
@@ -352,61 +351,37 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     return rs
 
 
-def _seed_rule_system() -> list:
-    # the single degree-2 relation: (1) + (2) + (3) = 0
-    return [{(1,): 1, (2,): 1, (3,): 1}]
-
-
 def paper_rule_relations(p: int) -> RelationSystem:
-    """The two textual rules, iterated from the single degree-2 relation.
+    """The two textual rules, iterated from the single degree-2 relation
+    (1) + (2) + (3) = 0; n = 3 only.
 
-    Rule A: prepend i in {1,2,3}, shift every old index by i-1. Rule B:
-    prepend i in {1,...,2p-1}, keep old indices <= i, add 2 to the rest,
-    sort. Tuples that violate the code constraints are discarded and
-    reported, never silently fixed. n = 3 only.
+    Each rule applies one one-node operation of _one_node_images to every
+    code of a row. Rule A, prepend i in {1,2,3} and shift every old index by
+    i-1, grafts the tree as child i of a new root; rule B, prepend i in
+    {1,...,2t-1} at degree t, keep the old indices <= i, add 2 to the rest
+    and sort, grafts a corolla at leaf i. A graft of a code is a code, so no
+    image needs a validity test. Each row of degree t-1 yields rule A's
+    three rows, then rule B's 2t-1.
     """
     if p < 3:
         raise ValueError("the rules build degree 3 and up from the seed")
-    n = 3
-    rows_by_code = _seed_rule_system()
-    discarded = []
-    for target in range(3, p + 1):
-        next_rows = []
-        for row in rows_by_code:
-            for i in (1, 2, 3):
-                new = {}
-                for idx_tuple, coef in row.items():
-                    shifted = (i,) + tuple(j + (i - 1) for j in idx_tuple)
-                    new[shifted] = new.get(shifted, 0) + coef
-                next_rows.append(new)
-            for i in range(1, 2 * target):
-                new = {}
-                bad = False
-                for idx_tuple, coef in row.items():
-                    moved = tuple(j if j <= i else j + 2 for j in idx_tuple)
-                    shifted = tuple(sorted((i,) + moved))
-                    try:
-                        TreeCode(n, target, shifted)
-                    except ValueError:
-                        discarded.append((target, i, idx_tuple, shifted))
-                        bad = True
-                        break
-                    new[shifted] = new.get(shifted, 0) + coef
-                if not bad:
-                    next_rows.append(new)
-        rows_by_code = next_rows
-    codes = enumerate_codes(n, p)
-    col = {c.indices: idx for idx, c in enumerate(codes)}
-    rows = tuple(
-        {col[t]: v for t, v in row.items() if v} for row in rows_by_code
-    )
-    return RelationSystem(n, p, tuple(codes), rows, tuple(discarded))
+    codes = enumerate_codes(3, 2)  # (1,), (2,), (3,)
+    rows = [{0: 1, 1: 1, 2: 1}]
+    for t in range(3, p + 1):
+        leaves = 2 * t - 1  # of a degree-(t-1) code
+        # rule A for i = 1, 2, 3, then rule B for i = 1..leaves
+        order = [leaves, leaves + 1, leaves + 2, *range(leaves)]
+        prev, codes = codes, enumerate_codes(3, t)
+        col = {c.indices: k for k, c in enumerate(codes)}
+        cols = [[col[im] for im in _one_node_images(c)] for c in prev]
+        rows = [{cols[c][k]: v for c, v in row.items()} for row in rows for k in order]
+    return RelationSystem(3, p, tuple(codes), tuple(rows))
 
 
 def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
     if (a.n, a.p) != (b.n, b.p):
         raise ValueError("systems live in different components")
-    return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows, a.discarded + b.discarded)
+    return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows)
 
 
 def _one_node_images(code: TreeCode) -> list:
@@ -801,7 +776,6 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
                 "multiplier": solved.multiplier,
                 "formula_value": p + 1,
                 "matches_formula": solved.multiplier == p + 1,
-                "discarded": len(solved.discarded),
                 "seconds": elapsed,
                 "method": method,
             }

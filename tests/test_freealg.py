@@ -122,6 +122,24 @@ def test_code_validation():
     assert TreeCode(3, 4, (1, 2, 4)).label() == "g_{1,2,4}"
 
 
+def test_code_rejects_what_is_not_an_int():
+    # n, p and every index must be an int: no 2.7 read as 2, no True as 1
+    for args in [
+        (3, 2, (2.7,)),
+        (3, 2, (2.0,)),
+        (3, 2, ("2",)),
+        (3, 2, (True,)),
+        (3, 3, (1, 2.0)),
+        (3.5, 2, (2,)),
+        (3.0, 2, (2,)),
+        (3, 2.0, (2,)),
+        (3, True, ()),
+    ]:
+        with pytest.raises(ValueError):
+            TreeCode(*args)
+    assert TreeCode(3, 3, [1, 2]) == TreeCode(3, 3, (1, 2))
+
+
 # ------------------------------------------------------------- bijection
 
 
@@ -251,7 +269,6 @@ def test_operadic_rows_match_term_by_term_oracle():
 def test_paper_rules_degree_three_exact_rows():
     rs = paper_rule_relations(3)
     assert len(rs.rows) == 8
-    assert rs.discarded == ()
     got = {frozenset(row.items()) for row in rs.rows}
     want = {frozenset((c, 1) for c in cols) for cols in DEGREE7_ROW_COLS}
     assert got == want
@@ -260,7 +277,6 @@ def test_paper_rules_degree_three_exact_rows():
 def test_paper_rules_degree_four_count():
     rs = paper_rule_relations(4)
     assert len(rs.rows) == 80
-    assert rs.discarded == ()
     solved = solve(rs)
     assert solved.rank == 50
     assert solved.multiplier == 5
@@ -272,6 +288,47 @@ def test_paper_rules_contained_in_operadic():
         joint = solve(stack_systems(operadic_relations(3, p), paper_rule_relations(p)))
         assert joint.rank == op.rank
         assert joint.multiplier == op.multiplier
+
+
+def _rule_a(i, c):
+    # the paper's rule A: prepend i, shift every old index by i - 1
+    return (i,) + tuple(j + i - 1 for j in c)
+
+
+def _rule_b(i, c):
+    # the paper's rule B: prepend i, keep the indices <= i, add 2 to the rest
+    return tuple(sorted((i,) + tuple(j if j <= i else j + 2 for j in c)))
+
+
+def test_paper_rules_literal_formulas_are_the_one_node_images():
+    # rule A's i is the graft as child i of a new root, rule B's the corolla
+    # grafted at leaf i
+    for p in range(1, 7):
+        for code in enumerate_codes(3, p):
+            images, c = _one_node_images(code), code.indices
+            assert images[code.leaves :] == [_rule_a(i, c) for i in (1, 2, 3)], c
+            assert images[: code.leaves] == [
+                _rule_b(i, c) for i in range(1, code.leaves + 1)
+            ], c
+
+
+def test_paper_rule_rows_are_the_literal_rules_in_order():
+    rows = [{(1,): 1, (2,): 1, (3,): 1}]
+    for p in range(3, 6):
+        rules = [(_rule_a, i) for i in (1, 2, 3)] + [(_rule_b, i) for i in range(1, 2 * p)]
+        rows = [{rule(i, c): v for c, v in row.items()} for row in rows for rule, i in rules]
+        rs = paper_rule_relations(p)
+        assert [{rs.codes[k].indices: v for k, v in row.items()} for row in rs.rows] == rows, p
+
+
+def test_paper_rule_rows_are_the_operadic_rows():
+    # with duplicates dropped, the rule rows are the operadic row set
+    # (8, 55, 364, 2380 and 15504 rows)
+    for p in range(3, 8):
+        rules = {frozenset(row.items()) for row in paper_rule_relations(p).rows}
+        operadic = {frozenset(row.items()) for row in operadic_relations(3, p).rows}
+        assert rules == operadic, p
+        assert len(rules) == comb(3 * p - 1, p - 2), p
 
 
 def test_paper_rules_need_degree_three():
