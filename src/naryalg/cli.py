@@ -37,6 +37,7 @@ from .exactnum import SparseMatrix, kernel_basis, rref, scalar_from_str
 from .freealg import (
     GENERATORS,
     FreeElement,
+    TreeCode,
     ascii_tree,
     bracket_string,
     enumerate_codes,
@@ -525,7 +526,7 @@ def _suite_freealg(rng):
     ok = True
     for row in rs.rows[:2]:
         word = tuple(rng.randrange(2) for _ in range(7))
-        x = FreeElement(3, 3, {(rs.codes[c], word): v for c, v in row.items()})
+        x = FreeElement(3, 3, {(TreeCode(3, 3, rs.codes[c]), word): v for c, v in row.items()})
         if any(evaluate(x, mu)):
             ok = False
     checks.append(("relations_evaluate_to_zero", ok))

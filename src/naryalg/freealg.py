@@ -9,24 +9,32 @@ ground truth they and the recursion are compared against. Every reader of a
 solved system reads its dual basis as one normal-form map,
 code c -> sum_f v_f[c] e_f.
 
-solve finds a degree from the degree below where that pays. The one-node
-operations, a corolla grafted at a leaf or the tree grafted as a child of a
-new root, map the operadic rows of degree p-1 onto those of degree p, so the
-grafted reduced rows of degree p-1 span the degree-p relations, and most of
-them are single codes. Such a result is certified: each of its kernel
-vectors must annihilate every relation row, or the rows are eliminated.
-Only the read-only rows that operadic_relations marks take this path or
-enter the cache of solved degrees.
+solve finds a degree from the degree below whenever that degree has a zero
+code: for n = 3 from p = 5 on, since degree 4 has 20 zero codes of 55. The
+one-node operations, a corolla grafted at a leaf or the tree grafted as a
+child of a new root, map the operadic rows of degree p-1 onto those of
+degree p, so the grafted reduced rows of degree p-1 span the degree-p
+relations, and most of them are single codes. Such a result is certified:
+each of its kernel vectors must annihilate every relation row. Only a row
+holding a code of the dual's support can fail, and a code's rows are built
+from the code alone, so the certificate reads no other row, and
+operadic_relations builds its rows only where they are first read. If the
+certificate fails, the rows are eliminated. Only the read-only rows that
+operadic_relations marks take this path or enter the cache of solved
+degrees.
+
+Inside the module a code is its index tuple; TreeCode objects are made
+where a code leaves it.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect, bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, combinations, product
 from math import comb
-from operator import attrgetter
 from types import MappingProxyType
 
 from .exactnum import (
@@ -109,21 +117,18 @@ def enumerate_codes(n: int, p: int) -> list:
         raise ValueError("arity must be at least 2")
     if p < 1:
         raise ValueError("need at least one internal node")
-    results = []
+    return [TreeCode(n, p, idx) for idx in _code_tuples(n, p)]
 
-    def rec(prefix, m):
-        if m == p:
-            results.append(TreeCode(n, p, tuple(prefix)))
-            return
-        lo = prefix[-1] if prefix else 1
-        hi = m * (n - 1) + 1
-        for j in range(lo, hi + 1):
-            prefix.append(j)
-            rec(prefix, m + 1)
-            prefix.pop()
 
-    rec([], 1)
-    return results
+def _code_tuples(n: int, p: int) -> list:
+    """The index tuples of enumerate_codes(n, p), in the same order, unchecked:
+    index m runs from the one before it up to m(n-1)+1, so extending each
+    prefix in lex order by its allowed indices, ascending, keeps lex order."""
+    codes = [()]
+    for m in range(1, p):
+        hi = m * (n - 1) + 2
+        codes = [c + (j,) for c in codes for j in range(c[-1] if c else 1, hi)]
+    return codes
 
 
 def _graft(n: int, a: tuple, q: int, b: tuple) -> tuple:
@@ -223,6 +228,10 @@ def ascii_tree(tree: PlanarTree) -> str:
 class RelationSystem:
     """Leaf-uniform relation rows over the lexicographic code list.
 
+    codes are index tuples, the indices of the TreeCodes they stand for;
+    TreeCode objects are made only where a code leaves the module, as in
+    quotient_basis and the keys of normal_form.
+
     A solved system is its dual basis: dual equals exactnum.kernel_basis of
     the rows, mapping each quotient-basis code index f, ascending, to the
     kernel vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at
@@ -233,8 +242,8 @@ class RelationSystem:
     generator is "operadic" on a system exactly as operadic_relations built
     it, and solve trusts such rows. It is not an init field, so the
     constructor and dataclasses.replace leave it None, and the rows
-    it marks are read-only mappings: a system with edited rows is never
-    marked.
+    it marks are read-only mappings, built where they are first read: a
+    system with edited rows is never marked.
     """
 
     n: int
@@ -270,7 +279,7 @@ class RelationSystem:
 
     @property
     def quotient_basis(self) -> tuple:
-        return tuple(self.codes[f] for f in self._solution())
+        return tuple(TreeCode(self.n, self.p, self.codes[f]) for f in self._solution())
 
     @property
     def reduced(self) -> SparseMatrix:
@@ -283,7 +292,7 @@ class RelationSystem:
         return {
             "n": self.n,
             "p": self.p,
-            "codes": [list(c.indices) for c in self.codes],
+            "codes": [list(c) for c in self.codes],
             "relations": [
                 [
                     {"code": c, "coef": scalar_to_str(v)}
@@ -316,39 +325,114 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     bracket opening at q + leaves(B_1) + ... + leaves(B_{i-1}) instead of at
     q: the n codes increase with i, the lowest one, T_1, has sign +1, and
     T_1 with T_2's bracket fixes the context, so the rows are distinct,
-    C(np-1, p-2) of them.
+    C(np-1, p-2) of them. The rows are built where they are first read.
     """
     if p < 2:
         raise ValueError("relations start at two internal nodes")
-    codes = enumerate_codes(n, p)
-    col = {c.indices: idx for idx, c in enumerate(codes)}
-    shapes = {0: [(0, ())]}
-    for k in range(1, p - 1):
-        shapes[k] = [(k, c.indices) for c in enumerate_codes(n, k)]
-    signs = [-1 if (i * (n - 1)) % 2 else 1 for i in range(1, n)]
-    rows = []
-    for k in range(p - 1):
-        # mu(mu(B_1..B_n), B_{n+1}..B_{2n-1}) and the inner bracket's shifts
-        fillers = []
-        for parts in _compositions(p - 2 - k, 2 * n - 1):
-            shifts = tuple(accumulate(b * (n - 1) + 1 for b in parts[: n - 1]))
-            for subs in product(*(shapes[b] for b in parts)):
-                inner = _corolla_with(n, subs[:n])
-                fillers.append((_corolla_with(n, (inner,) + subs[n:]), shifts))
-        for context in shapes[k]:
-            for q in range(1, k * (n - 1) + 2):
-                for filled, shifts in fillers:
-                    first = _graft(n, context, q, filled)[1]
-                    at = first.index(q)
-                    rest = first[:at] + first[at + 1 :]
-                    row = {col[first]: 1}
-                    for shift, sign in zip(shifts, signs):
-                        j = bisect(rest, q + shift)
-                        row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
-                    rows.append(MappingProxyType(row))
-    rs = RelationSystem(n, p, tuple(codes), tuple(rows))
+    codes = tuple(_code_tuples(n, p))
+    rs = RelationSystem(n, p, codes, _OperadicRows(n, p, codes))
     object.__setattr__(rs, "generator", "operadic")
     return rs
+
+
+class _OperadicRows(Sequence):
+    """The read-only rows of operadic_relations(n, p), in its order. The
+    length is known without them; the first read of a row builds them all."""
+
+    __slots__ = ("n", "p", "codes", "_rows")
+
+    def __init__(self, n: int, p: int, codes: tuple):
+        self.n, self.p, self.codes, self._rows = n, p, codes, None
+
+    def __len__(self) -> int:
+        return comb(self.n * self.p - 1, self.p - 2)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def _built(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._build()
+        return self._rows
+
+    def _build(self) -> tuple:
+        n, p = self.n, self.p
+        col = {c: idx for idx, c in enumerate(self.codes)}
+        shapes = {0: [(0, ())]}
+        for k in range(1, p - 1):
+            shapes[k] = [(k, c) for c in _code_tuples(n, k)]
+        signs = [-1 if (i * (n - 1)) % 2 else 1 for i in range(1, n)]
+        rows = []
+        for k in range(p - 1):
+            # mu(mu(B_1..B_n), B_{n+1}..B_{2n-1}) and the inner bracket's shifts
+            fillers = []
+            for parts in _compositions(p - 2 - k, 2 * n - 1):
+                shifts = tuple(accumulate(b * (n - 1) + 1 for b in parts[: n - 1]))
+                for subs in product(*(shapes[b] for b in parts)):
+                    inner = _corolla_with(n, subs[:n])
+                    fillers.append((_corolla_with(n, (inner,) + subs[n:]), shifts))
+            for context in shapes[k]:
+                for q in range(1, k * (n - 1) + 2):
+                    for filled, shifts in fillers:
+                        first = _graft(n, context, q, filled)[1]
+                        at = first.index(q)
+                        rest = first[:at] + first[at + 1 :]
+                        row = {col[first]: 1}
+                        for shift, sign in zip(shifts, signs):
+                            j = bisect(rest, q + shift)
+                            row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
+                        rows.append(MappingProxyType(row))
+        return tuple(rows)
+
+
+def _rows_through(n: int, idx: tuple) -> list:
+    """The operadic rows that hold the code idx, one per non-root node v,
+    as {index tuple: coefficient}; each is in operadic_relations.
+
+    A walk down the code finds each node's children's first leaves: a node
+    takes n children in turn, each a node if the next bracket opens at the
+    next leaf and that leaf otherwise, so node k >= 1 opens at idx[k - 1].
+    With v at slot s of its parent u, the row's subtrees B_1..B_{2n-1} are
+    u's children before v, v's children, then u's children after v, and
+    T_i, i = 1..n, is idx with v's index replaced by the first leaf of B_i,
+    with sign (-1)^((i-1)(n-1)); T_s is idx itself.
+    """
+    starts = [None] * (len(idx) + 1)  # per node, its children's first leaves
+    parents = [None] * (len(idx) + 1)  # per non-root node, (parent, slot)
+    k = q = 0  # the brackets opened and the leaves passed
+
+    def walk(node):
+        nonlocal k, q
+        kids = starts[node] = []
+        for slot in range(n):
+            kids.append(q + 1)
+            if k < len(idx) and idx[k] == q + 1:
+                k += 1
+                parents[k] = node, slot
+                walk(k)
+            else:
+                q += 1
+
+    walk(0)
+    signs = [-1 if i * (n - 1) % 2 else 1 for i in range(n)]
+    rows = []
+    for v in range(1, len(starts)):
+        u, s = parents[v]
+        rest = idx[: v - 1] + idx[v:]
+        row = {}
+        for i, start in enumerate((starts[u][:s] + starts[v])[:n]):
+            j = bisect(rest, start)
+            row[idx if i == s else rest[:j] + (start,) + rest[j:]] = signs[i]
+        rows.append(row)
+    return rows
 
 
 def paper_rule_relations(p: int) -> RelationSystem:
@@ -365,15 +449,15 @@ def paper_rule_relations(p: int) -> RelationSystem:
     """
     if p < 3:
         raise ValueError("the rules build degree 3 and up from the seed")
-    codes = enumerate_codes(3, 2)  # (1,), (2,), (3,)
+    codes = _code_tuples(3, 2)  # (1,), (2,), (3,)
     rows = [{0: 1, 1: 1, 2: 1}]
     for t in range(3, p + 1):
         leaves = 2 * t - 1  # of a degree-(t-1) code
         # rule A for i = 1, 2, 3, then rule B for i = 1..leaves
         order = [leaves, leaves + 1, leaves + 2, *range(leaves)]
-        prev, codes = codes, enumerate_codes(3, t)
-        col = {c.indices: k for k, c in enumerate(codes)}
-        cols = [[col[im] for im in _one_node_images(c)] for c in prev]
+        prev, codes = codes, _code_tuples(3, t)
+        col = {c: k for k, c in enumerate(codes)}
+        cols = [[col[im] for im in _one_node_images(3, c)] for c in prev]
         rows = [{cols[c][k]: v for c, v in row.items()} for row in rows for k in order]
     return RelationSystem(3, p, tuple(codes), tuple(rows))
 
@@ -381,19 +465,18 @@ def paper_rule_relations(p: int) -> RelationSystem:
 def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
     if (a.n, a.p) != (b.n, b.p):
         raise ValueError("systems live in different components")
-    return RelationSystem(a.n, a.p, a.codes, a.rows + b.rows)
+    return RelationSystem(a.n, a.p, a.codes, (*a.rows, *b.rows))
 
 
-def _one_node_images(code: TreeCode) -> list:
-    """The index tuples that the one-node operations make of code, in a fixed
-    order: a corolla grafted at leaf 1, ..., at the last leaf, then code
-    grafted as child 1, ..., n of a new root. As in _graft, a corolla at
-    leaf q opens a bracket at q and moves the brackets past q right by
-    n - 1; as child j, code's root opens at j and its brackets move by
-    j - 1."""
-    n, idx = code.n, code.indices
+def _one_node_images(n: int, idx: tuple) -> list:
+    """The index tuples that the one-node operations make of the code idx, in
+    a fixed order: a corolla grafted at leaf 1, ..., at the last leaf, then
+    the code grafted as child 1, ..., n of a new root. As in _graft, a
+    corolla at leaf q opens a bracket at q and moves the brackets past q
+    right by n - 1; as child j, the code's root opens at j and its brackets
+    move by j - 1."""
     images = []
-    for q in range(1, code.leaves + 1):
+    for q in range(1, len(idx) * (n - 1) + n + 1):
         k = bisect(idx, q)
         images.append(idx[:k] + (q,) + tuple(j + n - 1 for j in idx[k:]))
     images += [(j,) + tuple(i + j - 1 for i in idx) for j in range(1, n + 1)]
@@ -442,7 +525,7 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
     the core, and its kernel_basis at the columns outside Z is the dual of S.
     """
     n = rs.n
-    zero = {code.indices for c, code in enumerate(prev.codes) if c not in nf}
+    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
     # the columns outside Z, ascending, found from their preimages; removing
     # the last bracket settles most codes, so it is tested before the
     # generator is made (at p=8 on a 2-vCPU x86 VM, 15 ms for this list
@@ -450,11 +533,11 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
     live = [
         c
         for c, code in enumerate(rs.codes)
-        if code.indices[:-1] not in zero
-        and not any(q in zero for q in _one_node_preimages(n, code.indices))
+        if code[:-1] not in zero
+        and not any(q in zero for q in _one_node_preimages(n, code))
     ]
-    at = {rs.codes[c].indices: i for i, c in enumerate(live)}
-    images = {c: _one_node_images(prev.codes[c]) for c in nf}
+    at = {rs.codes[c]: i for i, c in enumerate(live)}
+    images = {c: _one_node_images(n, prev.codes[c]) for c in nf}
     core = {}  # over the columns of live, deduplicated, in order
     for c in nf.keys() - prev.dual.keys():  # the pivots of nonzero class
         terms = [(c, 1)] + [(f, -x) for f, x in nf[c]]
@@ -467,14 +550,20 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
     return {live[f]: {live[c]: x for c, x in v.items()} for f, v in basis.items()}
 
 
-def _annihilates(dual: dict, rows) -> bool:
-    """Whether every row has a zero image through the normal-form map of dual,
-    each v_f orthogonal to it; a row holding no code of the map passes at once."""
-    nf = _normal_forms(dual)
-    held = nf.keys()
-    for row in rows:
-        if not held.isdisjoint(row) and _image(nf, row):
-            return False
+def _annihilates(rs: RelationSystem, dual: dict) -> bool:
+    """Whether every operadic row of rs's component has a zero image through
+    the normal-form map of dual, each v_f orthogonal to it, read from the
+    rows through the map's codes only, each row once.
+
+    A row holding no code of the map has a zero image, and a row holding a
+    code c of the map is one of _rows_through c, so no other row can fail.
+    """
+    nf = {rs.codes[c]: terms for c, terms in _normal_forms(dual).items()}
+    for code in nf:
+        for row in _rows_through(rs.n, code):
+            # the row is read from the first of its codes in the map
+            if next(c for c in row if c in nf) == code and _image(nf, row):
+                return False
     return True
 
 
@@ -489,16 +578,24 @@ def solve(rs: RelationSystem) -> RelationSystem:
     solved degree-(p-1) reduced rows, and _recursive_dual finds its dual
     from its normal-form map. It is tried, for p >= 3, only on rows
     operadic_relations built, as its generator mark says, all C(np-1, p-2)
-    of them. It pays only when degree p-1 has more zero codes (absent from
-    the map) than other pivots, whose images are single codes that cost no
-    arithmetic: as measured, for n = 3 from p = 6 on, and not for n = 2, 4
-    or 5. Degree p-1 comes from _solved_cache or is solved first, so a lone
-    call solves every lower degree too.
+    of them, and it never reads them. It is taken whenever degree p-1 has a
+    zero code (absent from the map), since elimination must first build
+    the rows: for n = 3 the zero codes start at degree 4 (20 of 55), so the
+    recursion runs from p = 5 on, where it and the certificate took
+    1.7 + 1.1 ms against 1.4 + 2.6 ms to build the rows and eliminate them
+    (2-vCPU x86 VM, Python 3.11). n = 2 (p <= 8), n = 4 (p <= 5) and n = 5
+    (p <= 4) have no zero codes, so they are eliminated. Degree p-1 comes
+    from _solved_cache or is solved first, so a lone call solves every
+    lower degree too.
 
     Certificate. The recursive dual is kept only if every row has a zero
     image through its normal-form map, so that R lies in S; S lies in R
     because the reduced rows are combinations of the degree-(p-1) rows,
-    whose images are rows of R. Otherwise the rows are eliminated.
+    whose images are rows of R. _annihilates reads only the rows through
+    the codes of the map, the dual's support: a row without such a code has
+    a zero image, and a row with one is among that code's p-1 rows. So the
+    check is exact without the other rows. Otherwise the rows are
+    eliminated.
 
     Only results on marked rows enter _solved_cache, so a system with
     edited rows never changes what a later solve reads.
@@ -509,10 +606,9 @@ def solve(rs: RelationSystem) -> RelationSystem:
     if marked and p >= 3:
         prev = solved_relations(n, p - 1)
         nf = _normal_forms(prev.dual)
-        zeros = len(prev.codes) - len(nf)
-        if zeros > prev.rank - zeros:
+        if len(nf) < len(prev.codes):
             dual = _recursive_dual(rs, prev, nf)
-            if _annihilates(dual, rs.rows):
+            if _annihilates(rs, dual):
                 solved = replace(rs, dual=dual, method="recursion")
     if solved is None:
         dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
@@ -625,8 +721,8 @@ class FreeElement:
 
 def _code_index(rs: RelationSystem, code: TreeCode) -> int:
     """The column of code in rs, found by bisection: rs.codes is in lex order."""
-    i = bisect_left(rs.codes, code.indices, key=attrgetter("indices"))
-    if i == len(rs.codes) or rs.codes[i] != code:
+    i = bisect_left(rs.codes, code.indices)
+    if i == len(rs.codes) or rs.codes[i] != code.indices:
         raise ValueError(f"{code} is not a code of the system at (n={rs.n}, p={rs.p})")
     return i
 
@@ -642,9 +738,10 @@ def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
     out = {}
     for (code, word), coef in x.entries.items():
         for f, y in nf.get(_code_index(rs, code), ()):
-            key = (rs.codes[f], word)
-            out[key] = out.get(key, 0) + coef * y
-    return FreeElement(x.n, x.p, out)
+            out[f, word] = out.get((f, word), 0) + coef * y
+    return FreeElement(
+        x.n, x.p, {(TreeCode(rs.n, rs.p, rs.codes[f]), word): v for (f, word), v in out.items()}
+    )
 
 
 GENERATORS = ("operadic", "paper-rules", "both")
@@ -661,7 +758,7 @@ def relation_system(n: int, p: int, generator: str = "operadic") -> RelationSyst
     if generator != "operadic" and n != 3:
         raise ValueError("the textual rules are 3-ary only")
     if p < 2:
-        return RelationSystem(n, p, (TreeCode(n, p, ()),), ())
+        return RelationSystem(n, p, ((),), ())
     if generator == "operadic" or p == 2:
         return operadic_relations(n, p)
     return paper_rule_relations(p)

@@ -25,6 +25,7 @@ from naryalg.cohomology import (
 )
 from naryalg.freealg import (
     FreeElement,
+    TreeCode,
     enumerate_codes,
     evaluate,
     free_product,
@@ -132,7 +133,7 @@ def test_criterion_02_degree3_rows():
     with criterion(2, "degree-3 generator: 8 rows spanning the displayed vectors"):
         rs = operadic_relations(3, 3)
         assert len(rs.rows) == 8
-        col = {c.indices: i for i, c in enumerate(rs.codes)}
+        col = {c: i for i, c in enumerate(rs.codes)}
         mine = [[row.get(c, 0) for c in range(12)] for row in rs.rows]
         published = []
         for vec in PUBLISHED_DEGREE3_VECTORS:
@@ -343,5 +344,7 @@ def test_criterion_12_evaluation_morphism():
                 length = 2 * rs.p + 1
                 for row in rs.rows:
                     word = tuple(rng.randrange(d) for _ in range(length))
-                    x = FreeElement(3, rs.p, {(rs.codes[c], word): v for c, v in row.items()})
+                    x = FreeElement(
+                        3, rs.p, {(TreeCode(3, rs.p, rs.codes[c]), word): v for c, v in row.items()}
+                    )
                     assert all(v == 0 for v in evaluate(x, mu))

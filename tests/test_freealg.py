@@ -16,6 +16,7 @@ from naryalg.freealg import (
     _one_node_images,
     _one_node_preimages,
     _recursive_dual,
+    _rows_through,
     _solved_cache,
     PUBLISHED_L9_CODES,
     BasisComparison,
@@ -266,6 +267,20 @@ def test_operadic_rows_match_term_by_term_oracle():
             assert got == [list(row.items()) for row in operadic_rows(n, p)], (n, p)
 
 
+def test_operadic_rows_are_built_where_they_are_read():
+    rs = operadic_relations(3, 7)
+    assert len(rs.rows) == comb(20, 5) == 15504
+    solved = solve(rs)
+    assert solved.method == "recursion" and solved.rows is rs.rows
+    assert rs.rows._rows is None  # neither len nor the recursion built them
+    a, b = operadic_relations(3, 5), operadic_relations(3, 5)
+    assert a == b
+    assert a.rows == tuple(b.rows) and tuple(a.rows) == b.rows
+    assert replace(a, rows=tuple(a.rows)) == a
+    assert a.rows != tuple(b.rows)[1:] and a.rows != operadic_relations(3, 4).rows
+    assert stack_systems(a, b).rows == tuple(a.rows) * 2
+
+
 def test_paper_rules_degree_three_exact_rows():
     rs = paper_rule_relations(3)
     assert len(rs.rows) == 8
@@ -305,7 +320,8 @@ def test_paper_rules_literal_formulas_are_the_one_node_images():
     # grafted at leaf i
     for p in range(1, 7):
         for code in enumerate_codes(3, p):
-            images, c = _one_node_images(code), code.indices
+            c = code.indices
+            images = _one_node_images(3, c)
             assert images[code.leaves :] == [_rule_a(i, c) for i in (1, 2, 3)], c
             assert images[: code.leaves] == [
                 _rule_b(i, c) for i in range(1, code.leaves + 1)
@@ -318,7 +334,7 @@ def test_paper_rule_rows_are_the_literal_rules_in_order():
         rules = [(_rule_a, i) for i in (1, 2, 3)] + [(_rule_b, i) for i in range(1, 2 * p)]
         rows = [{rule(i, c): v for c, v in row.items()} for row in rows for rule, i in rules]
         rs = paper_rule_relations(p)
-        assert [{rs.codes[k].indices: v for k, v in row.items()} for row in rs.rows] == rows, p
+        assert [{rs.codes[k]: v for k, v in row.items()} for row in rs.rows] == rows, p
 
 
 def test_paper_rule_rows_are_the_operadic_rows():
@@ -392,7 +408,7 @@ def _assert_matches(solved, rank, pivots, reduced):
     assert _typed(solved.reduced.rows) == _typed(reduced)
     pivot_set = set(pivots)
     assert solved.quotient_basis == tuple(
-        c for i, c in enumerate(solved.codes) if i not in pivot_set
+        TreeCode(solved.n, solved.p, c) for i, c in enumerate(solved.codes) if i not in pivot_set
     )
 
 
@@ -482,7 +498,7 @@ def test_one_node_preimages_invert_the_images():
             codes = enumerate_codes(n, p)
             sources = {c.indices: set() for c in enumerate_codes(n, p + 1)}
             for code in codes:
-                images = _one_node_images(code)
+                images = _one_node_images(n, code.indices)
                 assert len(images) == code.leaves + n
                 for idx in images:
                     sources[idx].add(code.indices)
@@ -498,14 +514,37 @@ def test_one_node_operations_map_rows_onto_rows(n):
     # included
     for p in range(3, 6):
         prev, rs = operadic_relations(n, p - 1), operadic_relations(n, p)
-        col = {c.indices: i for i, c in enumerate(rs.codes)}
-        images = [_one_node_images(c) for c in prev.codes]
+        col = {c: i for i, c in enumerate(rs.codes)}
+        images = [_one_node_images(n, c) for c in prev.codes]
         grafted = {
             frozenset((col[images[c][k]], x) for c, x in row.items())
             for row in prev.rows
             for k in range(len(images[0]))
         }
         assert grafted == {frozenset(row.items()) for row in rs.rows}, (n, p)
+
+
+def test_rows_through_a_code_are_the_generated_rows_holding_it():
+    # the certificate reads a code's p - 1 rows from the code alone; they are
+    # exactly the generated rows that hold it, signs included, and together
+    # they are every row
+    for n in (2, 3, 4, 5):
+        for p in range(2, 7):
+            if fuss_catalan(n, p) > 2100:
+                break
+            rs = operadic_relations(n, p)
+            col = {c: i for i, c in enumerate(rs.codes)}
+            holding = {c: [] for c in range(len(rs.codes))}
+            for row in rs.rows:
+                for c in row:
+                    holding[c].append(dict(row))
+            union = set()
+            for c, code in enumerate(rs.codes):
+                got = [{col[t]: x for t, x in row.items()} for row in _rows_through(n, code)]
+                assert len(got) == p - 1, (n, p, code)
+                assert sorted(got, key=sorted) == sorted(holding[c], key=sorted), (n, p, code)
+                union.update(frozenset(row.items()) for row in got)
+            assert union == {frozenset(row.items()) for row in rs.rows}, (n, p)
 
 
 def _recursive(n, p):
@@ -537,14 +576,14 @@ def test_recursive_dual_matches_elimination_and_fraction_oracle(n, p):
     got = _recursive(n, p)
     assert got == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
     assert got == _oracle_dual(rs)
-    assert _annihilates(got, rs.rows)
+    assert _annihilates(rs, got)
 
 
 def test_solve_by_recursion_matches_elimination_to_degree_seven():
     for p in range(2, 8):
         rs = operadic_relations(3, p)
         solved = solve(rs)
-        assert solved.method == ("recursion" if p >= 6 else "elimination"), p
+        assert solved.method == ("recursion" if p >= 5 else "elimination"), p
         assert solved.dual == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
         assert _solved_cache[(3, p)] is solved
 
@@ -573,7 +612,7 @@ def _edited(rs, dual):
 
 @pytest.mark.parametrize("p", [5, 6])
 def test_edited_system_is_eliminated_and_not_cached(p):
-    # p = 5 is eliminated anyway; p = 6 would take the recursion
+    # marked, either degree would take the recursion
     rs = operadic_relations(3, p)
     genuine = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
     with pytest.raises(TypeError):
@@ -607,31 +646,34 @@ def test_edited_degree_below_leaves_the_recursion_genuine():
 
 
 def test_failed_certificate_falls_back_to_elimination(monkeypatch):
-    rs = operadic_relations(3, 6)
-    genuine = solve(rs).dual
-
-    def corrupted(*args):
-        dual = {f: dict(v) for f, v in genuine.items()}
-        f = next(iter(dual))
-        dual[f][f] = 2
-        return dual
-
-    monkeypatch.setattr(freealg, "_recursive_dual", corrupted)
-    solved = solve(rs)
-    assert solved.method == "elimination"
-    assert solved.dual == genuine
+    # one v_f entry changed, at f itself or at a pivot code of v_f
+    for p in (5, 6):
+        rs = operadic_relations(3, p)
+        genuine = solve(rs).dual
+        for at_basis in (True, False):
+            dual = {f: dict(v) for f, v in genuine.items()}
+            f = next(iter(dual))
+            c = f if at_basis else next(c for c in dual[f] if c != f)
+            dual[f][c] += 1
+            assert not _annihilates(rs, dual), (p, c)
+            with monkeypatch.context() as m:
+                m.setattr(freealg, "_recursive_dual", lambda *args: dual)
+                solved = solve(rs)
+            assert solved.method == "elimination"
+            assert solved.dual == genuine
+            assert solved.dual == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
 
 
 def test_certificate_rejects_a_corrupted_dual_vector():
     rs = operadic_relations(3, 6)
     dual = solve(rs).dual
-    assert _annihilates(dual, rs.rows)
+    assert _annihilates(rs, dual)
     zero = next(c for c in range(len(rs.codes)) if all(c not in v for v in dual.values()))
     for f, v in dual.items():
         for c, bump in [(c, 1) for c in v] + [(zero, 1), (f, Fraction(1, 2))]:
             corrupted = dict(dual)
             corrupted[f] = {**v, c: v.get(c, 0) + bump}
-            assert not _annihilates(corrupted, rs.rows), (f, c)
+            assert not _annihilates(rs, corrupted), (f, c)
 
 
 @pytest.mark.parametrize("n, p", [(3, p) for p in range(2, 7)] + [(4, p) for p in range(2, 5)])
@@ -646,8 +688,8 @@ def test_normal_form_map_matches_reduced_rows_and_fraction_oracle(n, p):
     for c, code in enumerate(rs.codes):
         want = {c: 1} if c in rs.dual else {f: -x for f, x in tails[c]}
         assert {f: v[c] for f, v in oracle.items() if c in v} == want
-        got = normal_form(FreeElement.from_code(code), rs)
-        assert got.entries == {(rs.codes[f], None): x for f, x in want.items()}
+        got = normal_form(FreeElement.from_code(TreeCode(n, p, code)), rs)
+        assert got.entries == {(TreeCode(n, p, rs.codes[f]), None): x for f, x in want.items()}
         assert (c in nf) == bool(want)
         assert [f for f, _ in nf.get(c, ())] == sorted(want)
 
@@ -703,7 +745,7 @@ def test_normal_form_idempotent_and_linear():
     rs = solved_relations(3, 3)
     entries = {}
     for code in rng.sample(list(rs.codes), 6):
-        entries[(code, None)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        entries[(TreeCode(3, 3, code), None)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     x = FreeElement(3, 3, entries)
     nf = normal_form(x, rs)
     assert normal_form(nf, rs) == nf
@@ -715,7 +757,7 @@ def test_normal_form_kills_relation_rows():
         rs = solved_relations(3, p)
         for row in rs.rows:
             x = FreeElement(
-                3, p, {(rs.codes[c], None): v for c, v in row.items()}
+                3, p, {(TreeCode(3, p, rs.codes[c]), None): v for c, v in row.items()}
             )
             assert normal_form(x, rs).is_zero()
 
@@ -731,10 +773,11 @@ def test_code_lookup_rejects_a_code_outside_the_system():
     # normal_form and for l9_basis_report, not a KeyError or a wrong column
     codes = relation_system(3, 2).codes
     rs = solve(RelationSystem(3, 2, codes[:2], ()))
-    assert normal_form(FreeElement.from_code(codes[1]), rs) == FreeElement.from_code(codes[1])
+    second, third = (FreeElement.from_code(TreeCode(3, 2, c)) for c in codes[1:])
+    assert normal_form(second, rs) == second
     with pytest.raises(ValueError, match="not a code of the system"):
-        normal_form(FreeElement.from_code(codes[2]), rs)
-    first = TreeCode(3, 4, PUBLISHED_L9_CODES[0])
+        normal_form(third, rs)
+    first = PUBLISHED_L9_CODES[0]
     rest = tuple(c for c in relation_system(3, 4).codes if c != first)
     with pytest.raises(ValueError, match="not a code of the system"):
         l9_basis_report(solve(RelationSystem(3, 4, rest, ())))
@@ -868,7 +911,7 @@ def test_relation_rows_evaluate_to_zero():
         for row in rs.rows:
             word = tuple(rng.randrange(d) for _ in range(7))
             x = FreeElement(
-                3, 3, {(rs.codes[c], word): v for c, v in row.items()}
+                3, 3, {(TreeCode(3, 3, rs.codes[c]), word): v for c, v in row.items()}
             )
             assert all(v == 0 for v in evaluate(x, mu))
 
@@ -962,7 +1005,7 @@ def test_basis_report_tells_independent_from_invertible():
     assert rep.independent and not rep.invertible
     assert sorted(map(sorted, rep.change_of_basis)) == [[0] * 54 + [1]] * 5
     # one relation identifying two of them leaves them dependent
-    a, b = (codes.index(TreeCode(3, 4, t)) for t in PUBLISHED_L9_CODES[:2])
+    a, b = (codes.index(t) for t in PUBLISHED_L9_CODES[:2])
     rep = l9_basis_report(solve(RelationSystem(3, 4, codes, ({a: 1, b: -1},))))
     assert rep.quotient_dim == 54
     assert not rep.independent and not rep.invertible
@@ -975,7 +1018,7 @@ def test_six_codes_always_dependent():
     vecs = []
     pos = {c: i for i, c in enumerate(rs.quotient_basis)}
     for code in picks:
-        nf = normal_form(FreeElement.from_code(code), rs)
+        nf = normal_form(FreeElement.from_code(TreeCode(3, 4, code)), rs)
         row = [0] * 5
         for (c, _), v in nf.entries.items():
             row[pos[c]] = v
@@ -993,9 +1036,21 @@ def test_free_dims_table_and_formula_flags():
     assert [r["matches_formula"] for r in report] == [False, False, True, True]
     assert [r["codes"] for r in report] == [1, 3, 12, 55]
     assert all(r["seconds"] >= 0 for r in report)
-    assert [r["method"] for r in free_dims(3, 6)] == ["elimination"] * 5 + ["recursion"]
+    assert [r["method"] for r in free_dims(3, 6)] == ["elimination"] * 4 + ["recursion"] * 2
     assert {r["method"] for r in free_dims(4, 4, generator="operadic")} == {"elimination"}
     assert free_dims(3, 6, generator="both")[-1]["method"] == "recursion"
+
+
+def test_free_dims_degree_nine():
+    # the recursion reaches p = 9 (246,675 codes) without building its
+    # 657,800 rows
+    try:
+        report = free_dims(3, 9)
+        assert [r["multiplier"] for r in report] == [1, 2] + [p + 1 for p in range(3, 10)]
+        assert [r["method"] for r in report] == ["elimination"] * 4 + ["recursion"] * 5
+    finally:
+        for p in (7, 8, 9):
+            _solved_cache.pop((3, p), None)
 
 
 def test_free_dims_generators_agree():
