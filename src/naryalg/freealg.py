@@ -462,12 +462,6 @@ def paper_rule_relations(p: int) -> RelationSystem:
     return RelationSystem(3, p, tuple(codes), tuple(rows))
 
 
-def stack_systems(a: RelationSystem, b: RelationSystem) -> RelationSystem:
-    if (a.n, a.p) != (b.n, b.p):
-        raise ValueError("systems live in different components")
-    return RelationSystem(a.n, a.p, a.codes, (*a.rows, *b.rows))
-
-
 def _one_node_images(n: int, idx: tuple) -> list:
     """The index tuples that the one-node operations make of the code idx, in
     a fixed order: a corolla grafted at leaf 1, ..., at the last leaf, then
@@ -619,24 +613,20 @@ def solve(rs: RelationSystem) -> RelationSystem:
 
 
 def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[RelationSystem, list]:
-    """solve(stack_systems(solved, extra)) from the dual basis of solved, and
-    the indices of extra's rows outside solved's row space: row r is outside
-    iff its image, some r . v_f, is nonzero. The images form a matrix M with
-    one column per basis code f_l; the joint rank adds rank M, and each kernel
-    vector k of M gives the joint dual vector sum_l k[l] v_l at its free column."""
-    joint = stack_systems(solved, extra)
-    basis, vs = list(solved._solution()), list(solved.dual.values())
-    nf = _normal_forms(dict(enumerate(vs)))  # over the basis positions l
-    images = [_image(nf, row) for row in extra.rows]
-    dual = {}
-    for j, k in kernel_basis(SparseMatrix.from_dicts(len(vs), images)).items():
-        v = {}
-        for l, coef in k.items():
-            for c, x in vs[l].items():
-                v[c] = v.get(c, 0) + coef * x
-        dual[basis[j]] = {c: normalize_scalar(x) for c, x in v.items() if x}
-    failing = [i for i, image in enumerate(images) if image]
-    return replace(joint, dual=dual), failing
+    """The solved system of solved's rows followed by extra's, and the indices
+    of extra's rows outside solved's row space: row r is outside iff its
+    image, some r . v_f, is nonzero. With no row outside, the joint row space
+    is solved's, so the joint system takes solved's dual and method;
+    otherwise solve eliminates the stacked rows, which gives the same dual,
+    since the reduced echelon form of a row space is unique."""
+    if (solved.n, solved.p) != (extra.n, extra.p):
+        raise ValueError("systems live in different components")
+    nf = _normal_forms(solved._solution())
+    failing = [i for i, row in enumerate(extra.rows) if _image(nf, row)]
+    joint = RelationSystem(solved.n, solved.p, solved.codes, (*solved.rows, *extra.rows))
+    if failing:
+        return solve(joint), failing
+    return replace(joint, dual=solved.dual, method=solved.method), failing
 
 
 class FreeElement:
@@ -850,7 +840,8 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
 
 def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
     """Quotient multipliers per degree, with timing, the p+1 comparison and
-    the method solve took (for both, that of the operadic system)."""
+    the method that found the dual (for both, that of the operadic system
+    whenever every rule row lies in its row space)."""
     report = []
     for p in range(1, p_max + 1):
         start = time.perf_counter()
@@ -858,10 +849,8 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
             pr = relation_system(n, p, "paper-rules")
             operadic = solve(relation_system(n, p, "operadic"))
             solved = solve_stacked(operadic, pr)[0]
-            method = operadic.method
         else:
             solved = solve(relation_system(n, p, generator))
-            method = solved.method
         elapsed = time.perf_counter() - start
         report.append(
             {
@@ -874,7 +863,7 @@ def free_dims(n: int, p_max: int, generator: str = "operadic") -> list:
                 "formula_value": p + 1,
                 "matches_formula": solved.multiplier == p + 1,
                 "seconds": elapsed,
-                "method": method,
+                "method": solved.method,
             }
         )
     return report

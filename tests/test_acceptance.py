@@ -25,6 +25,7 @@ from naryalg.cohomology import (
 )
 from naryalg.freealg import (
     FreeElement,
+    RelationSystem,
     TreeCode,
     enumerate_codes,
     evaluate,
@@ -36,7 +37,6 @@ from naryalg.freealg import (
     solve,
     solve_stacked,
     solved_relations,
-    stack_systems,
 )
 from naryalg.gerstenhaber import (
     MultiMap,
@@ -154,7 +154,7 @@ def test_criterion_03_rule_generator_degree4():
         op = solve(operadic_relations(3, 4))
         for row in pr.rows:
             assert in_row_space(op.reduced, dict(row))
-        joint = solve(stack_systems(operadic_relations(3, 4), paper_rule_relations(4)))
+        joint = solve(RelationSystem(3, 4, op.codes, (*op.rows, *pr.rows)))
         assert joint.rank == op.rank == 50
         assert joint.multiplier == 5
         # the same containment and joint rank from the dual basis of op

@@ -40,7 +40,6 @@ from naryalg.freealg import (
     solve,
     solve_stacked,
     solved_relations,
-    stack_systems,
     tree_from_code,
 )
 
@@ -278,7 +277,7 @@ def test_operadic_rows_are_built_where_they_are_read():
     assert a.rows == tuple(b.rows) and tuple(a.rows) == b.rows
     assert replace(a, rows=tuple(a.rows)) == a
     assert a.rows != tuple(b.rows)[1:] and a.rows != operadic_relations(3, 4).rows
-    assert stack_systems(a, b).rows == tuple(a.rows) * 2
+    assert RelationSystem(3, 5, a.codes, (*a.rows, *b.rows)).rows == tuple(a.rows) * 2
 
 
 def test_paper_rules_degree_three_exact_rows():
@@ -300,7 +299,8 @@ def test_paper_rules_degree_four_count():
 def test_paper_rules_contained_in_operadic():
     for p in (3, 4):
         op = solve(operadic_relations(3, p))
-        joint = solve(stack_systems(operadic_relations(3, p), paper_rule_relations(p)))
+        a, b = operadic_relations(3, p), paper_rule_relations(p)
+        joint = solve(RelationSystem(3, p, a.codes, (*a.rows, *b.rows)))
         assert joint.rank == op.rank
         assert joint.multiplier == op.multiplier
 
@@ -376,11 +376,6 @@ def test_binary_multiplier_always_one():
         assert solve(operadic_relations(2, p)).multiplier == 1
 
 
-def test_stack_systems_mismatch():
-    with pytest.raises(ValueError):
-        stack_systems(operadic_relations(3, 2), operadic_relations(3, 3))
-
-
 def test_multiplier_requires_solve():
     rs = operadic_relations(3, 2)
     assert rs.dual is None and not rs.solved
@@ -426,7 +421,8 @@ def test_dual_matches_fraction_oracle(n, p):
 
 
 def test_dual_of_stacked_system_matches_fraction_oracle():
-    rs = stack_systems(operadic_relations(3, 5), paper_rule_relations(5))
+    a, b = operadic_relations(3, 5), paper_rule_relations(5)
+    rs = RelationSystem(3, 5, a.codes, (*a.rows, *b.rows))
     _assert_matches(solve(rs), *fraction_rref(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
 
 
@@ -443,12 +439,21 @@ def _assert_same_solution(got, want):
     assert _typed(got.reduced.rows) == _typed(want.reduced.rows)
 
 
+def _assert_matches_stacked_oracle(joint, solved, extra):
+    # the Fraction elimination of solved's reduced rows and extra's, which
+    # span the stacked rows' space: the oracle takes 5 s on the 2,380
+    # operadic rows of degree 6 and 10 ms on their 1,421 reduced ones
+    assert joint.rows == (*solved.rows, *extra.rows)
+    rows = [*map(dict, solved.reduced.rows), *extra.rows]
+    _assert_matches(joint, *fraction_rref(SparseMatrix.from_dicts(len(joint.codes), rows)))
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_solve_stacked_matches_joint_elimination(p):
     op = solve(operadic_relations(3, p))
     pr = paper_rule_relations(p)
     joint, failing = solve_stacked(op, pr)
-    _assert_same_solution(joint, solve(stack_systems(op, pr)))
+    _assert_same_solution(joint, solve(RelationSystem(3, p, op.codes, (*op.rows, *pr.rows))))
     assert failing == []
     if p <= 5:
         assert all(in_row_space(op.reduced, row) for row in pr.rows)
@@ -475,7 +480,7 @@ def test_solve_stacked_with_rows_outside(p):
     )
     extra = RelationSystem(3, p, op.codes, extra_rows)
     joint, failing = solve_stacked(op, extra)
-    _assert_same_solution(joint, solve(stack_systems(op, extra)))
+    _assert_matches_stacked_oracle(joint, op, extra)
     assert failing == [i for i, row in enumerate(extra_rows) if not in_row_space(op.reduced, row)]
     assert failing == [0, 2]
     assert joint.rank == op.rank + 2
@@ -487,6 +492,21 @@ def test_solve_stacked_guards():
         solve_stacked(operadic_relations(3, 3), paper_rule_relations(3))
     with pytest.raises(ValueError):
         solve_stacked(solve(operadic_relations(3, 4)), paper_rule_relations(3))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_solve_stacked_reads_the_dual_when_every_row_is_inside(p, monkeypatch):
+    # the rule rows lie in the operadic row space, so the joint dual is op's
+    # and no second elimination runs
+    op = solve(operadic_relations(3, p))
+
+    def no_elimination(*args):
+        raise AssertionError("kernel_basis called")
+
+    monkeypatch.setattr(freealg, "kernel_basis", no_elimination)
+    joint, failing = solve_stacked(op, paper_rule_relations(p))
+    assert failing == []
+    assert joint.dual == op.dual and joint.method == op.method
 
 
 # ------------------------------------------------------------- recursion
@@ -593,7 +613,8 @@ def test_solve_eliminates_other_arities_and_unmarked_systems():
         assert solve(operadic_relations(n, p)).method == "elimination"
     rs = operadic_relations(3, 6)
     assert rs.generator == "operadic"
-    for other in (replace(rs), stack_systems(rs, rs), paper_rule_relations(6)):
+    doubled = RelationSystem(3, 6, rs.codes, (*rs.rows, *rs.rows))
+    for other in (replace(rs), doubled, paper_rule_relations(6)):
         assert other.generator is None
         solved = solve(other)
         assert solved.method == "elimination"
@@ -709,7 +730,7 @@ def test_solve_stacked_keeps_a_sum_of_relation_rows_inside(n, p):
     extra = RelationSystem(n, p, op.codes, (row, {f: 1}))
     joint, failing = solve_stacked(op, extra)
     assert failing == [1]
-    _assert_same_solution(joint, solve(stack_systems(op, extra)))
+    _assert_matches_stacked_oracle(joint, op, extra)
     joint, failing = solve_stacked(op, RelationSystem(n, p, op.codes, (row,)))
     assert failing == []
     assert joint.dual == op.dual
@@ -1038,7 +1059,11 @@ def test_free_dims_table_and_formula_flags():
     assert all(r["seconds"] >= 0 for r in report)
     assert [r["method"] for r in free_dims(3, 6)] == ["elimination"] * 4 + ["recursion"] * 2
     assert {r["method"] for r in free_dims(4, 4, generator="operadic")} == {"elimination"}
-    assert free_dims(3, 6, generator="both")[-1]["method"] == "recursion"
+    both = free_dims(3, 6, generator="both")
+    assert [r["rows"] for r in both] == [0, 2, 16, 135, 1324, 15820]
+    assert [r["rank"] for r in both] == [0, 1, 8, 50, 267, 1421]
+    assert [r["multiplier"] for r in both] == [1, 2, 4, 5, 6, 7]
+    assert [r["method"] for r in both] == ["elimination"] * 4 + ["recursion"] * 2
 
 
 def test_free_dims_degree_nine():
@@ -1071,9 +1096,8 @@ def test_free_dims_both_matches_joint_elimination():
     # reference, from the seed degree on
     for row in free_dims(3, 5, generator="both")[1:]:
         p = row["p"]
-        joint = solve(stack_systems(
-            relation_system(3, p, "operadic"), relation_system(3, p, "paper-rules")
-        ))
+        a, b = relation_system(3, p, "operadic"), relation_system(3, p, "paper-rules")
+        joint = solve(RelationSystem(3, p, a.codes, (*a.rows, *b.rows)))
         assert (row["rows"], row["rank"], row["multiplier"]) == (
             len(joint.rows), joint.rank, joint.multiplier
         ), p
