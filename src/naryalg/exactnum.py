@@ -109,12 +109,13 @@ class SparseMatrix:
 def _primitive(row) -> dict:
     # The row's (column, coefficient) pairs as a primitive integer dict: scaled
     # by the lcm of its denominators, then divided by its content. Both keep
-    # the row space.
-    den = 1
-    for _, v in row:
-        if type(v) is not int:
-            den = lcm(den, Fraction(v).denominator)
-    r = {c: int(v * den) for c, v in row}
+    # the row space. A row of ints is copied unscaled; the test is on the
+    # type, since a Fraction(k, 1) entry must still become an int.
+    if all(type(v) is int for _, v in row):
+        r = dict(row)
+    else:
+        den = lcm(*(Fraction(v).denominator for _, v in row))
+        r = {c: int(v * den) for c, v in row}
     _divide_content(r)
     return r
 
@@ -194,7 +195,9 @@ def rref(m: SparseMatrix):
     for p in pivots:
         prow = pivot_rows[p]
         lead = prow[p]
-        reduced.append(sorted((c, normalize_scalar(Fraction(v, lead))) for c, v in prow.items()))
+        reduced.append(
+            sorted((c, Fraction(v, lead) if v % lead else v // lead) for c, v in prow.items())
+        )
     return len(pivots), pivots, SparseMatrix._of_clean(m.n_cols, reduced)
 
 
@@ -223,9 +226,9 @@ def kernel_basis(m: SparseMatrix) -> dict:
     pivot_set = set(pivots)
     basis = {f: {f: 1} for f in range(m.n_cols) if f not in pivot_set}
     # a reduced row is zero in every other pivot column, so each entry past
-    # the lead sits in a free column
+    # the lead sits in a free column; rref's entries are already normalized
     for row in reduced.rows:
         p = row[0][0]
         for f, v in row[1:]:
-            basis[f][p] = normalize_scalar(-v)
+            basis[f][p] = -v
     return basis

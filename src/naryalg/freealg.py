@@ -17,11 +17,11 @@ degree p, so the grafted reduced rows of degree p-1 span the degree-p
 relations, and most of them are single codes. Such a result is certified:
 each of its kernel vectors must annihilate every relation row. Only a row
 holding a code of the dual's support can fail, and a code's rows are built
-from the code alone, so the certificate reads no other row, and
-operadic_relations builds its rows only where they are first read. If the
-certificate fails, the rows are eliminated. Only the read-only rows that
-operadic_relations marks take this path or enter the cache of solved
-degrees.
+from the code alone, so the certificate builds each of those rows once and
+reads no other row, and operadic_relations builds its rows only where they
+are first read. If the certificate fails, the rows are eliminated. Only
+the read-only rows that operadic_relations marks take this path or enter
+the cache of solved degrees.
 
 Inside the module a code is its index tuple; TreeCode objects are made
 where a code leaves it.
@@ -393,9 +393,12 @@ class _OperadicRows(Sequence):
         return tuple(rows)
 
 
-def _rows_through(n: int, idx: tuple) -> list:
+def _rows_through(n: int, idx: tuple, skip=()) -> list:
     """The operadic rows that hold the code idx, one per non-root node v,
-    as {index tuple: coefficient}; each is in operadic_relations.
+    as {index tuple: coefficient}; each is in operadic_relations. A row
+    with a code before idx in skip is left out as soon as that code is made:
+    with the codes of a map as skip, a row holding some of them is built
+    once, from the first.
 
     A walk down the code finds each node's children's first leaves: a node
     takes n children in turn, each a node if the next bracket opens at the
@@ -429,9 +432,16 @@ def _rows_through(n: int, idx: tuple) -> list:
         rest = idx[: v - 1] + idx[v:]
         row = {}
         for i, start in enumerate((starts[u][:s] + starts[v])[:n]):
+            if i == s:
+                row[idx] = signs[i]
+                continue
             j = bisect(rest, start)
-            row[idx if i == s else rest[:j] + (start,) + rest[j:]] = signs[i]
-        rows.append(row)
+            code = rest[:j] + (start,) + rest[j:]
+            if i < s and code in skip:
+                break
+            row[code] = signs[i]
+        else:
+            rows.append(row)
     return rows
 
 
@@ -469,10 +479,11 @@ def _one_node_images(n: int, idx: tuple) -> list:
     corolla at leaf q opens a bracket at q and moves the brackets past q
     right by n - 1; as child j, the code's root opens at j and its brackets
     move by j - 1."""
+    shifted = tuple(j + n - 1 for j in idx)
     images = []
     for q in range(1, len(idx) * (n - 1) + n + 1):
         k = bisect(idx, q)
-        images.append(idx[:k] + (q,) + tuple(j + n - 1 for j in idx[k:]))
+        images.append(idx[:k] + (q,) + shifted[k:])
     images += [(j,) + tuple(i + j - 1 for i in idx) for j in range(1, n + 1)]
     return images
 
@@ -531,12 +542,13 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
         and not any(q in zero for q in _one_node_preimages(n, code))
     ]
     at = {rs.codes[c]: i for i, c in enumerate(live)}
-    images = {c: _one_node_images(n, prev.codes[c]) for c in nf}
+    # each image's live column, None in Z
+    cols = {c: [at.get(im) for im in _one_node_images(n, prev.codes[c])] for c in nf}
     core = {}  # over the columns of live, deduplicated, in order
     for c in nf.keys() - prev.dual.keys():  # the pivots of nonzero class
-        terms = [(c, 1)] + [(f, -x) for f, x in nf[c]]
-        for k in range(len(images[c])):
-            row = tuple(sorted((at[images[b][k]], x) for b, x in terms if images[b][k] in at))
+        terms = [(cols[c], 1)] + [(cols[f], -x) for f, x in nf[c]]
+        for k in range(len(cols[c])):
+            row = tuple(sorted((b_cols[k], x) for b_cols, x in terms if b_cols[k] is not None))
             if row:
                 core[row] = None
     # live is ascending, so the core's reduced rows carry over column by column
@@ -547,16 +559,16 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
 def _annihilates(rs: RelationSystem, dual: dict) -> bool:
     """Whether every operadic row of rs's component has a zero image through
     the normal-form map of dual, each v_f orthogonal to it, read from the
-    rows through the map's codes only, each row once.
+    rows through the map's codes only, each row built and read once, from
+    the first of its codes in the map.
 
     A row holding no code of the map has a zero image, and a row holding a
     code c of the map is one of _rows_through c, so no other row can fail.
     """
     nf = {rs.codes[c]: terms for c, terms in _normal_forms(dual).items()}
     for code in nf:
-        for row in _rows_through(rs.n, code):
-            # the row is read from the first of its codes in the map
-            if next(c for c in row if c in nf) == code and _image(nf, row):
+        for row in _rows_through(rs.n, code, nf):
+            if _image(nf, row):
                 return False
     return True
 
@@ -576,9 +588,10 @@ def solve(rs: RelationSystem) -> RelationSystem:
     zero code (absent from the map), since elimination must first build
     the rows: for n = 3 the zero codes start at degree 4 (20 of 55), so the
     recursion runs from p = 5 on, where it and the certificate took
-    1.7 + 1.1 ms against 1.4 + 2.6 ms to build the rows and eliminate them
-    (2-vCPU x86 VM, Python 3.11). n = 2 (p <= 8), n = 4 (p <= 5) and n = 5
-    (p <= 4) have no zero codes, so they are eliminated. Degree p-1 comes
+    1.2 + 1.0 ms against 1.4 + 2.3 ms to build the rows and eliminate them
+    (medians in-process, 2-vCPU x86 VM, Python 3.11.7). n = 2 (p <= 8),
+    n = 4 (p <= 5) and n = 5 (p <= 4) have no zero codes, so they are
+    eliminated. Degree p-1 comes
     from _solved_cache or is solved first, so a lone call solves every
     lower degree too.
 

@@ -546,6 +546,19 @@ def fraction_rref(m):
     return len(pivots), pivots, reduced
 
 
+def fraction_kernel(m):
+    """The dual basis of the null space, as exactnum.kernel_basis gives it,
+    read off fraction_rref: {free column f: v_f} with v_f[f] = 1, each entry
+    an int exactly where its denominator is 1."""
+    _, pivots, reduced = fraction_rref(m)
+    free = set(range(m.n_cols)) - set(pivots)
+    basis = {f: {f: 1} for f in sorted(free)}
+    for row in reduced:
+        for f, v in row[1:]:
+            basis[f][row[0][0]] = -v
+    return basis
+
+
 def residual(reduced, vec):
     """Reduce a vector against the rows of an rref matrix; empty dict means the
     vector lies in the row space. vec may be a dense list or a {col: coef} dict."""

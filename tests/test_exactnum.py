@@ -8,6 +8,7 @@ import pytest
 from naryalg.exactnum import (
     SparseMatrix,
     _forward,
+    _primitive,
     kernel_basis,
     normalize_scalar,
     rref,
@@ -18,7 +19,14 @@ from naryalg.exactnum import (
 from naryalg import cohomology
 from naryalg.freealg import operadic_relations
 from naryalg.identities import matrix2, random_square_zero
-from oracles import dense_kernel, dense_rref, fraction_rref, in_row_space, same_row_space
+from oracles import (
+    dense_kernel,
+    dense_rref,
+    fraction_kernel,
+    fraction_rref,
+    in_row_space,
+    same_row_space,
+)
 
 
 def test_rational_examples():
@@ -295,6 +303,46 @@ def test_kernel_basis_matches_dense_oracle(fractions):
                 assert sum(x * v.get(c, 0) for c, x in row) == 0
         dense = [[v.get(c, 0) for c in range(n_cols)] for v in ker.values()]
         assert same_row_space(dense, oracle, n_cols)
+
+
+def test_primitive_reads_an_integral_fraction_as_an_int():
+    # the int fast path tests each entry's type: a Fraction(k, 1) entry has
+    # denominator 1 but must still be scaled into an int
+    for row, want in (
+        ([(0, Fraction(-2, 1)), (3, Fraction(4, 1))], {0: -1, 3: 2}),
+        ([(1, 6), (2, Fraction(-2, 1))], {1: 3, 2: -1}),
+        ([(0, 4), (1, -6)], {0: 2, 1: -3}),
+        ([(2, Fraction(3, 2)), (5, -3)], {2: 1, 5: -2}),
+    ):
+        r = _primitive(row)
+        assert r == want and all(type(v) is int for v in r.values()), row
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_basis_types_match_the_fraction_oracle(seed):
+    # coefficients drawn from ints, Fraction(k, 1) and Fraction(k, m), with
+    # some rows of Fraction(k, 1) only: every rref and kernel_basis entry is
+    # an int exactly when its denominator is 1, as in the Fraction oracle
+    rng = random.Random(20261019 + seed)
+    for _ in range(30):
+        n_cols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            kinds = rng.choice(("int", "integral", "mixed"))
+            row = []
+            for c in sorted(rng.sample(range(n_cols), rng.randint(0, n_cols))):
+                k = rng.choice((-4, -2, -1, 1, 2, 3, 6))
+                kind = rng.choice(("int", "integral", "fraction")) if kinds == "mixed" else kinds
+                row.append((c, {"int": k, "integral": Fraction(k, 1),
+                                "fraction": Fraction(k, rng.choice((2, 3, 4)))}[kind]))
+            rows.append(row)
+        m = SparseMatrix(n_cols, rows)
+        assert_matches_oracles(m)
+        got = kernel_basis(m)
+        want = fraction_kernel(m)
+        assert {f: typed_rows([sorted(v.items())]) for f, v in got.items()} == {
+            f: typed_rows([sorted(v.items())]) for f, v in want.items()
+        }
 
 
 def test_kernel_basis_memory_is_sparse():

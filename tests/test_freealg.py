@@ -47,6 +47,7 @@ from fixtures import bracket_associator, filiform5_bracket, square_zero_map
 from oracles import (
     brute_nary_trees,
     brute_ternary_trees,
+    fraction_kernel,
     fraction_rref,
     grafted_code,
     in_row_space,
@@ -544,27 +545,93 @@ def test_one_node_operations_map_rows_onto_rows(n):
         assert grafted == {frozenset(row.items()) for row in rs.rows}, (n, p)
 
 
+# n = 2..5 at p = 2..6, up to 2100 codes
+SMALL_DEGREES = [(n, p) for n in (2, 3, 4, 5) for p in range(2, 7) if fuss_catalan(n, p) <= 2100]
+
+
 def test_rows_through_a_code_are_the_generated_rows_holding_it():
     # the certificate reads a code's p - 1 rows from the code alone; they are
     # exactly the generated rows that hold it, signs included, and together
     # they are every row
-    for n in (2, 3, 4, 5):
-        for p in range(2, 7):
-            if fuss_catalan(n, p) > 2100:
-                break
-            rs = operadic_relations(n, p)
-            col = {c: i for i, c in enumerate(rs.codes)}
-            holding = {c: [] for c in range(len(rs.codes))}
-            for row in rs.rows:
-                for c in row:
-                    holding[c].append(dict(row))
-            union = set()
-            for c, code in enumerate(rs.codes):
-                got = [{col[t]: x for t, x in row.items()} for row in _rows_through(n, code)]
-                assert len(got) == p - 1, (n, p, code)
-                assert sorted(got, key=sorted) == sorted(holding[c], key=sorted), (n, p, code)
-                union.update(frozenset(row.items()) for row in got)
-            assert union == {frozenset(row.items()) for row in rs.rows}, (n, p)
+    for n, p in SMALL_DEGREES:
+        rs = operadic_relations(n, p)
+        col = {c: i for i, c in enumerate(rs.codes)}
+        holding = {c: [] for c in range(len(rs.codes))}
+        for row in rs.rows:
+            for c in row:
+                holding[c].append(dict(row))
+        union = set()
+        for c, code in enumerate(rs.codes):
+            got = [{col[t]: x for t, x in row.items()} for row in _rows_through(n, code)]
+            assert len(got) == p - 1, (n, p, code)
+            assert sorted(got, key=sorted) == sorted(holding[c], key=sorted), (n, p, code)
+            union.update(frozenset(row.items()) for row in got)
+        assert union == {frozenset(row.items()) for row in rs.rows}, (n, p)
+
+
+def _every_row_annihilated(rs, dual):
+    # what the certificate decides, read from every generated row
+    nf = _normal_forms(dual)
+    return not any(_image(nf, row) for row in rs.rows)
+
+
+def _single_entry_corruptions(dual, n_codes):
+    # for the first and the last f, v_f with 1 added at a basis code (another
+    # one where there is one), with the entry at one of its pivot codes
+    # dropped, and with 1 put at a zero code: the support stays, can shrink,
+    # and grows
+    nf = _normal_forms(dual)
+    zero = next((c for c in range(n_codes) if c not in nf), None)
+    for f in {min(dual), max(dual)}:
+        v = dual[f]
+        basis = next((g for g in dual if g != f), f)
+        pivot = next((c for c in v if c not in dual), None)
+        yield {**dual, f: {**v, basis: v.get(basis, 0) + 1}}
+        if pivot is not None:
+            yield {**dual, f: {c: x for c, x in v.items() if c != pivot}}
+        if zero is not None:
+            yield {**dual, f: {**v, zero: 1}}
+
+
+@pytest.mark.parametrize("n, p", SMALL_DEGREES)
+def test_certificate_agrees_with_reading_every_row(n, p):
+    # the rows through the support, each read from the first of its codes in
+    # the map, decide exactly as every generated row does; a corrupted v_f
+    # differs from the kernel vector by a multiple of some e_c, and every
+    # code lies in some row, so each corruption fails
+    rs = operadic_relations(n, p)
+    dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    assert _annihilates(rs, dual) and _every_row_annihilated(rs, dual)
+    corruptions = list(_single_entry_corruptions(dual, len(rs.codes)))
+    assert corruptions
+    for corrupted in corruptions:
+        assert not _every_row_annihilated(rs, corrupted), (n, p)
+        assert not _annihilates(rs, corrupted), (n, p)
+
+
+def test_certificate_builds_each_row_through_the_support_once(monkeypatch):
+    # a row is read from the first of its codes in the map, so the rows of
+    # any later code are dropped before they are built: 525 rows at p = 6 and
+    # 1,488 at p = 7, the generated rows that meet the support, against the
+    # 1,085 and 3,024 of building every support code's p - 1 rows
+    built = []
+
+    def counting(*args, **kwargs):
+        rows = _rows_through(*args, **kwargs)
+        built.extend(rows)
+        return rows
+
+    monkeypatch.setattr(freealg, "_rows_through", counting)
+    for p, want in ((6, 525), (7, 1488)):
+        rs = operadic_relations(3, p)
+        dual = solved_relations(3, p).dual
+        built.clear()
+        assert _annihilates(rs, dual)
+        assert len(built) == want, p
+        col = {c: i for i, c in enumerate(rs.codes)}
+        support = {c for v in dual.values() for c in v}
+        meeting = {frozenset(row.items()) for row in rs.rows if not support.isdisjoint(row)}
+        assert {frozenset((col[t], x) for t, x in row.items()) for row in built} == meeting
 
 
 def _recursive(n, p):
@@ -577,12 +644,7 @@ def _oracle_dual(rs):
     # descending, which keeps the Fraction elimination fast
     m = SparseMatrix.from_dicts(len(rs.codes), rs.rows)
     m.rows.sort(key=lambda row: -row[0][0])
-    _, pivots, reduced = fraction_rref(m)
-    dual = {f: {f: 1} for f in sorted(set(range(len(rs.codes))) - set(pivots))}
-    for row in reduced:
-        for f, x in row[1:]:
-            dual[f][row[0][0]] = -x
-    return dual
+    return fraction_kernel(m)
 
 
 @pytest.mark.parametrize(
