@@ -33,9 +33,10 @@ import time
 from bisect import bisect, bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .exactnum import (
     SparseMatrix,
@@ -44,7 +45,9 @@ from .exactnum import (
     scalar_to_str,
     stacked_ranks,
 )
-from .gerstenhaber import MultiMap, partial_assoc_defect
+
+if TYPE_CHECKING:  # evaluate imports gerstenhaber when it is called
+    from .gerstenhaber import MultiMap
 
 
 def fuss_catalan(n: int, p: int) -> int:
@@ -335,17 +338,11 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     return rs
 
 
-class _OperadicRows(Sequence):
-    """The read-only rows of operadic_relations(n, p), in its order. The
-    length is known without them; the first read of a row builds them all."""
+class _LazyRows(Sequence):
+    """Rows whose length is known without them; the first read of a row
+    builds them all, with _build."""
 
-    __slots__ = ("n", "p", "codes", "_rows")
-
-    def __init__(self, n: int, p: int, codes: tuple):
-        self.n, self.p, self.codes, self._rows = n, p, codes, None
-
-    def __len__(self) -> int:
-        return comb(self.n * self.p - 1, self.p - 2)
+    __slots__ = ("_rows",)
 
     def __getitem__(self, i):
         return self._built()[i]
@@ -362,6 +359,18 @@ class _OperadicRows(Sequence):
         if self._rows is None:
             self._rows = self._build()
         return self._rows
+
+
+class _OperadicRows(_LazyRows):
+    """The read-only rows of operadic_relations(n, p), in its order."""
+
+    __slots__ = ("n", "p", "codes")
+
+    def __init__(self, n: int, p: int, codes: tuple):
+        self.n, self.p, self.codes, self._rows = n, p, codes, None
+
+    def __len__(self) -> int:
+        return comb(self.n * self.p - 1, self.p - 2)
 
     def _build(self) -> tuple:
         n, p = self.n, self.p
@@ -393,6 +402,21 @@ class _OperadicRows(Sequence):
         return tuple(rows)
 
 
+class _StackedRows(_LazyRows):
+    """The rows of some systems, one after another, built where first read."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, *parts):
+        self.parts, self._rows = parts, None
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def _build(self) -> tuple:
+        return tuple(chain.from_iterable(self.parts))
+
+
 def _rows_through(n: int, idx: tuple, skip=()) -> list:
     """The operadic rows that hold the code idx, one per non-root node v,
     as {index tuple: coefficient}; each is in operadic_relations. A row
@@ -408,23 +432,23 @@ def _rows_through(n: int, idx: tuple, skip=()) -> list:
     T_i, i = 1..n, is idx with v's index replaced by the first leaf of B_i,
     with sign (-1)^((i-1)(n-1)); T_s is idx itself.
     """
-    starts = [None] * (len(idx) + 1)  # per node, its children's first leaves
+    starts = [[] for _ in range(len(idx) + 1)]  # per node, its children's first leaves
     parents = [None] * (len(idx) + 1)  # per non-root node, (parent, slot)
     k = q = 0  # the brackets opened and the leaves passed
-
-    def walk(node):
-        nonlocal k, q
-        kids = starts[node] = []
-        for slot in range(n):
-            kids.append(q + 1)
-            if k < len(idx) and idx[k] == q + 1:
-                k += 1
-                parents[k] = node, slot
-                walk(k)
-            else:
-                q += 1
-
-    walk(0)
+    stack = [0]  # the nodes still taking children, innermost last
+    while stack:
+        node = stack[-1]
+        kids = starts[node]
+        if len(kids) == n:
+            stack.pop()
+            continue
+        kids.append(q + 1)
+        if k < len(idx) and idx[k] == q + 1:
+            k += 1
+            parents[k] = node, len(kids) - 1
+            stack.append(k)
+        else:
+            q += 1
     signs = [-1 if i * (n - 1) % 2 else 1 for i in range(n)]
     rows = []
     for v in range(1, len(starts)):
@@ -530,30 +554,49 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
     the core, and its kernel_basis at the columns outside Z is the dual of S.
     """
     n = rs.n
-    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
-    # the columns outside Z, ascending, found from their preimages; removing
-    # the last bracket settles most codes, so it is tested before the
-    # generator is made (at p=8 on a 2-vCPU x86 VM, 15 ms for this list
-    # against 48 ms)
-    live = [
-        c
-        for c, code in enumerate(rs.codes)
-        if code[:-1] not in zero
-        and not any(q in zero for q in _one_node_preimages(n, code))
-    ]
+    live = _live_columns(rs, prev, nf)
     at = {rs.codes[c]: i for i, c in enumerate(live)}
     # each image's live column, None in Z
     cols = {c: [at.get(im) for im in _one_node_images(n, prev.codes[c])] for c in nf}
     core = {}  # over the columns of live, deduplicated, in order
     for c in nf.keys() - prev.dual.keys():  # the pivots of nonzero class
+        # every f in nf[c] lies above c, ascending, and each one-node
+        # operation keeps lex order, so each row comes out sorted by column
         terms = [(cols[c], 1)] + [(cols[f], -x) for f, x in nf[c]]
         for k in range(len(cols[c])):
-            row = tuple(sorted((b_cols[k], x) for b_cols, x in terms if b_cols[k] is not None))
+            row = tuple((b_cols[k], x) for b_cols, x in terms if b_cols[k] is not None)
             if row:
                 core[row] = None
     # live is ascending, so the core's reduced rows carry over column by column
     basis = kernel_basis(SparseMatrix(len(live), core))
     return {live[f]: {live[c]: x for c, x in v.items()} for f, v in basis.items()}
+
+
+def _live_columns(rs: RelationSystem, prev: RelationSystem, nf: dict) -> list:
+    """The columns of rs outside the zero set Z of _recursive_dual, ascending,
+    found from prev's support, the codes in nf.
+
+    A code's last-bracket preimage is always a code, so a live code is a
+    support code s with one last bracket put at q = s[-1], ..., the last
+    leaf of its first p-1 nodes; taking s ascending, then q, lists the
+    candidates in lex order. A candidate is live when none of its one-node
+    preimages is a zero code of prev. Each live code's column is found by
+    bisection of rs.codes past the one before it. At p = 8 this takes
+    7.3-7.5 ms against 10.8-12.3 ms for testing every code (medians
+    in-process, 2-vCPU x86 VM, Python 3.11.7)."""
+    n = rs.n
+    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
+    end = (rs.p - 1) * (n - 1) + 2
+    live = []
+    col = 0
+    for c in sorted(nf):
+        s = prev.codes[c]
+        for q in range(s[-1] if s else 1, end):
+            code = s + (q,)
+            if not any(t in zero for t in _one_node_preimages(n, code)):
+                col = bisect_left(rs.codes, code, col)
+                live.append(col)
+    return live
 
 
 def _annihilates(rs: RelationSystem, dual: dict) -> bool:
@@ -588,7 +631,7 @@ def solve(rs: RelationSystem) -> RelationSystem:
     zero code (absent from the map), since elimination must first build
     the rows: for n = 3 the zero codes start at degree 4 (20 of 55), so the
     recursion runs from p = 5 on, where it and the certificate took
-    1.2 + 1.0 ms against 1.4 + 2.3 ms to build the rows and eliminate them
+    1.1 + 0.8 ms against 1.2 + 2.1 ms to build the rows and eliminate them
     (medians in-process, 2-vCPU x86 VM, Python 3.11.7). n = 2 (p <= 8),
     n = 4 (p <= 5) and n = 5 (p <= 4) have no zero codes, so they are
     eliminated. Degree p-1 comes
@@ -631,12 +674,14 @@ def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[Relati
     image, some r . v_f, is nonzero. With no row outside, the joint row space
     is solved's, so the joint system takes solved's dual and method;
     otherwise solve eliminates the stacked rows, which gives the same dual,
-    since the reduced echelon form of a row space is unique."""
+    since the reduced echelon form of a row space is unique. The joint rows
+    are built where they are first read, so solved's rows that the
+    recursion left unbuilt stay so unless the stacked rows are eliminated."""
     if (solved.n, solved.p) != (extra.n, extra.p):
         raise ValueError("systems live in different components")
     nf = _normal_forms(solved._solution())
     failing = [i for i, row in enumerate(extra.rows) if _image(nf, row)]
-    joint = RelationSystem(solved.n, solved.p, solved.codes, (*solved.rows, *extra.rows))
+    joint = RelationSystem(solved.n, solved.p, solved.codes, _StackedRows(solved.rows, extra.rows))
     if failing:
         return solve(joint), failing
     return replace(joint, dual=solved.dual, method=solved.method), failing
@@ -812,6 +857,8 @@ def evaluate(x: FreeElement, mu: MultiMap) -> list:
     bad = [w for _, word in x.entries for w in word if not 0 <= w < mu.dim]
     if bad:
         raise ValueError(f"leaf index {bad[0]} out of range for dim {mu.dim}")
+    from .gerstenhaber import partial_assoc_defect
+
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("product is not partially associative")
     total = [0] * mu.dim

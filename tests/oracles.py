@@ -8,6 +8,9 @@ only what is built from them: delta and the chi axioms as gprod formulas,
 the linear algebra, and the operator rows of one gprod-built map per unit
 cochain. The package's own coboundary and chi_defects run on the insertion
 loops its tables use, so the oracles build both from gprod instead.
+scanned_live_columns takes the package's one-node preimages and checks
+how the live columns are found: it tests every code of the component, not
+only those built from the support of the degree below.
 fraction_rref is sparse: it is the
 package's earlier eliminator (Fraction entries, rows in input order), kept
 as the differential oracle for the fraction-free one.
@@ -576,3 +579,19 @@ def residual(reduced, vec):
 
 def in_row_space(reduced, vec):
     return not residual(reduced, vec)
+
+
+def scanned_live_columns(rs, prev, nf):
+    """The columns of rs that freealg._recursive_dual keeps, found by testing
+    every code of rs: a code is live unless one of its one-node preimages
+    is a code of prev outside the normal-form map nf. Removing the last
+    bracket settles most codes, so it is tested before the others."""
+    from naryalg.freealg import _one_node_preimages
+
+    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
+    return [
+        c
+        for c, code in enumerate(rs.codes)
+        if code[:-1] not in zero
+        and not any(q in zero for q in _one_node_preimages(rs.n, code))
+    ]

@@ -1,7 +1,10 @@
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from naryalg.freealg import (
     _compositions,
     _graft,
     _image,
+    _live_columns,
     _normal_forms,
     _one_node_images,
     _one_node_preimages,
@@ -53,6 +57,7 @@ from oracles import (
     in_row_space,
     operadic_rows,
     same_row_space,
+    scanned_live_columns,
     tree_value,
 )
 
@@ -279,6 +284,30 @@ def test_operadic_rows_are_built_where_they_are_read():
     assert replace(a, rows=tuple(a.rows)) == a
     assert a.rows != tuple(b.rows)[1:] and a.rows != operadic_relations(3, 4).rows
     assert RelationSystem(3, 5, a.codes, (*a.rows, *b.rows)).rows == tuple(a.rows) * 2
+
+
+def test_free_dims_both_leaves_the_operadic_rows_unbuilt(monkeypatch):
+    # with every rule row inside, the joint system stacks the operadic rows
+    # without building them: from p = 5, where the recursion solves the
+    # operadic system, no degree builds them, and the rows column still
+    # counts them
+    built = []
+    build = freealg._OperadicRows._build
+
+    def counting(rows):
+        built.append(rows.p)
+        return build(rows)
+
+    monkeypatch.setattr(freealg._OperadicRows, "_build", counting)
+    table = free_dims(3, 7, "both")
+    assert [p for p in built if p >= 5] == []
+    for row in table[2:]:
+        p = row["p"]
+        assert row["rows"] == comb(3 * p - 1, p - 2) + len(paper_rule_relations(p).rows), p
+    op, pr = solve(operadic_relations(3, 5)), paper_rule_relations(5)
+    joint = solve_stacked(op, pr)[0]
+    assert len(joint.rows) == 1324 and op.rows._rows is None
+    assert joint.rows == (*op.rows, *pr.rows)
 
 
 def test_paper_rules_degree_three_exact_rows():
@@ -549,6 +578,16 @@ def test_one_node_operations_map_rows_onto_rows(n):
 SMALL_DEGREES = [(n, p) for n in (2, 3, 4, 5) for p in range(2, 7) if fuss_catalan(n, p) <= 2100]
 
 
+def test_one_node_operations_keep_lex_order():
+    # _recursive_dual does not sort its core rows: the terms of a reduced
+    # row are ascending codes, so each operation's images must ascend too
+    for n, p in SMALL_DEGREES:
+        images = [_one_node_images(n, c) for c in freealg._code_tuples(n, p)]
+        for k in range(len(images[0])):
+            column = [im[k] for im in images]
+            assert all(a < b for a, b in zip(column, column[1:])), (n, p, k)
+
+
 def test_rows_through_a_code_are_the_generated_rows_holding_it():
     # the certificate reads a code's p - 1 rows from the code alone; they are
     # exactly the generated rows that hold it, signs included, and together
@@ -659,6 +698,19 @@ def test_recursive_dual_matches_elimination_and_fraction_oracle(n, p):
     assert got == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
     assert got == _oracle_dual(rs)
     assert _annihilates(rs, got)
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(3, p) for p in range(3, 9)] + [(2, p) for p in range(3, 7)]
+    + [(4, 3), (4, 4), (5, 3), (5, 4)],
+)
+def test_live_columns_match_the_full_scan(n, p):
+    # the live columns built from the support are the codes whose one-node
+    # preimages all miss Z, found by testing every code, in the same order
+    rs, prev = operadic_relations(n, p), solved_relations(n, p - 1)
+    nf = _normal_forms(prev.dual)
+    assert _live_columns(rs, prev, nf) == scanned_live_columns(rs, prev, nf)
 
 
 def test_solve_by_recursion_matches_elimination_to_degree_seven():
@@ -1024,6 +1076,27 @@ def test_evaluate_morphism_law():
                     for j, cm in mu.value_at((i1, i2, i3)).items():
                         rhs[j] += c1 * c2 * c3 * cm
         assert lhs == rhs
+
+
+def test_importing_freealg_leaves_gerstenhaber_unloaded():
+    # evaluate imports what it needs from gerstenhaber when it is called
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from naryalg import freealg
+assert "naryalg.gerstenhaber" not in sys.modules, "gerstenhaber imported"
+from naryalg.gerstenhaber import MultiMap
+bad = MultiMap.from_entries(2, 3, {((0, 0, 0), 1): 1, ((1, 0, 0), 1): 1})
+try:
+    freealg.evaluate(freealg.FreeElement.leaf(0), bad)
+except ValueError as e:
+    print(e)
+"""
+    src = str(Path(freealg.__file__).parents[1])
+    argv = [sys.executable, "-I", "-c", script, src]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "product is not partially associative\n"
 
 
 def test_evaluate_rejects_out_of_range_leaves():
