@@ -9,13 +9,17 @@ the coboundary as rows over the cochain columns, dim ker = space -
 rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
 Both ranks come from one elimination, exactnum.stacked_ranks.
 
-delta and the three axioms are each written once (_delta, _chi), on mu's
-terms indexed once and a cochain phi given by its terms. L(phi) = phi * mu
-and R(phi) = mu * phi are the two insertion loops of gerstenhaber; then
-delta = (-1)^(k-1) R - L and the axioms are L(L(phi)), L(R(phi)) and
-R(L(phi)). coboundary and chi_defects feed them one cochain's terms,
-coboundary_rows and chi_rows each unit cochain's, so the tables build no
-map per cochain.
+L(phi) = phi * mu and R(phi) = mu * phi are the two insertion loops of
+gerstenhaber, on mu's terms indexed once and a cochain phi given by its
+terms; delta = (-1)^(k-1) R - L (_delta) and the paper's axioms are
+L(L(phi)), L(R(phi)) and R(L(phi)) (_chi), which the chi_* functions keep.
+The table (table_rows) ranks L(L(phi)), R(L(phi)) and R(R(phi)) instead:
+for odd n and mu * mu = 0, Gerstenhaber's pre-Lie identity gives
+(mu*phi)*mu - mu*(phi*mu) = -mu*(mu*phi), that is L(R) = R(L) - R(R) row
+by row, so both sets span one row space. R(R(phi)) inserts into n slots
+where L(R(phi)) inserts into arity + n - 1, and one L and one R per unit
+cochain give delta too. The tables feed the operators each unit cochain's
+terms, so they build no map per cochain.
 """
 
 from __future__ import annotations
@@ -76,20 +80,42 @@ def _delta(index, terms, k: int) -> dict:
     return acc
 
 
-def _chi(index, terms) -> tuple[dict, dict, dict]:
-    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi given
+def _left_right(index, terms) -> tuple[list, list]:
+    """The nonzero terms of L(phi) = phi * mu and R(phi) = mu * phi, phi given
     by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
     by_out, slots, n = index
     left, right = {}, {}
     _insert_each_slot_into(left, by_out, n, terms)
     _insert_into(right, slots, terms)
-    left = [(key, c) for key, c in left.items() if c]
-    right = [(key, c) for key, c in right.items() if c]
+    return [(key, c) for key, c in left.items() if c], [(key, c) for key, c in right.items() if c]
+
+
+def _chi(index, terms) -> tuple[dict, dict, dict]:
+    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi given
+    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
+    by_out, slots, n = index
+    left, right = _left_right(index, terms)
     ll, lr, rl = {}, {}, {}
     _insert_each_slot_into(ll, by_out, n, left)
     _insert_into(rl, slots, left)
     _insert_each_slot_into(lr, by_out, n, right)
     return ll, lr, rl
+
+
+def _odd_table(index, terms, k: int) -> tuple[dict, dict, dict, dict]:
+    """Terms of L(L(phi)), R(L(phi)), R(R(phi)) and delta(phi), phi of arity
+    k given by its ((inputs, out), c) terms, from one L(phi) and one R(phi)."""
+    by_out, slots, n = index
+    left, right = _left_right(index, terms)
+    delta = {key: -c for key, c in left}
+    sign = -1 if (k - 1) % 2 else 1
+    for key, c in right:
+        delta[key] = delta.get(key, 0) + sign * c
+    ll, rl, rr = {}, {}, {}
+    _insert_each_slot_into(ll, by_out, n, left)
+    _insert_into(rl, slots, left)
+    _insert_into(rr, slots, right)
+    return ll, rl, rr, delta
 
 
 def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
@@ -142,37 +168,53 @@ def _cochain_keys(d: int, arity: int) -> list[tuple]:
     return [(key[:-1], key[-1]) for key in product(range(d), repeat=arity + 1)]
 
 
-def _operator_rows(d: int, arity: int, images) -> list[tuple]:
-    """Distinct rows of a linear map on arity-cochains, over _cochain_keys.
+def _operator_rows(d: int, arity: int, images, blocks=(0,)) -> list[list[tuple]]:
+    """Distinct rows of linear maps on arity-cochains, over _cochain_keys.
 
     images(x, j) is a tuple of {output key: coefficient} dicts, the images of
     the unit cochain at (x, j) under maps linear in the cochain; each (image
     index, output key with nonzero coefficient) gives one row, in order of
-    first appearance. The reduced echelon form is unique, so that order
-    cannot change a rank. Identical rows are kept once: they add nothing to
-    the rank and cost elimination time.
+    first appearance. Image idx goes to block blocks[idx]; one list of rows
+    is returned per block. The reduced echelon form is unique, so that order
+    cannot change a rank. Identical rows in a block are kept once: they add
+    nothing to the rank and cost elimination time.
     """
-    rows: dict[tuple, dict[int, object]] = {}
+    out: list[dict[tuple, dict[int, object]]] = [{} for _ in range(max(blocks) + 1)]
+    rows_of = [out[b] for b in blocks]
     for col, (x, j) in enumerate(_cochain_keys(d, arity)):
         for idx, image in enumerate(images(x, j)):
+            rows = rows_of[idx]
             for out_key, c in image.items():
                 if c:
                     rows.setdefault((idx, out_key), {})[col] = c
-    return list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
+    return [list(dict.fromkeys(tuple(row.items()) for row in rows.values())) for rows in out]
 
 
 def coboundary_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of delta on the arity-cochains, over the unit cochains in
     product order: the _delta of each unit cochain."""
     index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda x, j: (_delta(index, (((x, j), 1),), arity),))
+    return _operator_rows(mu.dim, arity, lambda x, j: (_delta(index, (((x, j), 1),), arity),))[0]
 
 
 def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of the three chi axioms on the arity-cochains, over the
     unit cochains in product order: the _chi of each unit cochain."""
     index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda x, j: _chi(index, (((x, j), 1),)))
+    return _operator_rows(mu.dim, arity, lambda x, j: _chi(index, (((x, j), 1),)), (0, 0, 0))[0]
+
+
+def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
+    """The row blocks (C, D) cohomology_dims ranks at one arity: C cuts out
+    chi (none for even n), as the distinct rows of L(L), R(L) and R(R), and D
+    is the distinct rows of delta. mu must be partially associative."""
+    if not partial_assoc_defect(mu).is_zero():
+        raise ValueError("multiplication is not partially associative")
+    if mu.arity % 2 == 0:
+        return [], coboundary_rows(mu, arity)
+    index = _mu_index(mu)
+    images = lambda x, j: _odd_table(index, (((x, j), 1),), arity)
+    return tuple(_operator_rows(mu.dim, arity, images, (0, 0, 0, 1)))
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -259,8 +301,7 @@ def cohomology_dims(
     dim_im_prev = 0
     for a in arities[:-1]:
         space = d ** a * d
-        constraints = chi_rows(mu, a) if n % 2 else []
-        rank_c, rank_cd = stacked_ranks(space, (constraints, coboundary_rows(mu, a)))
+        rank_c, rank_cd = stacked_ranks(space, table_rows(mu, a))
         table_steps.append(CohomologyStep(a, space - rank_cd, dim_im_prev))
         dim_im_prev = rank_cd - rank_c
     return CohomologyTable(slot, table_steps)

@@ -42,7 +42,7 @@ def dense_rref(rows):
         for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+                a[i] = [v - f * w if w else v for v, w in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == len(a):

@@ -19,9 +19,11 @@ from naryalg.cohomology import (
     coboundary_rows,
     cohomology_dims,
     odd_coboundary_checked,
+    table_rows,
     unital_check,
     unital_phi,
 )
+from naryalg.exactnum import stacked_ranks
 from naryalg.gerstenhaber import MultiMap, gprod, partial_assoc_defect
 from naryalg.identities import matrix2, random_square_zero
 from fixtures import (
@@ -427,6 +429,26 @@ def test_cohomology_dims_matches_kernel_basis_oracle(d, n, steps):
         assert got == restricted_table(mu, slot, steps), slot
 
 
+@pytest.mark.parametrize(
+    "mu, slot, steps",
+    [
+        # arities 2 and 4 of the slot-0 row, where R(R(phi)) is not zero
+        (nilpotent_ternary(), 0, 2),
+        (random_square_zero(2, 5, 0, 1), 0, 1),
+        (random_square_zero(2, 5, 0, 1), 1, 1),
+        (random_square_zero(2, 5, 0, 1), 2, 1),
+        (random_square_zero(2, 5, 0, 1), 3, 1),
+        (random_square_zero(3, 5, 0, 1), 3, 1),
+    ],
+    ids=repr,
+)
+def test_cohomology_dims_matches_restricted_table_on_odd_rows(mu, slot, steps):
+    # the dense literal-axiom oracle on odd rows the table above leaves out
+    assert partial_assoc_defect(mu).is_zero() and not mu.is_zero()
+    got = cohomology_dims(mu, slot, steps).to_json_dict()["steps"]
+    assert got == restricted_table(mu, slot, steps)
+
+
 def test_cohomology_dims_restriction_matters_on_nilpotent_ternary():
     # a partially associative ternary product that is not square-zero: here
     # some arity-3 cocycles of the full complex leave chi, so dropping the
@@ -519,3 +541,114 @@ def test_cohomology_tables_build_no_map_per_cochain(monkeypatch):
     assert calls == []
     assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
     assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]
+
+
+def transported(mu, g, g_inv):
+    # mu written in the basis of the columns of g: g mu(g^-1 x_1, ..., g^-1 x_n),
+    # an isomorphic product with more terms
+    d = mu.dim
+    cols = [{i: g_inv[i][c] for i in range(d) if g_inv[i][c]} for c in range(d)]
+    entries = {}
+    for x in product(range(d), repeat=mu.arity):
+        for m, v in mu.apply(*(cols[t] for t in x)).items():
+            for j in range(d):
+                entries[x, j] = entries.get((x, j), 0) + g[j][m] * v
+    return MultiMap.from_entries(d, mu.arity, entries)
+
+
+def sheared_nilpotent_ternary():
+    # 9 terms against nilpotent_ternary's 3, with input e2 in use
+    g = [[1, 0, 0], [0, 1, -1], [0, 0, 1]]
+    g_inv = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+    return transported(nilpotent_ternary(), g, g_inv)
+
+
+def odd_partially_associative_products():
+    maps = [nilpotent_ternary(), sheared_nilpotent_ternary()]
+    for d, n, s in [(2, 3, 1), (3, 3, 1), (3, 3, 2), (4, 3, 2), (2, 5, 1), (3, 5, 1), (3, 5, 2)]:
+        maps += [random_square_zero(d, n, seed, s) for seed in (0, 1)]
+    return maps
+
+
+def test_prelie_identity_for_odd_partially_associative_products():
+    # (mu*phi)*mu - mu*(phi*mu) = -mu*(mu*phi) for odd n and mu*mu = 0, the
+    # identity the odd table rests on, written with gprod alone
+    rng = random.Random(20261020)
+    rr_nonzero = set()
+    for i, mu in enumerate(odd_partially_associative_products()):
+        assert mu.arity % 2 and partial_assoc_defect(mu).is_zero()
+        for k in (1, 2, 3):
+            for _ in range(2):
+                phi = sparse_fraction_cochain(rng, mu.dim, k)
+                rr = gprod(mu, gprod(mu, phi))
+                lhs = gprod(gprod(mu, phi), mu) - gprod(mu, gprod(phi, mu))
+                assert lhs == -rr, (mu, k)
+                if not rr.is_zero():
+                    rr_nonzero.add(i)
+    # square-zero products have mu*(mu*phi) = 0; the two nilpotent ones do not
+    assert rr_nonzero == {0, 1}
+    # the identity needs mu*mu = 0: it fails for a ternary product with mu*mu != 0
+    mu = one_dim_product(3)
+    assert not partial_assoc_defect(mu).is_zero()
+    phi = one_dim_product(2)
+    lhs = gprod(gprod(mu, phi), mu) - gprod(mu, gprod(phi, mu))
+    assert lhs != -gprod(mu, gprod(mu, phi))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        nilpotent_ternary(),
+        sheared_nilpotent_ternary(),
+        random_square_zero(2, 3, 1, 1),
+        random_square_zero(3, 3, 0, 2),
+        random_square_zero(2, 5, 0, 1),
+        matrix2(),
+        random_square_zero(3, 2, 0, 2),
+        random_square_zero(2, 4, 1, 1),
+    ],
+    ids=repr,
+)
+def test_table_rows_match_literal_axiom_rows(mu):
+    # every arity whose cochain space d^(a+1) has at most 512 columns: the
+    # table's blocks rank like the paper's axioms stacked on delta, and its
+    # delta block is exactly coboundary_rows
+    d, n = mu.dim, mu.arity
+    for a in [a for a in range(1, 10) if d ** (a + 1) <= 512]:
+        space = d ** (a + 1)
+        constraints, delta = table_rows(mu, a)
+        literal = (chi_rows(mu, a) if n % 2 else [], coboundary_rows(mu, a))
+        assert stacked_ranks(space, (constraints, delta)) == stacked_ranks(space, literal), a
+        assert len(delta) == len(literal[1]) and set(delta) == set(literal[1]), a
+        if n % 2 == 0:
+            assert constraints == [], a
+
+
+def test_table_rows_rejects_non_partially_associative():
+    for mu in (one_dim_product(3), random_multimap(random.Random(46), 2, 2, density=0.6)):
+        assert not partial_assoc_defect(mu).is_zero()
+        with pytest.raises(ValueError, match="not partially associative"):
+            table_rows(mu, 2)
+
+
+def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
+    # L, R, L(L), R(L), R(R) per unit cochain, through neither chi_rows nor
+    # coboundary_rows; the even table keeps delta's two loops
+    calls = []
+    for name in ("_insert_into", "_insert_each_slot_into", "chi_rows", "coboundary_rows"):
+        original = getattr(cohomology, name)
+        monkeypatch.setattr(
+            cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    odd = cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 4)
+    assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]
+    assert "chi_rows" not in calls and "coboundary_rows" not in calls
+    units = sum(2 ** (s.arity_in + 1) for s in odd.steps)
+    # L and L(L) on the output-indexed loop; R, R(L) and R(R) on the slot one
+    assert calls.count("_insert_each_slot_into") == 2 * units
+    assert calls.count("_insert_into") == 3 * units and len(calls) == 5 * units
+    calls.clear()
+    even = cohomology_dims(matrix2(), 0, 4)
+    assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
+    units = sum(4 ** (s.arity_in + 1) for s in even.steps)
+    assert calls.count("coboundary_rows") == 4 and len(calls) == 4 + 2 * units
