@@ -4,10 +4,17 @@ One formula serves both parities of n: delta(phi) = (-1)^(k-1) mu * phi -
 phi * mu with k = arity(phi). For even n it squares to zero on all cochains;
 for odd n only on the restricted space chi cut out by three linear axioms.
 
-The tables need no basis of chi: with C the axioms (none for even n) and D
-the coboundary as rows over the cochain columns, dim ker = space -
-rank [C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C.
-Both ranks come from one elimination, exactnum.stacked_ranks.
+The odd tables need no basis of chi: with C the axioms and D the
+coboundary as rows over the cochain columns, dim ker = space - rank [C; D]
+and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C. Both ranks
+come from one elimination, exactnum.stacked_ranks.
+
+The even tables rank delta on its transpose, one row delta(e) per unit
+cochain e (coboundary_image_rows), skipping each e at a pivot column of the
+previous arity's image. delta vanishes on that image, and the unit cochains
+off the pivots of an echelon basis of it span a complement, so the rows
+left have rank delta. They span the image itself, so their pivots, found by
+forward elimination alone (exactnum.echelon_pivots), are the next skip.
 
 L(phi) = phi * mu and R(phi) = mu * phi are the two insertion loops of
 gerstenhaber, on mu's terms indexed once and a cochain phi given by its
@@ -26,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
-from .exactnum import SparseMatrix, kernel_basis, stacked_ranks
+from .exactnum import SparseMatrix, echelon_pivots, kernel_basis, stacked_ranks
 from .gerstenhaber import (
     IdentityReport,
     MultiMap,
@@ -205,16 +213,32 @@ def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
 
 
 def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
-    """The row blocks (C, D) cohomology_dims ranks at one arity: C cuts out
-    chi (none for even n), as the distinct rows of L(L), R(L) and R(R), and D
+    """The row blocks (C, D) cohomology_dims ranks at one arity for mu of odd
+    arity: C cuts out chi, as the distinct rows of L(L), R(L) and R(R), and D
     is the distinct rows of delta. mu must be partially associative."""
+    if mu.arity % 2 == 0:
+        raise ValueError("restricted cochain space needs a map of odd arity")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("multiplication is not partially associative")
-    if mu.arity % 2 == 0:
-        return [], coboundary_rows(mu, arity)
     index = _mu_index(mu)
     images = lambda x, j: _odd_table(index, (((x, j), 1),), arity)
     return tuple(_operator_rows(mu.dim, arity, images, (0, 0, 0, 1)))
+
+
+def coboundary_image_rows(mu: MultiMap, arity: int, skip=frozenset()) -> list[list[tuple]]:
+    """delta(e) for each unit arity-cochain e whose column is not in skip, in
+    product order, as a sorted row of nonzero entries over the
+    (arity + n - 1)-cochain columns: the transpose of coboundary_rows, less
+    the skipped columns."""
+    d, index = mu.dim, _mu_index(mu)
+    # the column of (x, j) is x's digits in base d followed by j
+    weights = [d ** k for k in range(arity + mu.arity - 1, 0, -1)]
+    rows = []
+    for col, unit in enumerate(_cochain_keys(d, arity)):
+        if col not in skip:
+            image = _delta(index, ((unit, 1),), arity).items()
+            rows.append(sorted((sum(map(mul, x, weights)) + j, c) for (x, j), c in image if c))
+    return rows
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -299,9 +323,16 @@ def cohomology_dims(
 
     table_steps = []
     dim_im_prev = 0
+    pivots = frozenset()
     for a in arities[:-1]:
         space = d ** a * d
-        rank_c, rank_cd = stacked_ranks(space, table_rows(mu, a))
+        if n % 2:
+            rank_c, rank_cd = stacked_ranks(space, table_rows(mu, a))
+        else:
+            # the rows are sorted, in range and without zeros as built
+            rows = coboundary_image_rows(mu, a, pivots)
+            pivots = frozenset(echelon_pivots(SparseMatrix._of_clean(space * d ** (n - 1), rows)))
+            rank_c, rank_cd = 0, len(pivots)
         table_steps.append(CohomologyStep(a, space - rank_cd, dim_im_prev))
         dim_im_prev = rank_cd - rank_c
     return CohomologyTable(slot, table_steps)

@@ -7,7 +7,7 @@ Gauss-Jordan, rows by lowest column descending: rows are eliminated as
 primitive integer rows into pivot rows that stay reduced against each
 other, and turn into exact scalars only once reduced, as ints where the
 denominator is 1. Where only ranks are read, stacked_ranks makes no
-Fractions.
+Fractions; where only pivots are, echelon_pivots eliminates forward alone.
 """
 
 from __future__ import annotations
@@ -148,6 +148,11 @@ def _combine(r: dict, c: int, prow: dict) -> None:
     _divide_content(r)
 
 
+def _by_lead(rows) -> list:
+    # the nonempty rows by lowest column descending, ties by length
+    return sorted((row for row in rows if row), key=lambda row: (-row[0][0], len(row)))
+
+
 def _forward(pivot_rows: dict, holders: dict, rows) -> None:
     # Incremental Gauss-Jordan, in the row order rref's docstring gives.
     # pivot_rows, {pivot column: primitive integer row}, stay reduced against
@@ -155,7 +160,7 @@ def _forward(pivot_rows: dict, holders: dict, rows) -> None:
     # brings in no other. holders, a defaultdict(set), maps a column to the
     # leads of the pivot rows that hold it past their lead. In this order a
     # new pivot is mostly below every lead, so few pivot rows hold it.
-    for row in sorted((row for row in rows if row), key=lambda row: (-row[0][0], len(row))):
+    for row in _by_lead(rows):
         r = _primitive(row)
         for c in [c for c in r if c in pivot_rows]:
             _combine(r, c, pivot_rows[c])
@@ -199,6 +204,25 @@ def rref(m: SparseMatrix):
             sorted((c, Fraction(v, lead) if v % lead else v // lead) for c, v in prow.items())
         )
     return len(pivots), pivots, SparseMatrix._of_clean(m.n_cols, reduced)
+
+
+def echelon_pivots(m: SparseMatrix) -> list[int]:
+    """rref(m)[1], the sorted pivot columns, by forward elimination alone:
+    rows in rref's order, as primitive integer rows, each cleared at its
+    lowest column against the pivot row there until that column is free or
+    the row vanishes. No back-substitution fills in, and no Fraction is made."""
+    pivot_rows: dict[int, dict] = {}
+    for row in _by_lead(m.rows):
+        r = _primitive(row)
+        c = row[0][0]
+        while c in pivot_rows:
+            _combine(r, c, pivot_rows[c])
+            if not r:
+                break
+            c = min(r)
+        else:
+            pivot_rows[c] = r
+    return sorted(pivot_rows)
 
 
 def stacked_ranks(n_cols: int, blocks) -> list[int]:

@@ -833,6 +833,16 @@ def test_cohomology_matrix2_deterministic(capsys):
     assert out2 == out
 
 
+def test_cohomology_matrix2_five_steps(capsys):
+    # the last differential lands on 4^7 = 16384 cochain coordinates, within
+    # the default cap
+    rc, out, _ = run(capsys, "cohomology", "--algebra", "matrix2", "--steps", "5", "--format", "json")
+    assert rc == 0
+    steps = json.loads(out)["steps"]
+    assert [s["arity_in"] for s in steps] == [1, 2, 3, 4, 5]
+    assert [s["dim_H"] for s in steps] == [3, 0, 0, 0, 0]
+
+
 def test_cohomology_errors(tmp_path, capsys, monkeypatch):
     # caps count the guard space one arity past the last step
     rc, _, err = run(capsys, "cohomology", "--algebra", "matrix2", "--steps", "1", "--cap", "50")

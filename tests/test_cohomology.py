@@ -16,6 +16,7 @@ from naryalg.cohomology import (
     chi_membership,
     chi_rows,
     coboundary,
+    coboundary_image_rows,
     coboundary_rows,
     cohomology_dims,
     odd_coboundary_checked,
@@ -23,7 +24,7 @@ from naryalg.cohomology import (
     unital_check,
     unital_phi,
 )
-from naryalg.exactnum import stacked_ranks
+from naryalg.exactnum import SparseMatrix, stacked_ranks
 from naryalg.gerstenhaber import MultiMap, gprod, partial_assoc_defect
 from naryalg.identities import matrix2, random_square_zero
 from fixtures import (
@@ -595,6 +596,16 @@ def test_prelie_identity_for_odd_partially_associative_products():
     assert lhs != -gprod(mu, gprod(mu, phi))
 
 
+def transposed_rows(rows):
+    """The distinct nonzero rows of the transpose of rows, the r-th row being
+    column r, each as the (column, coefficient) tuple coboundary_rows makes."""
+    cols: dict[int, dict] = {}
+    for r, row in enumerate(rows):
+        for c, v in row:
+            cols.setdefault(c, {})[r] = v
+    return {tuple(col.items()) for col in cols.values()}
+
+
 @pytest.mark.parametrize(
     "mu",
     [
@@ -610,30 +621,45 @@ def test_prelie_identity_for_odd_partially_associative_products():
     ids=repr,
 )
 def test_table_rows_match_literal_axiom_rows(mu):
-    # every arity whose cochain space d^(a+1) has at most 512 columns: the
-    # table's blocks rank like the paper's axioms stacked on delta, and its
-    # delta block is exactly coboundary_rows
+    # every arity whose cochain space d^(a+1) has at most 512 columns. For odd
+    # n the table's blocks rank like the paper's axioms stacked on delta, and
+    # its delta block is exactly coboundary_rows. For even n the table ranks
+    # coboundary_image_rows, one row delta(e) per unit cochain e: the
+    # transpose of coboundary_rows, and a skipped column drops its row. The
+    # table passes those rows on unchecked, so they must already be the
+    # sorted, in-range, zero-free rows SparseMatrix makes
     d, n = mu.dim, mu.arity
     for a in [a for a in range(1, 10) if d ** (a + 1) <= 512]:
         space = d ** (a + 1)
-        constraints, delta = table_rows(mu, a)
-        literal = (chi_rows(mu, a) if n % 2 else [], coboundary_rows(mu, a))
-        assert stacked_ranks(space, (constraints, delta)) == stacked_ranks(space, literal), a
-        assert len(delta) == len(literal[1]) and set(delta) == set(literal[1]), a
+        literal_delta = coboundary_rows(mu, a)
         if n % 2 == 0:
-            assert constraints == [], a
+            image = coboundary_image_rows(mu, a)
+            assert len(image) == space and transposed_rows(image) == set(literal_delta), a
+            assert SparseMatrix(d ** (a + n), image).rows == image, a
+            skip = set(range(0, space, 3))
+            kept = [row for col, row in enumerate(image) if col not in skip]
+            assert coboundary_image_rows(mu, a, skip) == kept, a
+            continue
+        constraints, delta = table_rows(mu, a)
+        literal = (chi_rows(mu, a), literal_delta)
+        assert stacked_ranks(space, (constraints, delta)) == stacked_ranks(space, literal), a
+        assert len(delta) == len(literal_delta) and set(delta) == set(literal_delta), a
 
 
 def test_table_rows_rejects_non_partially_associative():
-    for mu in (one_dim_product(3), random_multimap(random.Random(46), 2, 2, density=0.6)):
+    for mu in (one_dim_product(3), random_multimap(random.Random(46), 2, 3, density=0.6)):
         assert not partial_assoc_defect(mu).is_zero()
         with pytest.raises(ValueError, match="not partially associative"):
             table_rows(mu, 2)
+    # the even table does not use it: delta needs no restriction there
+    with pytest.raises(ValueError, match="odd arity"):
+        table_rows(matrix2(), 2)
 
 
 def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
     # L, R, L(L), R(L), R(R) per unit cochain, through neither chi_rows nor
-    # coboundary_rows; the even table keeps delta's two loops
+    # coboundary_rows; the even table makes delta's two loops per unit
+    # cochain outside the previous image's pivots
     calls = []
     for name in ("_insert_into", "_insert_each_slot_into", "chi_rows", "coboundary_rows"):
         original = getattr(cohomology, name)
@@ -650,5 +676,81 @@ def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
     calls.clear()
     even = cohomology_dims(matrix2(), 0, 4)
     assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
-    units = sum(4 ** (s.arity_in + 1) for s in even.steps)
-    assert calls.count("coboundary_rows") == 4 and len(calls) == 4 + 2 * units
+    built = sum(4 ** (s.arity_in + 1) - s.dim_im_prev for s in even.steps)
+    assert "coboundary_rows" not in calls
+    assert calls.count("_insert_into") == calls.count("_insert_each_slot_into") == built
+    assert len(calls) == 2 * built
+
+
+def literal_even_table(mu, slot, steps):
+    """cohomology_dims' steps from the full delta rows: rank delta at each
+    arity of the row as stacked_ranks(space, ([], coboundary_rows(mu, a)))."""
+    d, n = mu.dim, mu.arity
+    k0 = 0 if slot >= 1 else 1
+    out, prev = [], 0
+    for k in range(k0, k0 + steps):
+        a = slot + k * (n - 1)
+        space = d ** (a + 1)
+        _, rank = stacked_ranks(space, ([], coboundary_rows(mu, a)))
+        out.append({"arity_in": a, "dim_ker": space - rank, "dim_im_prev": prev,
+                    "dim_H": space - rank - prev})
+        prev = rank
+    return out
+
+
+def rational_matrix2():
+    # matrix2 in the basis e_i / s_i for s = 1, 2, 1/3, -3/2: isomorphic, with
+    # Fraction coefficients
+    s = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]
+    g = [[s[i] if i == j else 0 for j in range(4)] for i in range(4)]
+    g_inv = [[1 / s[i] if i == j else 0 for j in range(4)] for i in range(4)]
+    return transported(matrix2(), g, g_inv)
+
+
+EVEN_SQUARE_ZERO = [(4, 2, 0, 2), (3, 2, 0, 2), (2, 4, 1, 1), (3, 2, 1, 1), (3, 2, 2, 2),
+                    (4, 2, 1, 1), (4, 2, 2, 3), (2, 2, 0, 1), (3, 4, 0, 1), (2, 6, 0, 1),
+                    (5, 2, 0, 2)]
+
+
+@pytest.mark.parametrize("args", EVEN_SQUARE_ZERO, ids=str)
+def test_even_tables_match_literal_delta_table_on_square_zero_products(args):
+    # every slot, with as many steps as keep the last target space within
+    # 4096 coordinates
+    mu = random_square_zero(*args)
+    d, n = mu.dim, mu.arity
+    assert not mu.is_zero()
+    for slot in range(n - 1):
+        k0 = 0 if slot >= 1 else 1
+        steps = 0
+        while d ** (slot + (k0 + steps + 1) * (n - 1) + 1) <= 4096:
+            steps += 1
+        if steps:
+            got = cohomology_dims(mu, slot, steps).to_json_dict()["steps"]
+            assert got == literal_even_table(mu, slot, steps), slot
+
+
+def test_even_tables_match_literal_delta_table_on_matrix2():
+    # five steps of matrix2, and of a rational basis change of it, whose
+    # Fraction rows echelon_pivots must scale to integers first
+    mu = rational_matrix2()
+    assert mu != matrix2() and any(isinstance(c, Fraction) for c in mu.terms.values())
+    for mu in (matrix2(), mu):
+        got = cohomology_dims(mu, 0, 5).to_json_dict()["steps"]
+        assert got == literal_even_table(mu, 0, 5)
+        assert [s["dim_H"] for s in got] == [3, 0, 0, 0, 0]
+
+
+def test_even_table_builds_rows_outside_the_previous_image(monkeypatch):
+    # one row per unit cochain outside the pivots of the previous image:
+    # d^(a+1) minus the previous rank
+    built = []
+
+    def recording(mu, arity, skip=frozenset()):
+        rows = coboundary_image_rows(mu, arity, skip)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(cohomology, "coboundary_image_rows", recording)
+    table = cohomology_dims(matrix2(), 0, 4)
+    assert built == [16, 51, 205, 819]
+    assert built == [4 ** (s.arity_in + 1) - s.dim_im_prev for s in table.steps]

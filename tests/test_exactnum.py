@@ -9,6 +9,7 @@ from naryalg.exactnum import (
     SparseMatrix,
     _forward,
     _primitive,
+    echelon_pivots,
     kernel_basis,
     normalize_scalar,
     rref,
@@ -272,10 +273,14 @@ def test_rref_low_rank_products_match_oracles():
 
 def test_rref_empty_shapes():
     for m in (SparseMatrix(0, []), SparseMatrix(0, [[], []]), SparseMatrix(4, []),
-              SparseMatrix(3, [[], []])):
+              SparseMatrix(3, [[], []]), SparseMatrix(2, [[(0, 0)], [(1, 0), (0, 0)]])):
         rank, pivots, red = rref(m)
         assert (rank, pivots, red.rows, red.n_cols) == (0, [], [], m.n_cols)
         assert_matches_oracles(m, dense=False)
+        assert echelon_pivots(m) == []
+    # empty and zero rows among others, with a Fraction entry
+    m = SparseMatrix(3, [[], [(2, Fraction(1, 2))], [(1, 0)], [(2, 3)], [(0, 0), (2, -1)]])
+    assert echelon_pivots(m) == rref(m)[1] == fraction_rref(m)[1] == [2]
     assert kernel_basis(SparseMatrix(0, [])) == {}
     assert kernel_basis(SparseMatrix(2, [[]])) == {0: {0: 1}, 1: {1: 1}}
 
@@ -360,27 +365,40 @@ def test_kernel_basis_memory_is_sparse():
 @pytest.mark.parametrize("p", range(2, 6))
 def test_rref_matches_oracle_on_free_relations(p):
     rs = operadic_relations(3, p)
-    assert_matches_oracles(SparseMatrix.from_dicts(len(rs.codes), rs.rows), dense=p <= 4)
+    m = SparseMatrix.from_dicts(len(rs.codes), rs.rows)
+    assert_matches_oracles(m, dense=p <= 4)
+    assert echelon_pivots(m) == rref(m)[1]
 
 
 def test_rref_matches_oracle_on_cohomology_matrices(monkeypatch):
-    # every stack cohomology_dims ranks, for the binary matrix2 (no
-    # constraints) and an odd square-zero product: rref of each prefix stack
-    # matches the oracles, and its rank is the one stacked_ranks reports
-    seen = []
+    # every matrix cohomology_dims eliminates: for the binary matrix2, the
+    # delta image rows whose echelon_pivots it reads, and for an odd
+    # square-zero product, the stacks whose stacked_ranks it reads. rref of
+    # each matches the oracles, with the pivots or rank reported
+    pivots_seen, ranks_seen = [], []
+
+    def recording_echelon_pivots(m):
+        pivots = echelon_pivots(m)
+        pivots_seen.append((m, pivots))
+        return pivots
 
     def recording_stacked_ranks(n_cols, blocks):
         blocks = [list(block) for block in blocks]
         ranks = stacked_ranks(n_cols, blocks)
-        seen.append((n_cols, blocks, ranks))
+        ranks_seen.append((n_cols, blocks, ranks))
         return ranks
 
+    monkeypatch.setattr(cohomology, "echelon_pivots", recording_echelon_pivots)
     monkeypatch.setattr(cohomology, "stacked_ranks", recording_stacked_ranks)
     cohomology.cohomology_dims(matrix2(), 0, 3)
-    assert len(seen) == 3 and all(not blocks[0] for _, blocks, _ in seen)
+    assert len(pivots_seen) == 3 and not ranks_seen
+    for m, pivots in pivots_seen:
+        assert_matches_oracles(m, dense=False)
+        assert pivots == rref(m)[1]
     cohomology.cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 2)
-    assert len(seen) == 5 and all(blocks[0] for _, blocks, _ in seen[3:])
-    for n_cols, blocks, ranks in seen:
+    assert len(pivots_seen) == 3 and len(ranks_seen) == 2
+    assert all(blocks[0] for _, blocks, _ in ranks_seen)
+    for n_cols, blocks, ranks in ranks_seen:
         for k, rank in enumerate(ranks):
             m = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
             assert_matches_oracles(m, dense=False)
@@ -401,7 +419,8 @@ def random_blocks(rng, m):
 def test_stacked_ranks_match_fraction_oracle(fractions):
     # random sparse rows with repeats, multiples and empty rows, cut into
     # blocks with empty ones among them: each prefix stack's rank is the
-    # oracle's rank of those rows
+    # oracle's rank of those rows, and forward elimination alone finds its
+    # pivots
     rng = random.Random(20261019 + fractions)
     for _ in range(40):
         n_cols = rng.randint(1, 25)
@@ -411,7 +430,9 @@ def test_stacked_ranks_match_fraction_oracle(fractions):
         assert len(ranks) == len(blocks)
         for k, rank in enumerate(ranks):
             stack = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
-            assert rank == fraction_rref(stack)[0]
+            o_rank, o_pivots, _ = fraction_rref(stack)
+            assert rank == o_rank
+            assert echelon_pivots(stack) == rref(stack)[1] == o_pivots
     assert stacked_ranks(3, []) == []
     assert stacked_ranks(0, [[], [[]]]) == [0, 0]
     assert stacked_ranks(2, [[[(0, 0)], [(1, 0), (0, 0)]], [[(1, 4)]]]) == [0, 1]
@@ -421,6 +442,9 @@ def test_stacked_ranks_match_fraction_oracle(fractions):
 def test_stacked_ranks_validates_rows():
     with pytest.raises(ValueError, match="out of range"):
         stacked_ranks(2, [[[(2, 1)]]])
+    # echelon_pivots takes a SparseMatrix, which rejects the row as it is built
+    with pytest.raises(ValueError, match="out of range"):
+        echelon_pivots(SparseMatrix(2, [[(2, 1)]]))
     with pytest.raises(ValueError, match="duplicate column"):
         stacked_ranks(2, [[], [[(1, 1), (1, 2)]]])
 
