@@ -331,16 +331,15 @@ def cmd_free_dims(args) -> int:
     if args.format == "json":
         print(json.dumps(_jsonable(report), indent=2))
         return 0
-    print(
-        f"{'p':>2} {'len':>4} {'codes':>7} {'rows':>7} {'rank':>7} "
-        f"{'mult':>5} {'p+1':>4} {'match':>6} {'sec':>8}"
-    )
-    for r in report:
-        print(
-            f"{r['p']:>2} {r['word_length']:>4} {r['codes']:>7} {r['rows']:>7} "
-            f"{r['rank']:>7} {r['multiplier']:>5} {r['formula_value']:>4} "
-            f"{'yes' if r['matches_formula'] else 'no':>6} {r['seconds']:>8.3f}"
-        )
+    keys = ("p", "word_length", "codes", "rows", "rank", "multiplier", "formula_value")
+    lines = [["p", "len", "codes", "rows", "rank", "mult", "p+1", "match", "sec"]] + [
+        [*(str(r[k]) for k in keys), "yes" if r["matches_formula"] else "no", f"{r['seconds']:.3f}"]
+        for r in report
+    ]
+    # each column as wide as its widest cell, and never narrower than these
+    widths = [max(w, *map(len, col)) for w, col in zip((2, 4, 7, 7, 7, 5, 4, 6, 8), zip(*lines))]
+    for line in lines:
+        print(" ".join(cell.rjust(w) for cell, w in zip(line, widths)))
     print("multipliers: " + ", ".join(str(r["multiplier"]) for r in report))
     return 0
 

@@ -18,13 +18,16 @@ relations, and most of them are single codes. Such a result is certified:
 each of its kernel vectors must annihilate every relation row. Only a row
 holding a code of the dual's support can fail, and a code's rows are built
 from the code alone, so the certificate builds each of those rows once and
-reads no other row, and operadic_relations builds its rows only where they
-are first read. If the certificate fails, the rows are eliminated. Only
-the read-only rows that operadic_relations marks take this path or enter
-the cache of solved degrees.
+reads no other row. operadic_relations lists its codes and builds its rows
+only where they are first read, and the recursion reads neither: it works
+on codes alone, so a recursive solve lists no code of its degree. If the
+certificate fails, the rows are eliminated. Only the read-only rows that
+operadic_relations marks take this path or enter the cache of solved
+degrees.
 
 Inside the module a code is its index tuple; TreeCode objects are made
-where a code leaves it.
+where a code leaves it. A column, a code's place in a system's code list,
+is read only by the rows and the views derived from them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import time
 from bisect import bisect, bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 from types import MappingProxyType
 from typing import TYPE_CHECKING
@@ -73,12 +76,8 @@ class TreeCode:
             raise ValueError(
                 f"p={self.p} needs {want} indices, got {len(self.indices)}"
             )
-        prev = 1
-        for m, j in enumerate(self.indices, start=1):
-            hi = m * (self.n - 1) + 1
-            if type(j) is not int or not prev <= j <= hi:
-                raise ValueError(f"index {m} is {j!r}, allowed integers {prev}..{hi}")
-            prev = j
+        if not _is_code(self.n, self.indices):
+            raise ValueError(f"{self.indices} is not the index tuple of a code of arity {self.n}")
 
     @property
     def leaves(self) -> int:
@@ -112,6 +111,17 @@ class PlanarTree:
 
 
 LEAF = PlanarTree()
+
+
+def _is_code(n: int, idx: tuple) -> bool:
+    """Whether idx is the index tuple of a code: index m is an integer from
+    the one before it (1 for the first) up to m(n-1)+1."""
+    lo = 1
+    for m, j in enumerate(idx, start=1):
+        if type(j) is not int or not lo <= j <= m * (n - 1) + 1:
+            return False
+        lo = j
+    return True
 
 
 def enumerate_codes(n: int, p: int) -> list:
@@ -231,16 +241,18 @@ def ascii_tree(tree: PlanarTree) -> str:
 class RelationSystem:
     """Leaf-uniform relation rows over the lexicographic code list.
 
-    codes are index tuples, the indices of the TreeCodes they stand for;
-    TreeCode objects are made only where a code leaves the module, as in
-    quotient_basis and the keys of normal_form.
+    codes are index tuples, the indices of the TreeCodes they stand for,
+    and each row maps a code's column, its place in codes, to its
+    coefficient. TreeCode objects are made only where a code leaves the
+    module, as in quotient_basis and the keys of normal_form.
 
-    A solved system is its dual basis: dual equals exactnum.kernel_basis of
-    the rows, mapping each quotient-basis code index f, ascending, to the
-    kernel vector v_f = {code index: coef} with v_f[f] = 1 and v_f zero at
-    every other basis code. The rank, pivots, quotient basis and reduced
-    rows are read off it. method says how solve found dual: "recursion" or
-    "elimination".
+    A solved system is its dual basis, keyed by code: basis maps each
+    quotient-basis code f, in lex order, to the kernel vector
+    v_f = {code: coef} of the rows, with v_f[f] = 1 and v_f zero at every
+    other basis code. The rank and the multiplier are read off it; dual
+    (by column, as exactnum.kernel_basis of the rows gives it), pivots,
+    reduced and quotient_basis are derived from it where they are read.
+    method says how solve found basis: "recursion" or "elimination".
 
     generator is "operadic" on a system exactly as operadic_relations built
     it, and solve trusts such rows. It is not an init field, so the
@@ -251,20 +263,20 @@ class RelationSystem:
 
     n: int
     p: int
-    codes: tuple
-    rows: tuple  # of {code index: coefficient}
-    dual: dict | None = None
+    codes: Sequence
+    rows: Sequence  # of {column: coefficient}
+    basis: dict | None = None
     method: str | None = field(default=None, compare=False)
     generator: str | None = field(default=None, init=False, compare=False)
 
     @property
     def solved(self) -> bool:
-        return self.dual is not None
+        return self.basis is not None
 
     def _solution(self) -> dict:
-        if self.dual is None:
+        if self.basis is None:
             raise ValueError("system not solved")
-        return self.dual
+        return self.basis
 
     @property
     def multiplier(self) -> int:
@@ -276,18 +288,23 @@ class RelationSystem:
         return len(self.codes) - self.multiplier
 
     @property
+    def dual(self) -> dict:
+        col = {code: c for c, code in enumerate(self.codes)}
+        return {col[f]: {col[c]: x for c, x in v.items()} for f, v in self._solution().items()}
+
+    @property
     def pivots(self) -> tuple:
-        dual = self._solution()
-        return tuple(c for c in range(len(self.codes)) if c not in dual)
+        basis = self._solution()
+        return tuple(c for c, code in enumerate(self.codes) if code not in basis)
 
     @property
     def quotient_basis(self) -> tuple:
-        return tuple(TreeCode(self.n, self.p, self.codes[f]) for f in self._solution())
+        return tuple(TreeCode(self.n, self.p, f) for f in self._solution())
 
     @property
     def reduced(self) -> SparseMatrix:
         """The rref of the rows: row c is e_c - sum_f v_f[c] e_f, one per pivot."""
-        nf = _normal_forms(self._solution())
+        nf = _normal_forms(self.dual)
         rows = [[(c, 1)] + [(f, -x) for f, x in nf.get(c, ())] for c in self.pivots]
         return SparseMatrix(len(self.codes), rows)
 
@@ -328,21 +345,29 @@ def operadic_relations(n: int, p: int) -> RelationSystem:
     bracket opening at q + leaves(B_1) + ... + leaves(B_{i-1}) instead of at
     q: the n codes increase with i, the lowest one, T_1, has sign +1, and
     T_1 with T_2's bracket fixes the context, so the rows are distinct,
-    C(np-1, p-2) of them. The rows are built where they are first read.
+    C(np-1, p-2) of them. The codes are listed, and the rows built, where
+    they are first read.
     """
     if p < 2:
         raise ValueError("relations start at two internal nodes")
-    codes = tuple(_code_tuples(n, p))
-    rs = RelationSystem(n, p, codes, _OperadicRows(n, p, codes))
+    codes = _LazyRows(fuss_catalan(n, p), lambda: tuple(_code_tuples(n, p)))
+    rows = _LazyRows(comb(n * p - 1, p - 2), lambda: _operadic_rows(n, p, codes))
+    rs = RelationSystem(n, p, codes, rows)
     object.__setattr__(rs, "generator", "operadic")
     return rs
 
 
 class _LazyRows(Sequence):
-    """Rows whose length is known without them; the first read of a row
-    builds them all, with _build."""
+    """A tuple whose length is known without it: the first read of an item
+    builds the whole tuple, with build()."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_len", "_build", "_rows")
+
+    def __init__(self, length: int, build):
+        self._len, self._build, self._rows = length, build, None
+
+    def __len__(self) -> int:
+        return self._len
 
     def __getitem__(self, i):
         return self._built()[i]
@@ -361,60 +386,34 @@ class _LazyRows(Sequence):
         return self._rows
 
 
-class _OperadicRows(_LazyRows):
+def _operadic_rows(n: int, p: int, codes) -> tuple:
     """The read-only rows of operadic_relations(n, p), in its order."""
-
-    __slots__ = ("n", "p", "codes")
-
-    def __init__(self, n: int, p: int, codes: tuple):
-        self.n, self.p, self.codes, self._rows = n, p, codes, None
-
-    def __len__(self) -> int:
-        return comb(self.n * self.p - 1, self.p - 2)
-
-    def _build(self) -> tuple:
-        n, p = self.n, self.p
-        col = {c: idx for idx, c in enumerate(self.codes)}
-        shapes = {0: [(0, ())]}
-        for k in range(1, p - 1):
-            shapes[k] = [(k, c) for c in _code_tuples(n, k)]
-        signs = [-1 if (i * (n - 1)) % 2 else 1 for i in range(1, n)]
-        rows = []
-        for k in range(p - 1):
-            # mu(mu(B_1..B_n), B_{n+1}..B_{2n-1}) and the inner bracket's shifts
-            fillers = []
-            for parts in _compositions(p - 2 - k, 2 * n - 1):
-                shifts = tuple(accumulate(b * (n - 1) + 1 for b in parts[: n - 1]))
-                for subs in product(*(shapes[b] for b in parts)):
-                    inner = _corolla_with(n, subs[:n])
-                    fillers.append((_corolla_with(n, (inner,) + subs[n:]), shifts))
-            for context in shapes[k]:
-                for q in range(1, k * (n - 1) + 2):
-                    for filled, shifts in fillers:
-                        first = _graft(n, context, q, filled)[1]
-                        at = first.index(q)
-                        rest = first[:at] + first[at + 1 :]
-                        row = {col[first]: 1}
-                        for shift, sign in zip(shifts, signs):
-                            j = bisect(rest, q + shift)
-                            row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
-                        rows.append(MappingProxyType(row))
-        return tuple(rows)
-
-
-class _StackedRows(_LazyRows):
-    """The rows of some systems, one after another, built where first read."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, *parts):
-        self.parts, self._rows = parts, None
-
-    def __len__(self) -> int:
-        return sum(map(len, self.parts))
-
-    def _build(self) -> tuple:
-        return tuple(chain.from_iterable(self.parts))
+    col = {c: idx for idx, c in enumerate(codes)}
+    shapes = {0: [(0, ())]}
+    for k in range(1, p - 1):
+        shapes[k] = [(k, c) for c in _code_tuples(n, k)]
+    signs = [-1 if (i * (n - 1)) % 2 else 1 for i in range(1, n)]
+    rows = []
+    for k in range(p - 1):
+        # mu(mu(B_1..B_n), B_{n+1}..B_{2n-1}) and the inner bracket's shifts
+        fillers = []
+        for parts in _compositions(p - 2 - k, 2 * n - 1):
+            shifts = tuple(accumulate(b * (n - 1) + 1 for b in parts[: n - 1]))
+            for subs in product(*(shapes[b] for b in parts)):
+                inner = _corolla_with(n, subs[:n])
+                fillers.append((_corolla_with(n, (inner,) + subs[n:]), shifts))
+        for context in shapes[k]:
+            for q in range(1, k * (n - 1) + 2):
+                for filled, shifts in fillers:
+                    first = _graft(n, context, q, filled)[1]
+                    at = first.index(q)
+                    rest = first[:at] + first[at + 1 :]
+                    row = {col[first]: 1}
+                    for shift, sign in zip(shifts, signs):
+                        j = bisect(rest, q + shift)
+                        row[col[rest[:j] + (q + shift,) + rest[j:]]] = sign
+                    rows.append(MappingProxyType(row))
+    return tuple(rows)
 
 
 def _rows_through(n: int, idx: tuple, skip=()) -> list:
@@ -528,7 +527,8 @@ def _one_node_preimages(n: int, idx: tuple):
 
 def _normal_forms(dual: dict) -> dict:
     """The one inversion of a dual basis: code c -> [(f, v_f[c])] by ascending
-    f; a basis code f maps to [(f, 1)], and a zero code is absent."""
+    f; a basis code f maps to [(f, 1)], and a zero code is absent. Codes may
+    be index tuples or columns alike."""
     nf = {}
     for f, v in dual.items():
         for c, x in v.items():
@@ -546,74 +546,64 @@ def _image(nf: dict, row) -> dict:
 
 
 def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
-    """The dual basis of the span S of the one-node images of the reduced rows
-    of prev, the solved degree below rs, whose normal-form map nf is given.
+    """The dual basis, keyed by code, of the span S of the one-node images of
+    the reduced rows of prev, the solved degree below rs, whose normal-form
+    map nf is given.
 
     The images of prev's zero codes, absent from nf, form the zero set Z; the
     images of the other reduced rows, with their entries in Z dropped, form
-    the core, and its kernel_basis at the columns outside Z is the dual of S.
+    the core. Its kernel_basis over the codes outside Z, numbered in lex
+    order, is the dual of S.
     """
     n = rs.n
-    live = _live_columns(rs, prev, nf)
-    at = {rs.codes[c]: i for i, c in enumerate(live)}
-    # each image's live column, None in Z
-    cols = {c: [at.get(im) for im in _one_node_images(n, prev.codes[c])] for c in nf}
-    core = {}  # over the columns of live, deduplicated, in order
-    for c in nf.keys() - prev.dual.keys():  # the pivots of nonzero class
+    live = _live_codes(rs, nf)
+    at = {code: i for i, code in enumerate(live)}
+    # each image's number in live, None in Z
+    cols = {c: [at.get(im) for im in _one_node_images(n, c)] for c in nf}
+    core = {}  # over the numbers of live, deduplicated, in order
+    for c in nf.keys() - prev.basis.keys():  # the pivots of nonzero class
         # every f in nf[c] lies above c, ascending, and each one-node
-        # operation keeps lex order, so each row comes out sorted by column
+        # operation keeps lex order, so each row comes out sorted
         terms = [(cols[c], 1)] + [(cols[f], -x) for f, x in nf[c]]
         for k in range(len(cols[c])):
             row = tuple((b_cols[k], x) for b_cols, x in terms if b_cols[k] is not None)
             if row:
                 core[row] = None
-    # live is ascending, so the core's reduced rows carry over column by column
     basis = kernel_basis(SparseMatrix(len(live), core))
     return {live[f]: {live[c]: x for c, x in v.items()} for f, v in basis.items()}
 
 
-def _live_columns(rs: RelationSystem, prev: RelationSystem, nf: dict) -> list:
-    """The columns of rs outside the zero set Z of _recursive_dual, ascending,
-    found from prev's support, the codes in nf.
+def _live_codes(rs: RelationSystem, nf: dict) -> list:
+    """The codes of rs outside the zero set Z of _recursive_dual, in lex
+    order, found from the support of the degree below, the codes in nf.
 
     A code's last-bracket preimage is always a code, so a live code is a
     support code s with one last bracket put at q = s[-1], ..., the last
-    leaf of its first p-1 nodes; taking s ascending, then q, lists the
+    leaf of its first p-1 nodes; taking s in lex order, then q, lists the
     candidates in lex order. A candidate is live when none of its one-node
-    preimages is a zero code of prev. Each live code's column is found by
-    bisection of rs.codes past the one before it. At p = 8 this takes
-    7.3-7.5 ms against 10.8-12.3 ms for testing every code (medians
-    in-process, 2-vCPU x86 VM, Python 3.11.7)."""
+    preimages is a zero code of the degree below: a code absent from nf."""
     n = rs.n
-    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
     end = (rs.p - 1) * (n - 1) + 2
     live = []
-    col = 0
-    for c in sorted(nf):
-        s = prev.codes[c]
+    for s in sorted(nf):
         for q in range(s[-1] if s else 1, end):
             code = s + (q,)
-            if not any(t in zero for t in _one_node_preimages(n, code)):
-                col = bisect_left(rs.codes, code, col)
-                live.append(col)
+            if all(t in nf or not _is_code(n, t) for t in _one_node_preimages(n, code)):
+                live.append(code)
     return live
 
 
-def _annihilates(rs: RelationSystem, dual: dict) -> bool:
+def _annihilates(rs: RelationSystem, basis: dict) -> bool:
     """Whether every operadic row of rs's component has a zero image through
-    the normal-form map of dual, each v_f orthogonal to it, read from the
-    rows through the map's codes only, each row built and read once, from
-    the first of its codes in the map.
+    the normal-form map of basis, keyed by code, each v_f orthogonal to it,
+    read from the rows through the map's codes only, each row built and read
+    once, from the first of its codes in the map.
 
     A row holding no code of the map has a zero image, and a row holding a
     code c of the map is one of _rows_through c, so no other row can fail.
     """
-    nf = {rs.codes[c]: terms for c, terms in _normal_forms(dual).items()}
-    for code in nf:
-        for row in _rows_through(rs.n, code, nf):
-            if _image(nf, row):
-                return False
-    return True
+    nf = _normal_forms(basis)
+    return not any(_image(nf, row) for code in nf for row in _rows_through(rs.n, code, nf))
 
 
 def solve(rs: RelationSystem) -> RelationSystem:
@@ -627,16 +617,13 @@ def solve(rs: RelationSystem) -> RelationSystem:
     solved degree-(p-1) reduced rows, and _recursive_dual finds its dual
     from its normal-form map. It is tried, for p >= 3, only on rows
     operadic_relations built, as its generator mark says, all C(np-1, p-2)
-    of them, and it never reads them. It is taken whenever degree p-1 has a
-    zero code (absent from the map), since elimination must first build
-    the rows: for n = 3 the zero codes start at degree 4 (20 of 55), so the
-    recursion runs from p = 5 on, where it and the certificate took
-    1.1 + 0.8 ms against 1.2 + 2.1 ms to build the rows and eliminate them
-    (medians in-process, 2-vCPU x86 VM, Python 3.11.7). n = 2 (p <= 8),
-    n = 4 (p <= 5) and n = 5 (p <= 4) have no zero codes, so they are
-    eliminated. Degree p-1 comes
-    from _solved_cache or is solved first, so a lone call solves every
-    lower degree too.
+    of them. It works on codes, so it reads neither the rows nor the code
+    list. It is taken whenever degree p-1 has a zero code (absent from the
+    map), since elimination must first build the rows: for n = 3 the zero
+    codes start at degree 4 (20 of 55), so the recursion runs from p = 5
+    on. n = 2 (p <= 8), n = 4 (p <= 5) and n = 5 (p <= 4) have no zero
+    codes, so they are eliminated. Degree p-1 comes from _solved_cache or
+    is solved first, so a lone call solves every lower degree too.
 
     Certificate. The recursive dual is kept only if every row has a zero
     image through its normal-form map, so that R lies in S; S lies in R
@@ -645,7 +632,7 @@ def solve(rs: RelationSystem) -> RelationSystem:
     the codes of the map, the dual's support: a row without such a code has
     a zero image, and a row with one is among that code's p-1 rows. So the
     check is exact without the other rows. Otherwise the rows are
-    eliminated.
+    eliminated, and the kernel's columns are mapped to their codes.
 
     Only results on marked rows enter _solved_cache, so a system with
     edited rows never changes what a later solve reads.
@@ -655,14 +642,15 @@ def solve(rs: RelationSystem) -> RelationSystem:
     solved = None
     if marked and p >= 3:
         prev = solved_relations(n, p - 1)
-        nf = _normal_forms(prev.dual)
+        nf = _normal_forms(prev.basis)
         if len(nf) < len(prev.codes):
-            dual = _recursive_dual(rs, prev, nf)
-            if _annihilates(rs, dual):
-                solved = replace(rs, dual=dual, method="recursion")
+            basis = _recursive_dual(rs, prev, nf)
+            if _annihilates(rs, basis):
+                solved = replace(rs, basis=basis, method="recursion")
     if solved is None:
-        dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
-        solved = replace(rs, dual=dual, method="elimination")
+        dual, codes = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows)), rs.codes
+        basis = {codes[f]: {codes[c]: x for c, x in v.items()} for f, v in dual.items()}
+        solved = replace(rs, basis=basis, method="elimination")
     if marked:
         _solved_cache[(n, p)] = solved
     return solved
@@ -672,19 +660,20 @@ def solve_stacked(solved: RelationSystem, extra: RelationSystem) -> tuple[Relati
     """The solved system of solved's rows followed by extra's, and the indices
     of extra's rows outside solved's row space: row r is outside iff its
     image, some r . v_f, is nonzero. With no row outside, the joint row space
-    is solved's, so the joint system takes solved's dual and method;
+    is solved's, so the joint system takes solved's basis and method;
     otherwise solve eliminates the stacked rows, which gives the same dual,
     since the reduced echelon form of a row space is unique. The joint rows
     are built where they are first read, so solved's rows that the
     recursion left unbuilt stay so unless the stacked rows are eliminated."""
     if (solved.n, solved.p) != (extra.n, extra.p):
         raise ValueError("systems live in different components")
-    nf = _normal_forms(solved._solution())
+    nf = _normal_forms(solved.dual)
     failing = [i for i, row in enumerate(extra.rows) if _image(nf, row)]
-    joint = RelationSystem(solved.n, solved.p, solved.codes, _StackedRows(solved.rows, extra.rows))
+    rows = _LazyRows(len(solved.rows) + len(extra.rows), lambda: (*solved.rows, *extra.rows))
+    joint = RelationSystem(solved.n, solved.p, solved.codes, rows)
     if failing:
         return solve(joint), failing
-    return replace(joint, dual=solved.dual, method=solved.method), failing
+    return replace(joint, basis=solved.basis, method=solved.method), failing
 
 
 class FreeElement:
@@ -767,12 +756,16 @@ class FreeElement:
         return f"FreeElement(n={self.n}, p={self.p}, terms={len(self.entries)})"
 
 
-def _code_index(rs: RelationSystem, code: TreeCode) -> int:
-    """The column of code in rs, found by bisection: rs.codes is in lex order."""
-    i = bisect_left(rs.codes, code.indices)
-    if i == len(rs.codes) or rs.codes[i] != code.indices:
-        raise ValueError(f"{code} is not a code of the system at (n={rs.n}, p={rs.p})")
-    return i
+def _zero_code(rs: RelationSystem, code: TreeCode) -> tuple:
+    """The terms, none, of a code absent from the map, once it is found in
+    rs.codes: by bisection, where rs was built by hand over fewer codes than
+    its component has, and at once otherwise."""
+    codes = rs.codes
+    if len(codes) < fuss_catalan(rs.n, rs.p):
+        i = bisect_left(codes, code.indices)
+        if i == len(codes) or codes[i] != code.indices:
+            raise ValueError(f"{code} is not a code of the system at (n={rs.n}, p={rs.p})")
+    return ()
 
 
 def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
@@ -785,10 +778,10 @@ def normal_form(x: FreeElement, rs: RelationSystem) -> FreeElement:
         )
     out = {}
     for (code, word), coef in x.entries.items():
-        for f, y in nf.get(_code_index(rs, code), ()):
+        for f, y in nf.get(code.indices) or _zero_code(rs, code):
             out[f, word] = out.get((f, word), 0) + coef * y
     return FreeElement(
-        x.n, x.p, {(TreeCode(rs.n, rs.p, rs.codes[f]), word): v for (f, word), v in out.items()}
+        x.n, x.p, {(TreeCode(rs.n, rs.p, f), word): v for (f, word), v in out.items()}
     )
 
 
@@ -887,12 +880,12 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
         rs = solved_relations(3, 4)
     if not rs.solved or (rs.n, rs.p) != (3, 4):
         raise ValueError("need the solved degree-4 system")
-    qdim = len(rs.dual)
+    qdim = len(rs.basis)
     candidates = tuple(TreeCode(3, 4, t) for t in PUBLISHED_L9_CODES)
-    nf = _normal_forms(rs.dual)
+    nf = _normal_forms(rs.basis)
     # candidate c in lex quotient coordinates is its normal form (v_f[c]) over f
-    coords = [dict(nf.get(_code_index(rs, c), ())) for c in candidates]
-    matrix = tuple(tuple(row.get(f, 0) for f in rs.dual) for row in coords)
+    coords = [dict(nf.get(c.indices) or _zero_code(rs, c)) for c in candidates]
+    matrix = tuple(tuple(row.get(f, 0) for f in rs.basis) for row in coords)
     (rank,) = stacked_ranks(qdim, [[list(enumerate(row)) for row in matrix]])
     independent = rank == len(candidates)
     return BasisComparison(qdim, candidates, independent, matrix, independent and rank == qdim)

@@ -8,9 +8,9 @@ only what is built from them: delta and the chi axioms as gprod formulas,
 the linear algebra, and the operator rows of one gprod-built map per unit
 cochain. The package's own coboundary and chi_defects run on the insertion
 loops its tables use, so the oracles build both from gprod instead.
-scanned_live_columns takes the package's one-node preimages and checks
-how the live columns are found: it tests every code of the component, not
-only those built from the support of the degree below.
+scanned_live_codes takes the package's code list and one-node preimages
+and checks how the live codes are found: it tests every code of the
+component, not only those built from the support of the degree below.
 fraction_rref is sparse: it is the
 package's earlier eliminator (Fraction entries, rows in input order), kept
 as the differential oracle for the fraction-free one.
@@ -581,17 +581,18 @@ def in_row_space(reduced, vec):
     return not residual(reduced, vec)
 
 
-def scanned_live_columns(rs, prev, nf):
-    """The columns of rs that freealg._recursive_dual keeps, found by testing
-    every code of rs: a code is live unless one of its one-node preimages
-    is a code of prev outside the normal-form map nf. Removing the last
-    bracket settles most codes, so it is tested before the others."""
-    from naryalg.freealg import _one_node_preimages
+def scanned_live_codes(rs, nf):
+    """The codes of rs that freealg._recursive_dual keeps, found by testing
+    every code of rs's component: a code is live unless one of its one-node
+    preimages is a code of the degree below outside the normal-form map nf.
+    Removing the last bracket settles most codes, so it is tested before the
+    others."""
+    from naryalg.freealg import _code_tuples, _one_node_preimages
 
-    zero = {code for c, code in enumerate(prev.codes) if c not in nf}
+    zero = set(_code_tuples(rs.n, rs.p - 1)) - nf.keys()
     return [
-        c
-        for c, code in enumerate(rs.codes)
+        code
+        for code in _code_tuples(rs.n, rs.p)
         if code[:-1] not in zero
         and not any(q in zero for q in _one_node_preimages(rs.n, code))
     ]

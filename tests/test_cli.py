@@ -54,6 +54,40 @@ def test_free_dims_table(capsys):
     assert "multipliers: 1, 2, 4, 5" in out
 
 
+def _free_dims_row(p, codes, rows, multiplier, seconds):
+    return {
+        "p": p, "word_length": 2 * p + 1, "codes": codes, "rows": rows,
+        "rank": codes - multiplier, "multiplier": multiplier, "formula_value": p + 1,
+        "matches_formula": multiplier == p + 1, "seconds": seconds, "method": "recursion",
+    }
+
+
+def test_free_dims_table_sizes_each_column_to_its_widest_cell(capsys, monkeypatch):
+    # never narrower than the small degrees need: the README's p <= 4 table
+    # keeps its bytes
+    small = [(1, 1, 0, 1, 0.0), (2, 3, 1, 2, 0.0), (3, 12, 8, 4, 0.001), (4, 55, 55, 5, 0.005)]
+    monkeypatch.setattr(cli, "free_dims", lambda *args: [_free_dims_row(*r) for r in small])
+    rc, out, _ = run(capsys, "free-dims", "--n", "3", "--p-max", "4")
+    assert rc == 0 and out.splitlines() == [
+        " p  len   codes    rows    rank  mult  p+1  match      sec",
+        " 1    3       1       0       0     1    2     no    0.000",
+        " 2    5       3       1       1     2    3     no    0.000",
+        " 3    7      12       8       8     4    4    yes    0.001",
+        " 4    9      55      55      50     5    5    yes    0.005",
+        "multipliers: 1, 2, 4, 5",
+    ]
+    # from p = 11 the counts outgrow those widths: every column stays aligned
+    big = [(10, 1430715, 4292145, 11, 0.2), (11, 8414640, 28048800, 12, 0.5),
+           (12, 50067108, 183579396, 13, 1.2)]
+    monkeypatch.setattr(cli, "free_dims", lambda *args: [_free_dims_row(*r) for r in big])
+    rc, out, _ = run(capsys, "free-dims", "--n", "3", "--p-max", "12", "--cap", "12")
+    lines = out.splitlines()[:-1]
+    assert rc == 0 and [len(line.split()) for line in lines] == [9] * 4
+    ends = {tuple(m.end() for m in re.finditer(r"\S+", line)) for line in lines}
+    assert len(ends) == 1
+    assert lines[-1].split()[2:5] == ["50067108", "183579396", "50067095"]
+
+
 def test_free_dims_json(capsys):
     rc, out, _ = run(capsys, "free-dims", "--n", "3", "--p-max", "4", "--format", "json")
     assert rc == 0

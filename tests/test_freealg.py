@@ -15,7 +15,7 @@ from naryalg.freealg import (
     _compositions,
     _graft,
     _image,
-    _live_columns,
+    _live_codes,
     _normal_forms,
     _one_node_images,
     _one_node_preimages,
@@ -57,7 +57,7 @@ from oracles import (
     in_row_space,
     operadic_rows,
     same_row_space,
-    scanned_live_columns,
+    scanned_live_codes,
     tree_value,
 )
 
@@ -278,6 +278,7 @@ def test_operadic_rows_are_built_where_they_are_read():
     solved = solve(rs)
     assert solved.method == "recursion" and solved.rows is rs.rows
     assert rs.rows._rows is None  # neither len nor the recursion built them
+    assert rs.codes._rows is None  # nor listed the codes
     a, b = operadic_relations(3, 5), operadic_relations(3, 5)
     assert a == b
     assert a.rows == tuple(b.rows) and tuple(a.rows) == b.rows
@@ -286,19 +287,38 @@ def test_operadic_rows_are_built_where_they_are_read():
     assert RelationSystem(3, 5, a.codes, (*a.rows, *b.rows)).rows == tuple(a.rows) * 2
 
 
+def test_a_solve_at_degree_eleven_lists_no_codes(monkeypatch):
+    # the recursion and its certificate work on codes, and free_dims reads
+    # the codes and rows by their counts, so from p = 11 nothing is listed
+    listed = freealg._code_tuples
+
+    def listing(n, p):
+        if p > 10:
+            raise AssertionError(f"codes listed at p = {p}")
+        return listed(n, p)
+
+    monkeypatch.setattr(freealg, "_code_tuples", listing)
+    rs = relation_system(3, 13)
+    assert len(rs.codes) == fuss_catalan(3, 13) == 300_830_572
+    assert len(rs.rows) == comb(38, 11)
+    row = free_dims(3, 11)[-1]
+    assert (row["p"], row["multiplier"], row["method"]) == (11, 12, "recursion")
+    assert rs.codes._rows is None and rs.rows._rows is None
+
+
 def test_free_dims_both_leaves_the_operadic_rows_unbuilt(monkeypatch):
     # with every rule row inside, the joint system stacks the operadic rows
     # without building them: from p = 5, where the recursion solves the
     # operadic system, no degree builds them, and the rows column still
     # counts them
     built = []
-    build = freealg._OperadicRows._build
+    build = freealg._operadic_rows
 
-    def counting(rows):
-        built.append(rows.p)
-        return build(rows)
+    def counting(n, p, codes):
+        built.append(p)
+        return build(n, p, codes)
 
-    monkeypatch.setattr(freealg._OperadicRows, "_build", counting)
+    monkeypatch.setattr(freealg, "_operadic_rows", counting)
     table = free_dims(3, 7, "both")
     assert [p for p in built if p >= 5] == []
     for row in table[2:]:
@@ -396,8 +416,9 @@ def test_multiplier_degree_seven():
     # the kernel half of the certificate: each v_f, independent of the others
     # by its unit entry at f, annihilates every relation row
     assert len(rs.rows) == 15504
-    for f, v in solved.dual.items():
-        assert v[f] == 1 and all(v.get(g, 0) == 0 for g in solved.dual if g != f)
+    dual = solved.dual
+    for f, v in dual.items():
+        assert v[f] == 1 and all(v.get(g, 0) == 0 for g in dual if g != f)
         assert all(sum(c * v.get(k, 0) for k, c in row.items()) == 0 for row in rs.rows)
 
 
@@ -408,8 +429,8 @@ def test_binary_multiplier_always_one():
 
 def test_multiplier_requires_solve():
     rs = operadic_relations(3, 2)
-    assert rs.dual is None and not rs.solved
-    for name in ("multiplier", "rank", "pivots", "quotient_basis", "reduced"):
+    assert rs.basis is None and not rs.solved
+    for name in ("multiplier", "rank", "dual", "pivots", "quotient_basis", "reduced"):
         with pytest.raises(ValueError):
             getattr(rs, name)
 
@@ -445,9 +466,10 @@ def test_dual_matches_fraction_oracle(n, p):
     rs = relation_system(n, p)
     solved = solve(rs)
     _assert_matches(solved, *fraction_rref(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
-    for f, v in solved.dual.items():
+    dual = solved.dual
+    for f, v in dual.items():
         assert v[f] == 1
-        assert all(v.get(g, 0) == 0 for g in solved.dual if g != f)
+        assert all(v.get(g, 0) == 0 for g in dual if g != f)
 
 
 def test_dual_of_stacked_system_matches_fraction_oracle():
@@ -608,28 +630,33 @@ def test_rows_through_a_code_are_the_generated_rows_holding_it():
         assert union == {frozenset(row.items()) for row in rs.rows}, (n, p)
 
 
-def _every_row_annihilated(rs, dual):
+def _by_code(rs, dual):
+    # a dual keyed by column, as kernel_basis gives it, keyed by code
+    return {rs.codes[f]: {rs.codes[c]: x for c, x in v.items()} for f, v in dual.items()}
+
+
+def _every_row_annihilated(rs, basis):
     # what the certificate decides, read from every generated row
-    nf = _normal_forms(dual)
-    return not any(_image(nf, row) for row in rs.rows)
+    nf = _normal_forms(basis)
+    return not any(_image(nf, {rs.codes[c]: x for c, x in row.items()}) for row in rs.rows)
 
 
-def _single_entry_corruptions(dual, n_codes):
+def _single_entry_corruptions(basis, codes):
     # for the first and the last f, v_f with 1 added at a basis code (another
     # one where there is one), with the entry at one of its pivot codes
     # dropped, and with 1 put at a zero code: the support stays, can shrink,
     # and grows
-    nf = _normal_forms(dual)
-    zero = next((c for c in range(n_codes) if c not in nf), None)
-    for f in {min(dual), max(dual)}:
-        v = dual[f]
-        basis = next((g for g in dual if g != f), f)
-        pivot = next((c for c in v if c not in dual), None)
-        yield {**dual, f: {**v, basis: v.get(basis, 0) + 1}}
+    nf = _normal_forms(basis)
+    zero = next((c for c in codes if c not in nf), None)
+    for f in {min(basis), max(basis)}:
+        v = basis[f]
+        other = next((g for g in basis if g != f), f)
+        pivot = next((c for c in v if c not in basis), None)
+        yield {**basis, f: {**v, other: v.get(other, 0) + 1}}
         if pivot is not None:
-            yield {**dual, f: {c: x for c, x in v.items() if c != pivot}}
+            yield {**basis, f: {c: x for c, x in v.items() if c != pivot}}
         if zero is not None:
-            yield {**dual, f: {**v, zero: 1}}
+            yield {**basis, f: {**v, zero: 1}}
 
 
 @pytest.mark.parametrize("n, p", SMALL_DEGREES)
@@ -639,9 +666,9 @@ def test_certificate_agrees_with_reading_every_row(n, p):
     # differs from the kernel vector by a multiple of some e_c, and every
     # code lies in some row, so each corruption fails
     rs = operadic_relations(n, p)
-    dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
-    assert _annihilates(rs, dual) and _every_row_annihilated(rs, dual)
-    corruptions = list(_single_entry_corruptions(dual, len(rs.codes)))
+    basis = _by_code(rs, kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
+    assert _annihilates(rs, basis) and _every_row_annihilated(rs, basis)
+    corruptions = list(_single_entry_corruptions(basis, rs.codes))
     assert corruptions
     for corrupted in corruptions:
         assert not _every_row_annihilated(rs, corrupted), (n, p)
@@ -663,19 +690,19 @@ def test_certificate_builds_each_row_through_the_support_once(monkeypatch):
     monkeypatch.setattr(freealg, "_rows_through", counting)
     for p, want in ((6, 525), (7, 1488)):
         rs = operadic_relations(3, p)
-        dual = solved_relations(3, p).dual
+        basis = solved_relations(3, p).basis
         built.clear()
-        assert _annihilates(rs, dual)
+        assert _annihilates(rs, basis)
         assert len(built) == want, p
-        col = {c: i for i, c in enumerate(rs.codes)}
-        support = {c for v in dual.values() for c in v}
-        meeting = {frozenset(row.items()) for row in rs.rows if not support.isdisjoint(row)}
-        assert {frozenset((col[t], x) for t, x in row.items()) for row in built} == meeting
+        support = {c for v in basis.values() for c in v}
+        rows = [{rs.codes[c]: x for c, x in row.items()} for row in rs.rows]
+        meeting = {frozenset(row.items()) for row in rows if not support.isdisjoint(row)}
+        assert {frozenset(row.items()) for row in built} == meeting
 
 
 def _recursive(n, p):
     prev = solved_relations(n, p - 1)
-    return _recursive_dual(operadic_relations(n, p), prev, _normal_forms(prev.dual))
+    return _recursive_dual(operadic_relations(n, p), prev, _normal_forms(prev.basis))
 
 
 def _oracle_dual(rs):
@@ -695,8 +722,8 @@ def test_recursive_dual_matches_elimination_and_fraction_oracle(n, p):
     # for every arity, not only where solve takes the recursion
     rs = operadic_relations(n, p)
     got = _recursive(n, p)
-    assert got == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
-    assert got == _oracle_dual(rs)
+    assert got == _by_code(rs, kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows)))
+    assert got == _by_code(rs, _oracle_dual(rs))
     assert _annihilates(rs, got)
 
 
@@ -706,11 +733,12 @@ def test_recursive_dual_matches_elimination_and_fraction_oracle(n, p):
     + [(4, 3), (4, 4), (5, 3), (5, 4)],
 )
 def test_live_columns_match_the_full_scan(n, p):
-    # the live columns built from the support are the codes whose one-node
-    # preimages all miss Z, found by testing every code, in the same order
+    # the live codes, the columns of the recursion's core, built from the
+    # support are the codes whose one-node preimages all miss Z, found by
+    # testing every code, in the same order
     rs, prev = operadic_relations(n, p), solved_relations(n, p - 1)
-    nf = _normal_forms(prev.dual)
-    assert _live_columns(rs, prev, nf) == scanned_live_columns(rs, prev, nf)
+    nf = _normal_forms(prev.basis)
+    assert _live_codes(rs, nf) == scanned_live_codes(rs, nf)
 
 
 def test_solve_by_recursion_matches_elimination_to_degree_seven():
@@ -784,29 +812,29 @@ def test_failed_certificate_falls_back_to_elimination(monkeypatch):
     # one v_f entry changed, at f itself or at a pivot code of v_f
     for p in (5, 6):
         rs = operadic_relations(3, p)
-        genuine = solve(rs).dual
+        genuine = solve(rs).basis
         for at_basis in (True, False):
-            dual = {f: dict(v) for f, v in genuine.items()}
-            f = next(iter(dual))
-            c = f if at_basis else next(c for c in dual[f] if c != f)
-            dual[f][c] += 1
-            assert not _annihilates(rs, dual), (p, c)
+            basis = {f: dict(v) for f, v in genuine.items()}
+            f = next(iter(basis))
+            c = f if at_basis else next(c for c in basis[f] if c != f)
+            basis[f][c] += 1
+            assert not _annihilates(rs, basis), (p, c)
             with monkeypatch.context() as m:
-                m.setattr(freealg, "_recursive_dual", lambda *args: dual)
+                m.setattr(freealg, "_recursive_dual", lambda *args: basis)
                 solved = solve(rs)
             assert solved.method == "elimination"
-            assert solved.dual == genuine
+            assert solved.basis == genuine
             assert solved.dual == kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
 
 
 def test_certificate_rejects_a_corrupted_dual_vector():
     rs = operadic_relations(3, 6)
-    dual = solve(rs).dual
-    assert _annihilates(rs, dual)
-    zero = next(c for c in range(len(rs.codes)) if all(c not in v for v in dual.values()))
-    for f, v in dual.items():
+    basis = solve(rs).basis
+    assert _annihilates(rs, basis)
+    zero = next(c for c in rs.codes if all(c not in v for v in basis.values()))
+    for f, v in basis.items():
         for c, bump in [(c, 1) for c in v] + [(zero, 1), (f, Fraction(1, 2))]:
-            corrupted = dict(dual)
+            corrupted = dict(basis)
             corrupted[f] = {**v, c: v.get(c, 0) + bump}
             assert not _annihilates(rs, corrupted), (f, c)
 
@@ -817,11 +845,12 @@ def test_normal_form_map_matches_reduced_rows_and_fraction_oracle(n, p):
     # fixed, a pivot goes to minus its reduced row's tail (a zero code to 0),
     # and the coordinates are those of the Fraction elimination's dual
     rs = solve(operadic_relations(n, p))
-    nf = _normal_forms(rs.dual)
+    dual = rs.dual
+    nf = _normal_forms(dual)
     tails = {row[0][0]: row[1:] for row in rs.reduced.rows}
     oracle = _oracle_dual(rs)
     for c, code in enumerate(rs.codes):
-        want = {c: 1} if c in rs.dual else {f: -x for f, x in tails[c]}
+        want = {c: 1} if c in dual else {f: -x for f, x in tails[c]}
         assert {f: v[c] for f, v in oracle.items() if c in v} == want
         got = normal_form(FreeElement.from_code(TreeCode(n, p, code)), rs)
         assert got.entries == {(TreeCode(n, p, rs.codes[f]), None): x for f, x in want.items()}
