@@ -16,34 +16,30 @@ off the pivots of an echelon basis of it span a complement, so the rows
 left have rank delta. They span the image itself, so their pivots, found by
 forward elimination alone (exactnum.echelon_pivots), are the next skip.
 
-L(phi) = phi * mu and R(phi) = mu * phi are the two insertion loops of
-gerstenhaber, on mu's terms indexed once and a cochain phi given by its
-terms; delta = (-1)^(k-1) R - L (_delta) and the paper's axioms are
-L(L(phi)), L(R(phi)) and R(L(phi)) (_chi), which the chi_* functions keep.
-The table (table_rows) ranks L(L(phi)), R(L(phi)) and R(R(phi)) instead:
-for odd n and mu * mu = 0, Gerstenhaber's pre-Lie identity gives
-(mu*phi)*mu - mu*(phi*mu) = -mu*(mu*phi), that is L(R) = R(L) - R(R) row
-by row, so both sets span one row space. R(R(phi)) inserts into n slots
-where L(R(phi)) inserts into arity + n - 1, and one L and one R per unit
-cochain give delta too. The tables feed the operators each unit cochain's
-terms, so they build no map per cochain.
+Every operator here runs on cochain columns: the column of the coordinate
+(x, j) of an arity-k cochain is the base-d number with the digits of x
+followed by j, its place in product(range(d), repeat=k + 1), so the unit
+cochains are the columns 0..d^(k+1)-1. L(phi) = phi * mu (_left_into) and
+R(phi) = mu * phi (_right_into) are the two column loops, on mu's terms
+indexed once (_mu_index) and a cochain phi given by its (column, c) terms;
+the MultiMap functions encode phi's terms and decode the result. delta =
+(-1)^(k-1) R - L (_delta) and the paper's axioms are L(L(phi)), L(R(phi))
+and R(L(phi)) (_chi), which the chi_* functions keep. The table
+(table_rows) ranks L(L(phi)), R(L(phi)) and R(R(phi)) instead: for odd n
+and mu * mu = 0, Gerstenhaber's pre-Lie identity gives (mu*phi)*mu -
+mu*(phi*mu) = -mu*(mu*phi), that is L(R) = R(L) - R(R) row by row, so both
+sets span one row space. R(R(phi)) inserts into n slots where L(R(phi))
+inserts into arity + n - 1, and one L and one R per unit cochain give delta
+too. The tables feed the loops each unit cochain's column, so they build no
+map per cochain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from operator import mul
 
 from .exactnum import SparseMatrix, echelon_pivots, kernel_basis, stacked_ranks
-from .gerstenhaber import (
-    IdentityReport,
-    MultiMap,
-    _insert_each_slot_into,
-    _insert_into,
-    _slot_index,
-    partial_assoc_defect,
-)
+from .gerstenhaber import IdentityReport, MultiMap, partial_assoc_defect
 
 DEFAULT_CAP = 20000
 
@@ -69,60 +65,138 @@ def _check_cap(dim: int, arity: int, cap: int) -> None:
         raise ValueError(f"cochain space size {size} exceeds cap {cap}")
 
 
+def _value(digits, d: int) -> int:
+    """The base-d number with the given digits, the first most significant."""
+    v = 0
+    for t in digits:
+        v = v * d + t
+    return v
+
+
+def _columns(phi: MultiMap) -> list:
+    """phi's terms as (column, c)."""
+    return [(_value(x + (j,), phi.dim), c) for (x, j), c in phi.terms.items()]
+
+
+def _decoded(acc: dict, d: int, arity: int) -> dict:
+    """acc's column-keyed terms keyed by (inputs, out), for arity-cochains."""
+    powers = [d ** p for p in range(arity, 0, -1)]
+    return {(tuple([u // p % d for p in powers]), u % d): c for u, c in acc.items()}
+
+
 def _mu_index(mu: MultiMap):
-    """mu's terms indexed for both insertion loops: by output, as (inputs, c),
-    for L, per slot for R; with mu's arity."""
+    """mu's terms indexed once for both column loops, as (d, n, by_out,
+    by_slot, plans): by_out keys them by output as (input word value, c), for
+    L; by_slot[i] keys them by the input at slot i (from 0) as (head value,
+    tail-and-output value, c), for R; plans caches each loop's per-slot powers
+    of d and weighted, signed terms for each cochain arity."""
+    d, n = mu.dim, mu.arity
     by_out: dict[int, list] = {}
-    for (y, m), c in mu.terms.items():
-        by_out.setdefault(m, []).append((y, c))
-    return by_out, _slot_index(mu, range(1, mu.arity + 1)), mu.arity
+    by_slot: list[dict] = [{} for _ in range(n)]
+    for (x, m), c in mu.terms.items():
+        v = _value(x + (m,), d)
+        by_out.setdefault(m, []).append((v // d, c))
+        for i, slot in enumerate(by_slot):
+            p = d ** (n - i)
+            slot.setdefault(x[i], []).append((v // (p * d), v % p, c))
+    return d, n, by_out, by_slot, {}
+
+
+def _left_into(acc: dict, index, k: int, terms, sign: int = 1) -> None:
+    """Add sign (+1 or -1) times L(phi) = phi * mu to acc, phi of arity k
+    given by its (column, c) terms and mu by index = _mu_index(mu): mu goes
+    into slot i (from 0) of phi with the comb sign (-1)^(i(n-1)), between the
+    head digits of the column u and its tail and output digits."""
+    d, n, by_out, _, plans = index
+    plan = plans.get(("L", k))
+    if plan is None:
+        plan = plans["L", k] = [
+            (d ** (k - i), d ** (k + 1 - i), d ** (k + n - i), {
+                t: [(y * d ** (k - i), -c if i * (n - 1) % 2 else c) for y, c in found]
+                for t, found in by_out.items()
+            })
+            for i in range(k)
+        ]
+    for u, c in terms:
+        c = -c if sign < 0 else c
+        for lo, hi, head, by_in in plan:
+            found = by_in.get(u // lo % d)
+            if found:
+                base = u // hi * head + u % lo
+                for y, cm in found:
+                    acc[base + y] = acc.get(base + y, 0) + c * cm
+
+
+def _right_into(acc: dict, index, k: int, terms, sign: int = 1) -> None:
+    """Add sign (+1 or -1) times R(phi) = mu * phi to acc, phi of arity k
+    given by its (column, c) terms and mu by index = _mu_index(mu): phi goes
+    into slot i (from 0) of mu with the comb sign (-1)^(i(k-1)), its input
+    digits between mu's head digits and mu's tail and output digits."""
+    d, n, _, by_slot, plans = index
+    plan = plans.get(("R", k))
+    if plan is None:
+        plan = plans["R", k] = [
+            (d ** (n - i), {
+                t: [(h * d ** (k + n - i) + rest, -c if i * (k - 1) % 2 else c)
+                    for h, rest, c in found]
+                for t, found in slot.items()
+            })
+            for i, slot in enumerate(by_slot)
+        ]
+    for u, c in terms:
+        c = -c if sign < 0 else c
+        x, j = divmod(u, d)
+        for weight, by_in in plan:
+            found = by_in.get(j)
+            if found:
+                base = x * weight
+                for rest, cm in found:
+                    acc[base + rest] = acc.get(base + rest, 0) + c * cm
 
 
 def _delta(index, terms, k: int) -> dict:
     """Terms of delta(phi) = (-1)^(k-1) R(phi) - L(phi), phi of arity k given
-    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
-    by_out, slots, n = index
+    by its (column, c) terms and mu by index = _mu_index(mu)."""
     acc: dict = {}
-    _insert_into(acc, slots, terms, -1 if (k - 1) % 2 else 1)
-    _insert_each_slot_into(acc, by_out, n, terms, -1)
+    _right_into(acc, index, k, terms, -1 if (k - 1) % 2 else 1)
+    _left_into(acc, index, k, terms, -1)
     return acc
 
 
-def _left_right(index, terms) -> tuple[list, list]:
-    """The nonzero terms of L(phi) = phi * mu and R(phi) = mu * phi, phi given
-    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
-    by_out, slots, n = index
+def _left_right(index, terms, k: int) -> tuple[list, list]:
+    """The nonzero terms of L(phi) = phi * mu and R(phi) = mu * phi, phi of
+    arity k given by its (column, c) terms and mu by index = _mu_index(mu)."""
     left, right = {}, {}
-    _insert_each_slot_into(left, by_out, n, terms)
-    _insert_into(right, slots, terms)
-    return [(key, c) for key, c in left.items() if c], [(key, c) for key, c in right.items() if c]
+    _left_into(left, index, k, terms)
+    _right_into(right, index, k, terms)
+    return [(u, c) for u, c in left.items() if c], [(u, c) for u, c in right.items() if c]
 
 
-def _chi(index, terms) -> tuple[dict, dict, dict]:
-    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi given
-    by its ((inputs, out), c) terms and mu by index = _mu_index(mu)."""
-    by_out, slots, n = index
-    left, right = _left_right(index, terms)
+def _chi(index, terms, k: int) -> tuple[dict, dict, dict]:
+    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi of arity
+    k given by its (column, c) terms and mu by index = _mu_index(mu)."""
+    left, right = _left_right(index, terms, k)
+    k += index[1] - 1
     ll, lr, rl = {}, {}, {}
-    _insert_each_slot_into(ll, by_out, n, left)
-    _insert_into(rl, slots, left)
-    _insert_each_slot_into(lr, by_out, n, right)
+    _left_into(ll, index, k, left)
+    _right_into(rl, index, k, left)
+    _left_into(lr, index, k, right)
     return ll, lr, rl
 
 
 def _odd_table(index, terms, k: int) -> tuple[dict, dict, dict, dict]:
     """Terms of L(L(phi)), R(L(phi)), R(R(phi)) and delta(phi), phi of arity
-    k given by its ((inputs, out), c) terms, from one L(phi) and one R(phi)."""
-    by_out, slots, n = index
-    left, right = _left_right(index, terms)
-    delta = {key: -c for key, c in left}
+    k given by its (column, c) terms, from one L(phi) and one R(phi)."""
+    left, right = _left_right(index, terms, k)
+    delta = {u: -c for u, c in left}
     sign = -1 if (k - 1) % 2 else 1
-    for key, c in right:
-        delta[key] = delta.get(key, 0) + sign * c
+    for u, c in right:
+        delta[u] = delta.get(u, 0) + sign * c
+    k += index[1] - 1
     ll, rl, rr = {}, {}, {}
-    _insert_each_slot_into(ll, by_out, n, left)
-    _insert_into(rl, slots, left)
-    _insert_into(rr, slots, right)
+    _left_into(ll, index, k, left)
+    _right_into(rl, index, k, left)
+    _right_into(rr, index, k, right)
     return ll, rl, rr, delta
 
 
@@ -130,16 +204,20 @@ def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
     """delta(phi), raising the arity by arity(mu) - 1."""
     if mu.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {phi.dim}")
-    acc = _delta(_mu_index(mu), phi.terms.items(), phi.arity)
-    return MultiMap(mu.dim, phi.arity + mu.arity - 1, acc)
+    arity = phi.arity + mu.arity - 1
+    acc = _delta(_mu_index(mu), _columns(phi), phi.arity)
+    return MultiMap(mu.dim, arity, _decoded(acc, mu.dim, arity))
 
 
 def chi_defects(mu: MultiMap, phi: MultiMap):
     """The three restriction axioms as defect maps, in display order."""
     if mu.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {phi.dim} vs {mu.dim}")
-    arity = phi.arity + 2 * (mu.arity - 1)
-    return tuple(MultiMap(mu.dim, arity, acc) for acc in _chi(_mu_index(mu), phi.terms.items()))
+    d, arity = mu.dim, phi.arity + 2 * (mu.arity - 1)
+    return tuple(
+        MultiMap(d, arity, _decoded(acc, d, arity))
+        for acc in _chi(_mu_index(mu), _columns(phi), phi.arity)
+    )
 
 
 def chi_membership(mu: MultiMap, phi: MultiMap) -> IdentityReport:
@@ -165,51 +243,45 @@ def odd_coboundary_checked(mu: MultiMap, phi: MultiMap) -> MultiMap:
     if not rep.holds:
         raise ValueError(f"cochain fails restriction axioms: {rep.witness}")
     out = coboundary(mu, phi)
-    assert chi_membership(mu, out).holds, "coboundary left the restricted space"
+    if not chi_membership(mu, out).holds:
+        raise AssertionError("coboundary left the restricted space")
     return out
 
 
-def _cochain_keys(d: int, arity: int) -> list[tuple]:
-    """The (inputs, out) coordinates of the arity-cochains in the order of
-    product(range(d), repeat=arity + 1): the matrix columns of every linear
-    map on them."""
-    return [(key[:-1], key[-1]) for key in product(range(d), repeat=arity + 1)]
-
-
 def _operator_rows(d: int, arity: int, images, blocks=(0,)) -> list[list[tuple]]:
-    """Distinct rows of linear maps on arity-cochains, over _cochain_keys.
+    """Distinct rows of linear maps on arity-cochains, over their columns.
 
-    images(x, j) is a tuple of {output key: coefficient} dicts, the images of
-    the unit cochain at (x, j) under maps linear in the cochain; each (image
-    index, output key with nonzero coefficient) gives one row, in order of
-    first appearance. Image idx goes to block blocks[idx]; one list of rows
-    is returned per block. The reduced echelon form is unique, so that order
+    images(u) is a tuple of {output column: coefficient} dicts, the images of
+    the unit cochain u under maps linear in the cochain; each (image index,
+    output column with nonzero coefficient) gives one row, in order of first
+    appearance. Image idx goes to block blocks[idx]; one list of rows is
+    returned per block. The reduced echelon form is unique, so that order
     cannot change a rank. Identical rows in a block are kept once: they add
     nothing to the rank and cost elimination time.
     """
     out: list[dict[tuple, dict[int, object]]] = [{} for _ in range(max(blocks) + 1)]
     rows_of = [out[b] for b in blocks]
-    for col, (x, j) in enumerate(_cochain_keys(d, arity)):
-        for idx, image in enumerate(images(x, j)):
+    for u in range(d ** (arity + 1)):
+        for idx, image in enumerate(images(u)):
             rows = rows_of[idx]
-            for out_key, c in image.items():
+            for col, c in image.items():
                 if c:
-                    rows.setdefault((idx, out_key), {})[col] = c
+                    rows.setdefault((idx, col), {})[u] = c
     return [list(dict.fromkeys(tuple(row.items()) for row in rows.values())) for rows in out]
 
 
 def coboundary_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of delta on the arity-cochains, over the unit cochains in
-    product order: the _delta of each unit cochain."""
+    column order: the _delta of each unit cochain."""
     index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda x, j: (_delta(index, (((x, j), 1),), arity),))[0]
+    return _operator_rows(mu.dim, arity, lambda u: (_delta(index, ((u, 1),), arity),))[0]
 
 
 def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
     """Distinct rows of the three chi axioms on the arity-cochains, over the
-    unit cochains in product order: the _chi of each unit cochain."""
+    unit cochains in column order: the _chi of each unit cochain."""
     index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda x, j: _chi(index, (((x, j), 1),)), (0, 0, 0))[0]
+    return _operator_rows(mu.dim, arity, lambda u: _chi(index, ((u, 1),), arity), (0, 0, 0))[0]
 
 
 def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
@@ -221,24 +293,21 @@ def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("multiplication is not partially associative")
     index = _mu_index(mu)
-    images = lambda x, j: _odd_table(index, (((x, j), 1),), arity)
+    images = lambda u: _odd_table(index, ((u, 1),), arity)
     return tuple(_operator_rows(mu.dim, arity, images, (0, 0, 0, 1)))
 
 
 def coboundary_image_rows(mu: MultiMap, arity: int, skip=frozenset()) -> list[list[tuple]]:
     """delta(e) for each unit arity-cochain e whose column is not in skip, in
-    product order, as a sorted row of nonzero entries over the
+    column order, as a sorted row of nonzero entries over the
     (arity + n - 1)-cochain columns: the transpose of coboundary_rows, less
     the skipped columns."""
-    d, index = mu.dim, _mu_index(mu)
-    # the column of (x, j) is x's digits in base d followed by j
-    weights = [d ** k for k in range(arity + mu.arity - 1, 0, -1)]
-    rows = []
-    for col, unit in enumerate(_cochain_keys(d, arity)):
-        if col not in skip:
-            image = _delta(index, ((unit, 1),), arity).items()
-            rows.append(sorted((sum(map(mul, x, weights)) + j, c) for (x, j), c in image if c))
-    return rows
+    index = _mu_index(mu)
+    return [
+        sorted(term for term in _delta(index, ((u, 1),), arity).items() if term[1])
+        for u in range(mu.dim ** (arity + 1))
+        if u not in skip
+    ]
 
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
@@ -246,18 +315,17 @@ def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap
     odd arity (even arity restricts nothing).
 
     The three axioms are linear in phi, so the space is the kernel of one
-    stacked constraint matrix over the cochain coordinates, and each vector
-    of its kernel_basis is one basis cochain.
+    stacked constraint matrix over the cochain columns, and each vector of
+    its kernel_basis is one basis cochain.
     """
     if mu.arity % 2 == 0:
         raise ValueError("restricted cochain space needs a map of odd arity")
     d = mu.dim
     _check_cap(d, arity, cap)
-    keys = _cochain_keys(d, arity)
     equations = chi_rows(mu, arity)
     return [
-        MultiMap(d, arity, {keys[col]: x for col, x in vec.items()})
-        for vec in kernel_basis(SparseMatrix(len(keys), equations)).values()
+        MultiMap(d, arity, _decoded(vec, d, arity))
+        for vec in kernel_basis(SparseMatrix(d ** (arity + 1), equations)).values()
     ]
 
 

@@ -6,12 +6,12 @@ The module implements the comb-insertion f at slot i, the signed insertion
 sum f * g, the partial associativity defect A(mu), the theta operator, the
 shuffle Jacobi sum, and the degree-7 composition identities for ternary
 multiplications. A tensor word of maps composes as a series of insertions.
-Every insertion runs on one of two loops with the comb signs: _insert_into
-(g's terms into a slot index of f; insert_at, gprod, the graded products)
-and _insert_each_slot_into (an output index of g into every slot of f's
-terms). The slot index, the pre-Lie symmetry and the composition-relation
-walk also serve the graded calculus in graded.py, which adds a Koszul sign;
-on a space concentrated in degree 0 that sign is +1.
+Every insertion of one MultiMap into another runs on one loop with the
+comb signs, _insert_into (g's terms into a slot index of f; insert_at, gprod,
+the graded products); cohomology runs its operators on cochain columns with
+loops of its own. The slot index, the pre-Lie symmetry and the
+composition-relation walk also serve the graded calculus in graded.py, which
+adds a Koszul sign; on a space concentrated in degree 0 that sign is +1.
 MultiMap.apply is the one evaluation on sparse coordinate vectors, and
 _permute_into the one argument-permutation kernel.
 """
@@ -260,22 +260,6 @@ def _insert_into(acc: dict, index: list[dict], terms, sign: int = 1) -> None:
                 for head, tail, j, cf in found:
                     key = (head + y + tail, j)
                     acc[key] = acc.get(key, 0) + s * cf
-
-
-def _insert_each_slot_into(acc: dict, by_out: dict, l: int, terms, sign: int = 1) -> None:
-    """Add sign (+1 or -1) times f * g to acc, f given by its ((inputs, out),
-    c) terms and g of arity l by by_out, its terms keyed by output as
-    (inputs, c): g goes into each slot i of f with sign (-1)^((i-1)(l-1))."""
-    for (x, j), c in terms:
-        c = -c if sign < 0 else c
-        for i, t in enumerate(x):
-            found = by_out.get(t)
-            if found:
-                s = -c if i * (l - 1) % 2 else c
-                head, tail = x[:i], x[i + 1:]
-                for y, cg in found:
-                    key = (head + y + tail, j)
-                    acc[key] = acc.get(key, 0) + s * cg
 
 
 def _inserted(f: MultiMap, g: MultiMap, slots, degrees=(), g_degree: int = 0) -> dict:

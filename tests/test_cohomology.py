@@ -174,6 +174,18 @@ def test_odd_coboundary_preconditions():
         odd_coboundary_checked(not_pa, MultiMap.zero(2, 2))
 
 
+def test_odd_coboundary_checked_raises_when_coboundary_leaves_chi(monkeypatch):
+    # the post-condition is an explicit raise, kept under python -O: a
+    # coboundary that returns a cochain outside chi must trip it
+    rng = random.Random(41)
+    mu = square_zero_map(rng, 4, 3, 2)
+    outsider = random_multimap(rng, 4, 4, density=0.6)
+    assert not chi_membership(mu, outsider).holds
+    monkeypatch.setattr(cohomology, "coboundary", lambda mu, phi: outsider)
+    with pytest.raises(AssertionError, match="coboundary left the restricted space"):
+        odd_coboundary_checked(mu, mu)
+
+
 def test_cohomology_dims_zero_multiplication():
     table = cohomology_dims(MultiMap.zero(2, 2), 0, 3)
     assert [s.arity_in for s in table.steps] == [1, 2, 3]
@@ -474,6 +486,7 @@ def sparse_fraction_map(rng, d, n):
 def operator_oracle_maps():
     rng = random.Random(20261018)
     maps = [sparse_fraction_map(rng, d, n) for d in (1, 2, 3) for n in (2, 3, 4)]
+    maps += [sparse_fraction_map(rng, d, 5) for d in (1, 2, 3)]
     return maps + [matrix2(), nilpotent_ternary()]
 
 
@@ -504,13 +517,16 @@ def sparse_fraction_cochain(rng, d, k):
 
 def test_coboundary_and_chi_defects_match_gprod_formulas():
     # delta = (-1)^(k-1) mu * phi - phi * mu and the axioms (phi*mu)*mu,
-    # (mu*phi)*mu, mu*(phi*mu), written out here with gprod
+    # (mu*phi)*mu, mu*(phi*mu), written out here with gprod; n = 5 and
+    # k = 4 insert into five slots, and the zero cochain has no terms to
+    # encode
     rng = random.Random(20261019)
     for d in (1, 2, 3):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             mu = sparse_fraction_map(rng, d, n)
-            for k in (1, 2, 3):
-                phi = sparse_fraction_cochain(rng, d, k)
+            cochains = [sparse_fraction_cochain(rng, d, k) for k in (1, 2, 3, 4)]
+            for phi in cochains + [MultiMap.zero(d, 2)]:
+                k = phi.arity
                 sign = -1 if (k - 1) % 2 else 1
                 delta = gprod(mu, phi).scale(sign) - gprod(phi, mu)
                 got = coboundary(mu, phi)
@@ -661,7 +677,7 @@ def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
     # coboundary_rows; the even table makes delta's two loops per unit
     # cochain outside the previous image's pivots
     calls = []
-    for name in ("_insert_into", "_insert_each_slot_into", "chi_rows", "coboundary_rows"):
+    for name in ("_left_into", "_right_into", "chi_rows", "coboundary_rows"):
         original = getattr(cohomology, name)
         monkeypatch.setattr(
             cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
@@ -670,15 +686,15 @@ def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
     assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]
     assert "chi_rows" not in calls and "coboundary_rows" not in calls
     units = sum(2 ** (s.arity_in + 1) for s in odd.steps)
-    # L and L(L) on the output-indexed loop; R, R(L) and R(R) on the slot one
-    assert calls.count("_insert_each_slot_into") == 2 * units
-    assert calls.count("_insert_into") == 3 * units and len(calls) == 5 * units
+    # L and L(L) on the column loop of L; R, R(L) and R(R) on that of R
+    assert calls.count("_left_into") == 2 * units
+    assert calls.count("_right_into") == 3 * units and len(calls) == 5 * units
     calls.clear()
     even = cohomology_dims(matrix2(), 0, 4)
     assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
     built = sum(4 ** (s.arity_in + 1) - s.dim_im_prev for s in even.steps)
     assert "coboundary_rows" not in calls
-    assert calls.count("_insert_into") == calls.count("_insert_each_slot_into") == built
+    assert calls.count("_right_into") == calls.count("_left_into") == built
     assert len(calls) == 2 * built
 
 
