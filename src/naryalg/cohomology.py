@@ -2,12 +2,29 @@
 
 One formula serves both parities of n: delta(phi) = (-1)^(k-1) mu * phi -
 phi * mu with k = arity(phi). For even n it squares to zero on all cochains;
-for odd n only on the restricted space chi cut out by three linear axioms.
+for odd n only on the restricted space chi cut out by three linear axioms,
+(phi*mu)*mu, (mu*phi)*mu and mu*(phi*mu).
 
-The odd tables need no basis of chi: with C the axioms and D the
-coboundary as rows over the cochain columns, dim ker = space - rank [C; D]
-and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C. Both ranks
-come from one elimination, exactnum.stacked_ranks.
+There is one kernel per key type. A MultiMap cochain goes through
+gerstenhaber's tuple-keyed insertion kernel: coboundary is two _insert_into
+calls into one dict, chi_defects the three gprod composites. The tables run
+on integer cochain columns: the column of the coordinate (x, j) of an
+arity-k cochain is the base-d number with the digits of x followed by j,
+its place in product(range(d), repeat=k + 1), so the unit cochains are the
+columns 0..d^(k+1)-1. Two column loops, L(phi) = phi * mu (_left_into) and
+R(phi) = mu * phi (_right_into), take mu's terms indexed once (_mu_index)
+and each unit cochain's column, so the tables build no map per cochain.
+
+The odd tables (table_rows) need no basis of chi: with C the axioms and D
+the coboundary as rows over the cochain columns, dim ker = space - rank
+[C; D] and, by rank-nullity, dim delta(chi) = rank [C; D] - rank C, both
+from one elimination (exactnum.stacked_ranks). C holds the rows of
+L(L(phi)), R(L(phi)) and R(R(phi)), not those of the axioms L(L), L(R) and
+R(L): for odd n and mu * mu = 0, Gerstenhaber's pre-Lie identity gives
+(mu*phi)*mu - mu*(phi*mu) = -mu*(mu*phi), that is L(R) = R(L) - R(R) row by
+row, so both sets span one row space. R(R(phi)) inserts into n slots where
+L(R(phi)) inserts into arity + n - 1, and one L and one R per unit cochain
+give delta too. chi_basis is the kernel of C, so it needs mu * mu = 0 too.
 
 The even tables rank delta on its transpose, one row delta(e) per unit
 cochain e (coboundary_image_rows), skipping each e at a pivot column of the
@@ -15,23 +32,6 @@ previous arity's image. delta vanishes on that image, and the unit cochains
 off the pivots of an echelon basis of it span a complement, so the rows
 left have rank delta. They span the image itself, so their pivots, found by
 forward elimination alone (exactnum.echelon_pivots), are the next skip.
-
-Every operator here runs on cochain columns: the column of the coordinate
-(x, j) of an arity-k cochain is the base-d number with the digits of x
-followed by j, its place in product(range(d), repeat=k + 1), so the unit
-cochains are the columns 0..d^(k+1)-1. L(phi) = phi * mu (_left_into) and
-R(phi) = mu * phi (_right_into) are the two column loops, on mu's terms
-indexed once (_mu_index) and a cochain phi given by its (column, c) terms;
-the MultiMap functions encode phi's terms and decode the result. delta =
-(-1)^(k-1) R - L (_delta) and the paper's axioms are L(L(phi)), L(R(phi))
-and R(L(phi)) (_chi), which the chi_* functions keep. The table
-(table_rows) ranks L(L(phi)), R(L(phi)) and R(R(phi)) instead: for odd n
-and mu * mu = 0, Gerstenhaber's pre-Lie identity gives (mu*phi)*mu -
-mu*(phi*mu) = -mu*(mu*phi), that is L(R) = R(L) - R(R) row by row, so both
-sets span one row space. R(R(phi)) inserts into n slots where L(R(phi))
-inserts into arity + n - 1, and one L and one R per unit cochain give delta
-too. The tables feed the loops each unit cochain's column, so they build no
-map per cochain.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exactnum import SparseMatrix, echelon_pivots, kernel_basis, stacked_ranks
-from .gerstenhaber import IdentityReport, MultiMap, partial_assoc_defect
+from .gerstenhaber import (
+    IdentityReport, MultiMap, _insert_into, _slot_index, gprod, partial_assoc_defect,
+)
 
 DEFAULT_CAP = 20000
 
@@ -71,11 +73,6 @@ def _value(digits, d: int) -> int:
     for t in digits:
         v = v * d + t
     return v
-
-
-def _columns(phi: MultiMap) -> list:
-    """phi's terms as (column, c)."""
-    return [(_value(x + (j,), phi.dim), c) for (x, j), c in phi.terms.items()]
 
 
 def _decoded(acc: dict, d: int, arity: int) -> dict:
@@ -163,31 +160,14 @@ def _delta(index, terms, k: int) -> dict:
     return acc
 
 
-def _left_right(index, terms, k: int) -> tuple[list, list]:
-    """The nonzero terms of L(phi) = phi * mu and R(phi) = mu * phi, phi of
-    arity k given by its (column, c) terms and mu by index = _mu_index(mu)."""
-    left, right = {}, {}
-    _left_into(left, index, k, terms)
-    _right_into(right, index, k, terms)
-    return [(u, c) for u, c in left.items() if c], [(u, c) for u, c in right.items() if c]
-
-
-def _chi(index, terms, k: int) -> tuple[dict, dict, dict]:
-    """Terms of the three axioms L(L(phi)), L(R(phi)), R(L(phi)), phi of arity
-    k given by its (column, c) terms and mu by index = _mu_index(mu)."""
-    left, right = _left_right(index, terms, k)
-    k += index[1] - 1
-    ll, lr, rl = {}, {}, {}
-    _left_into(ll, index, k, left)
-    _right_into(rl, index, k, left)
-    _left_into(lr, index, k, right)
-    return ll, lr, rl
-
-
 def _odd_table(index, terms, k: int) -> tuple[dict, dict, dict, dict]:
     """Terms of L(L(phi)), R(L(phi)), R(R(phi)) and delta(phi), phi of arity
     k given by its (column, c) terms, from one L(phi) and one R(phi)."""
-    left, right = _left_right(index, terms, k)
+    left, right = {}, {}
+    _left_into(left, index, k, terms)
+    _right_into(right, index, k, terms)
+    left = [(u, c) for u, c in left.items() if c]
+    right = [(u, c) for u, c in right.items() if c]
     delta = {u: -c for u, c in left}
     sign = -1 if (k - 1) % 2 else 1
     for u, c in right:
@@ -201,23 +181,23 @@ def _odd_table(index, terms, k: int) -> tuple[dict, dict, dict, dict]:
 
 
 def coboundary(mu: MultiMap, phi: MultiMap) -> MultiMap:
-    """delta(phi), raising the arity by arity(mu) - 1."""
+    """delta(phi), raising the arity by arity(mu) - 1: both signed insertion
+    sums go into one dict."""
     if mu.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {phi.dim}")
-    arity = phi.arity + mu.arity - 1
-    acc = _delta(_mu_index(mu), _columns(phi), phi.arity)
-    return MultiMap(mu.dim, arity, _decoded(acc, mu.dim, arity))
+    k = phi.arity
+    acc: dict = {}
+    _insert_into(acc, _slot_index(mu, range(1, mu.arity + 1)), phi.terms.items(),
+                 -1 if (k - 1) % 2 else 1)
+    _insert_into(acc, _slot_index(phi, range(1, k + 1)), mu.terms.items(), -1)
+    return MultiMap(mu.dim, k + mu.arity - 1, acc)
 
 
 def chi_defects(mu: MultiMap, phi: MultiMap):
-    """The three restriction axioms as defect maps, in display order."""
-    if mu.dim != phi.dim:
-        raise ValueError(f"dimension mismatch: {phi.dim} vs {mu.dim}")
-    d, arity = mu.dim, phi.arity + 2 * (mu.arity - 1)
-    return tuple(
-        MultiMap(d, arity, _decoded(acc, d, arity))
-        for acc in _chi(_mu_index(mu), _columns(phi), phi.arity)
-    )
+    """The three restriction axioms (phi*mu)*mu, (mu*phi)*mu and
+    mu*(phi*mu) as defect maps, in display order."""
+    pm = gprod(phi, mu)
+    return gprod(pm, mu), gprod(gprod(mu, phi), mu), gprod(mu, pm)
 
 
 def chi_membership(mu: MultiMap, phi: MultiMap) -> IdentityReport:
@@ -248,60 +228,45 @@ def odd_coboundary_checked(mu: MultiMap, phi: MultiMap) -> MultiMap:
     return out
 
 
-def _operator_rows(d: int, arity: int, images, blocks=(0,)) -> list[list[tuple]]:
-    """Distinct rows of linear maps on arity-cochains, over their columns.
-
-    images(u) is a tuple of {output column: coefficient} dicts, the images of
-    the unit cochain u under maps linear in the cochain; each (image index,
-    output column with nonzero coefficient) gives one row, in order of first
-    appearance. Image idx goes to block blocks[idx]; one list of rows is
-    returned per block. The reduced echelon form is unique, so that order
-    cannot change a rank. Identical rows in a block are kept once: they add
-    nothing to the rank and cost elimination time.
-    """
-    out: list[dict[tuple, dict[int, object]]] = [{} for _ in range(max(blocks) + 1)]
-    rows_of = [out[b] for b in blocks]
-    for u in range(d ** (arity + 1)):
-        for idx, image in enumerate(images(u)):
-            rows = rows_of[idx]
-            for col, c in image.items():
-                if c:
-                    rows.setdefault((idx, col), {})[u] = c
-    return [list(dict.fromkeys(tuple(row.items()) for row in rows.values())) for rows in out]
-
-
-def coboundary_rows(mu: MultiMap, arity: int) -> list[tuple]:
-    """Distinct rows of delta on the arity-cochains, over the unit cochains in
-    column order: the _delta of each unit cochain."""
-    index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda u: (_delta(index, ((u, 1),), arity),))[0]
-
-
-def chi_rows(mu: MultiMap, arity: int) -> list[tuple]:
-    """Distinct rows of the three chi axioms on the arity-cochains, over the
-    unit cochains in column order: the _chi of each unit cochain."""
-    index = _mu_index(mu)
-    return _operator_rows(mu.dim, arity, lambda u: _chi(index, ((u, 1),), arity), (0, 0, 0))[0]
+def _check_arity(arity) -> None:
+    if type(arity) is not int or arity < 1:
+        raise ValueError(f"cochain arity must be an integer of at least 1, got {arity!r}")
 
 
 def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
     """The row blocks (C, D) cohomology_dims ranks at one arity for mu of odd
-    arity: C cuts out chi, as the distinct rows of L(L), R(L) and R(R), and D
-    is the distinct rows of delta. mu must be partially associative."""
+    arity, over the unit cochains in column order: C cuts out chi, as the
+    rows of L(L), R(L) and R(R), and D is the rows of delta. mu must be
+    partially associative. Each (image, nonzero output column) of _odd_table
+    gives one row, in order of first appearance, which cannot change a rank;
+    identical rows in a block are kept once, as they add nothing to it."""
+    _check_arity(arity)
     if mu.arity % 2 == 0:
         raise ValueError("restricted cochain space needs a map of odd arity")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("multiplication is not partially associative")
     index = _mu_index(mu)
-    images = lambda u: _odd_table(index, ((u, 1),), arity)
-    return tuple(_operator_rows(mu.dim, arity, images, (0, 0, 0, 1)))
+    constraints: dict[tuple, dict] = {}
+    delta: dict[tuple, dict] = {}
+    rows_of = (constraints, constraints, constraints, delta)
+    for u in range(mu.dim ** (arity + 1)):
+        for idx, image in enumerate(_odd_table(index, ((u, 1),), arity)):
+            rows = rows_of[idx]
+            for col, c in image.items():
+                if c:
+                    rows.setdefault((idx, col), {})[u] = c
+    return tuple(
+        list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
+        for rows in (constraints, delta)
+    )
 
 
 def coboundary_image_rows(mu: MultiMap, arity: int, skip=frozenset()) -> list[list[tuple]]:
     """delta(e) for each unit arity-cochain e whose column is not in skip, in
     column order, as a sorted row of nonzero entries over the
-    (arity + n - 1)-cochain columns: the transpose of coboundary_rows, less
-    the skipped columns."""
+    (arity + n - 1)-cochain columns: the rows of the transpose of delta's
+    matrix, less the skipped columns."""
+    _check_arity(arity)
     index = _mu_index(mu)
     return [
         sorted(term for term in _delta(index, ((u, 1),), arity).items() if term[1])
@@ -312,17 +277,15 @@ def coboundary_image_rows(mu: MultiMap, arity: int, skip=frozenset()) -> list[li
 
 def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap]:
     """Basis of the restricted cochain space at the given arity, for mu of
-    odd arity (even arity restricts nothing).
-
-    The three axioms are linear in phi, so the space is the kernel of one
-    stacked constraint matrix over the cochain columns, and each vector of
-    its kernel_basis is one basis cochain.
-    """
+    odd arity (even arity restricts nothing) that is partially associative:
+    one cochain per kernel_basis vector of table_rows' constraint block C,
+    which spans the three axioms' rows for such a mu."""
+    _check_arity(arity)
     if mu.arity % 2 == 0:
         raise ValueError("restricted cochain space needs a map of odd arity")
     d = mu.dim
     _check_cap(d, arity, cap)
-    equations = chi_rows(mu, arity)
+    equations = table_rows(mu, arity)[0]
     return [
         MultiMap(d, arity, _decoded(vec, d, arity))
         for vec in kernel_basis(SparseMatrix(d ** (arity + 1), equations)).values()

@@ -6,8 +6,8 @@ exceptions, gprod_coboundary, gprod_chi_defects, restricted_table and
 gprod_operator_rows, take their maps from the package's gprod and check
 only what is built from them: delta and the chi axioms as gprod formulas,
 the linear algebra, and the operator rows of one gprod-built map per unit
-cochain. The package's own coboundary and chi_defects run on the insertion
-loops its tables use, so the oracles build both from gprod instead.
+cochain. The package's tables run on column loops of their own, and
+gprod_operator_rows gives the literal rows they are compared with.
 scanned_live_codes takes the package's code list and one-node preimages
 and checks how the live codes are found: it tests every code of the
 component, not only those built from the support of the degree below.

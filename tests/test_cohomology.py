@@ -14,10 +14,8 @@ from naryalg.cohomology import (
     chi_basis,
     chi_defects,
     chi_membership,
-    chi_rows,
     coboundary,
     coboundary_image_rows,
-    coboundary_rows,
     cohomology_dims,
     odd_coboundary_checked,
     table_rows,
@@ -490,20 +488,41 @@ def operator_oracle_maps():
     return maps + [matrix2(), nilpotent_ternary()]
 
 
+def by_column(m):
+    """m's terms keyed by cochain column: the base-d number with the digits
+    of the inputs followed by the output."""
+    out = {}
+    for (x, j), c in m.terms.items():
+        v = 0
+        for t in x + (j,):
+            v = v * m.dim + t
+        out[v] = c
+    return out
+
+
 @pytest.mark.parametrize("mu", operator_oracle_maps(), ids=repr)
 def test_operator_rows_match_gprod_oracle(mu):
     # every arity whose cochain space d^(a+1) is at most 512, a dimension of
-    # 1 counted as 2 as the cap does; compared as row sets, since the row
-    # order cannot change a rank
+    # 1 counted as 2 as the cap does. The even table's rows, transposed, are
+    # delta's rows as a set, since the row order cannot change a rank; the
+    # odd table's four images of each unit cochain e are the gprod
+    # composites (e*mu)*mu, mu*(e*mu), mu*(mu*e) and delta(e), whatever mu is
     d = mu.dim
+    index = cohomology._mu_index(mu)
     arities = [a for a in range(1, 10) if max(d, 2) ** (a + 1) <= 512]
     for a in arities:
-        got = coboundary_rows(mu, a)
+        got = transposed_rows(coboundary_image_rows(mu, a))
         oracle = gprod_operator_rows(d, a, lambda e: (gprod_coboundary(mu, e),))
-        assert len(got) == len(oracle) and set(got) == set(oracle), ("delta", a)
-        got = chi_rows(mu, a)
-        oracle = gprod_operator_rows(d, a, lambda e: gprod_chi_defects(mu, e))
-        assert len(got) == len(oracle) and set(got) == set(oracle), ("chi", a)
+        assert got == set(oracle), ("delta", a)
+        for u, key in enumerate(product(range(d), repeat=a + 1)):
+            e = MultiMap(d, a, {(key[:-1], key[-1]): 1})
+            em = gprod(e, mu)
+            expect = (gprod(em, mu), gprod(mu, em), gprod(mu, gprod(mu, e)),
+                      gprod_coboundary(mu, e))
+            images = cohomology._odd_table(index, ((u, 1),), a)
+            assert [{col: c for col, c in image.items() if c} for image in images] == [
+                by_column(m) for m in expect
+            ], ("odd table", a, key)
 
 
 def sparse_fraction_cochain(rng, d, k):
@@ -544,11 +563,12 @@ def test_coboundary_and_chi_defects_match_gprod_formulas():
 
 
 def test_cohomology_tables_build_no_map_per_cochain(monkeypatch):
-    # the table path feeds unit cochains to the operators as terms: no
-    # MultiMap is built in cohomology and no coboundary or chi_defects call
-    # is made, per unit cochain or at all
+    # the table path feeds unit cochains to the column loops: no MultiMap is
+    # built in cohomology, and neither the MultiMap operators nor the
+    # tuple-keyed insertion kernel is reached through it, per unit cochain
+    # or at all
     calls = []
-    for name in ("MultiMap", "coboundary", "chi_defects"):
+    for name in ("MultiMap", "coboundary", "chi_defects", "gprod", "_insert_into", "_slot_index"):
         original = getattr(cohomology, name)
         monkeypatch.setattr(
             cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
@@ -558,6 +578,15 @@ def test_cohomology_tables_build_no_map_per_cochain(monkeypatch):
     assert calls == []
     assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
     assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]
+    # chi_basis is the kernel of the odd table's constraint block: its cap
+    # check still comes before the table, and the table's precondition holds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        chi_basis(one_dim_product(3), 10**6)
+    assert time.perf_counter() - start < 1
+    assert not partial_assoc_defect(one_dim_product(3)).is_zero()
+    with pytest.raises(ValueError, match="not partially associative"):
+        chi_basis(one_dim_product(3), 2)
 
 
 def transported(mu, g, g_inv):
@@ -614,7 +643,8 @@ def test_prelie_identity_for_odd_partially_associative_products():
 
 def transposed_rows(rows):
     """The distinct nonzero rows of the transpose of rows, the r-th row being
-    column r, each as the (column, coefficient) tuple coboundary_rows makes."""
+    column r, each as the (column, coefficient) tuple gprod_operator_rows
+    makes."""
     cols: dict[int, dict] = {}
     for r, row in enumerate(rows):
         for c, v in row:
@@ -637,17 +667,18 @@ def transposed_rows(rows):
     ids=repr,
 )
 def test_table_rows_match_literal_axiom_rows(mu):
-    # every arity whose cochain space d^(a+1) has at most 512 columns. For odd
-    # n the table's blocks rank like the paper's axioms stacked on delta, and
-    # its delta block is exactly coboundary_rows. For even n the table ranks
-    # coboundary_image_rows, one row delta(e) per unit cochain e: the
-    # transpose of coboundary_rows, and a skipped column drops its row. The
-    # table passes those rows on unchecked, so they must already be the
-    # sorted, in-range, zero-free rows SparseMatrix makes
+    # every arity whose cochain space d^(a+1) has at most 512 columns, the
+    # literal rows built from gprod. For odd n the table's blocks rank like
+    # the paper's axioms stacked on delta, and its delta block is exactly
+    # delta's rows. For even n the table ranks coboundary_image_rows, one row
+    # delta(e) per unit cochain e: the transpose of delta's rows, and a
+    # skipped column drops its row. The table passes those rows on
+    # unchecked, so they must already be the sorted, in-range, zero-free
+    # rows SparseMatrix makes
     d, n = mu.dim, mu.arity
     for a in [a for a in range(1, 10) if d ** (a + 1) <= 512]:
         space = d ** (a + 1)
-        literal_delta = coboundary_rows(mu, a)
+        literal_delta = gprod_operator_rows(d, a, lambda e: (gprod_coboundary(mu, e),))
         if n % 2 == 0:
             image = coboundary_image_rows(mu, a)
             assert len(image) == space and transposed_rows(image) == set(literal_delta), a
@@ -657,7 +688,7 @@ def test_table_rows_match_literal_axiom_rows(mu):
             assert coboundary_image_rows(mu, a, skip) == kept, a
             continue
         constraints, delta = table_rows(mu, a)
-        literal = (chi_rows(mu, a), literal_delta)
+        literal = (gprod_operator_rows(d, a, lambda e: gprod_chi_defects(mu, e)), literal_delta)
         assert stacked_ranks(space, (constraints, delta)) == stacked_ranks(space, literal), a
         assert len(delta) == len(literal_delta) and set(delta) == set(literal_delta), a
 
@@ -672,19 +703,37 @@ def test_table_rows_rejects_non_partially_associative():
         table_rows(matrix2(), 2)
 
 
+@pytest.mark.parametrize("arity", [-1, 0, 1.0, True, "2", None], ids=repr)
+def test_cochain_arity_must_be_a_positive_int(arity, monkeypatch):
+    # one ValueError before any work: no insertion loop runs and chi_basis
+    # reaches neither its cap check nor the elimination
+    def forbidden(*args):
+        raise AssertionError("work done before the arity check")
+
+    for name in ("_mu_index", "_check_cap", "partial_assoc_defect"):
+        monkeypatch.setattr(cohomology, name, forbidden)
+    odd = random_square_zero(2, 3, 1, 1)
+    for call in (
+        lambda: table_rows(odd, arity),
+        lambda: coboundary_image_rows(matrix2(), arity),
+        lambda: chi_basis(odd, arity),
+    ):
+        with pytest.raises(ValueError, match="cochain arity must be an integer of at least 1"):
+            call()
+
+
 def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
-    # L, R, L(L), R(L), R(R) per unit cochain, through neither chi_rows nor
-    # coboundary_rows; the even table makes delta's two loops per unit
-    # cochain outside the previous image's pivots
+    # L, R, L(L), R(L), R(R) per unit cochain and no other column loop; the
+    # even table makes delta's two loops per unit cochain outside the
+    # previous image's pivots
     calls = []
-    for name in ("_left_into", "_right_into", "chi_rows", "coboundary_rows"):
+    for name in ("_left_into", "_right_into"):
         original = getattr(cohomology, name)
         monkeypatch.setattr(
             cohomology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
         )
     odd = cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 4)
     assert [s.dim_H for s in odd.steps] == [3, 6, 16, 46]
-    assert "chi_rows" not in calls and "coboundary_rows" not in calls
     units = sum(2 ** (s.arity_in + 1) for s in odd.steps)
     # L and L(L) on the column loop of L; R, R(L) and R(R) on that of R
     assert calls.count("_left_into") == 2 * units
@@ -693,21 +742,22 @@ def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
     even = cohomology_dims(matrix2(), 0, 4)
     assert [s.dim_H for s in even.steps] == [3, 0, 0, 0]
     built = sum(4 ** (s.arity_in + 1) - s.dim_im_prev for s in even.steps)
-    assert "coboundary_rows" not in calls
     assert calls.count("_right_into") == calls.count("_left_into") == built
     assert len(calls) == 2 * built
 
 
 def literal_even_table(mu, slot, steps):
     """cohomology_dims' steps from the full delta rows: rank delta at each
-    arity of the row as stacked_ranks(space, ([], coboundary_rows(mu, a)))."""
+    arity of the row as stacked_ranks(space, ([], rows)), the rows of delta
+    built from gprod by gprod_operator_rows."""
     d, n = mu.dim, mu.arity
     k0 = 0 if slot >= 1 else 1
     out, prev = [], 0
     for k in range(k0, k0 + steps):
         a = slot + k * (n - 1)
         space = d ** (a + 1)
-        _, rank = stacked_ranks(space, ([], coboundary_rows(mu, a)))
+        rows = gprod_operator_rows(d, a, lambda e: (gprod_coboundary(mu, e),))
+        _, rank = stacked_ranks(space, ([], rows))
         out.append({"arity_in": a, "dim_ker": space - rank, "dim_im_prev": prev,
                     "dim_H": space - rank - prev})
         prev = rank
