@@ -32,6 +32,8 @@ previous arity's image. delta vanishes on that image, and the unit cochains
 off the pivots of an echelon basis of it span a complement, so the rows
 left have rank delta. They span the image itself, so their pivots, found by
 forward elimination alone (exactnum.echelon_pivots), are the next skip.
+The rows of both parities are built sorted, in range and free of zeros, so
+they reach the elimination through SparseMatrix._of_clean, unchecked.
 """
 
 from __future__ import annotations
@@ -237,27 +239,27 @@ def table_rows(mu: MultiMap, arity: int) -> tuple[list[tuple], list[tuple]]:
     """The row blocks (C, D) cohomology_dims ranks at one arity for mu of odd
     arity, over the unit cochains in column order: C cuts out chi, as the
     rows of L(L), R(L) and R(R), and D is the rows of delta. mu must be
-    partially associative. Each (image, nonzero output column) of _odd_table
-    gives one row, in order of first appearance, which cannot change a rank;
-    identical rows in a block are kept once, as they add nothing to it."""
+    partially associative. Each image of _odd_table scatters into its own
+    dict of rows keyed by output column; C takes its three images' rows in
+    turn, each in order of first appearance, which cannot change a rank.
+    Identical rows in a block are kept once, as they add nothing to it. The
+    rows are sorted and zero-free as built, for SparseMatrix._of_clean."""
     _check_arity(arity)
     if mu.arity % 2 == 0:
         raise ValueError("restricted cochain space needs a map of odd arity")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("multiplication is not partially associative")
     index = _mu_index(mu)
-    constraints: dict[tuple, dict] = {}
-    delta: dict[tuple, dict] = {}
-    rows_of = (constraints, constraints, constraints, delta)
+    images = ({}, {}, {}, {})  # per image, {output column: {unit column: c}}
     for u in range(mu.dim ** (arity + 1)):
-        for idx, image in enumerate(_odd_table(index, ((u, 1),), arity)):
-            rows = rows_of[idx]
+        for rows, image in zip(images, _odd_table(index, ((u, 1),), arity)):
             for col, c in image.items():
                 if c:
-                    rows.setdefault((idx, col), {})[u] = c
+                    rows.setdefault(col, {})[u] = c
+    *axioms, delta = images
     return tuple(
-        list(dict.fromkeys(tuple(row.items()) for row in rows.values()))
-        for rows in (constraints, delta)
+        list(dict.fromkeys(tuple(row.items()) for rows in block for row in rows.values()))
+        for block in (axioms, (delta,))
     )
 
 
@@ -285,10 +287,9 @@ def chi_basis(mu: MultiMap, arity: int, cap: int = DEFAULT_CAP) -> list[MultiMap
         raise ValueError("restricted cochain space needs a map of odd arity")
     d = mu.dim
     _check_cap(d, arity, cap)
-    equations = table_rows(mu, arity)[0]
+    equations = SparseMatrix._of_clean(d ** (arity + 1), table_rows(mu, arity)[0])
     return [
-        MultiMap(d, arity, _decoded(vec, d, arity))
-        for vec in kernel_basis(SparseMatrix(d ** (arity + 1), equations)).values()
+        MultiMap(d, arity, _decoded(vec, d, arity)) for vec in kernel_basis(equations).values()
     ]
 
 
@@ -357,10 +358,12 @@ def cohomology_dims(
     pivots = frozenset()
     for a in arities[:-1]:
         space = d ** a * d
+        # the rows are sorted, in range and without zeros as built
         if n % 2:
-            rank_c, rank_cd = stacked_ranks(space, table_rows(mu, a))
+            rank_c, rank_cd = stacked_ranks(
+                SparseMatrix._of_clean(space, rows) for rows in table_rows(mu, a)
+            )
         else:
-            # the rows are sorted, in range and without zeros as built
             rows = coboundary_image_rows(mu, a, pivots)
             pivots = frozenset(echelon_pivots(SparseMatrix._of_clean(space * d ** (n - 1), rows)))
             rank_c, rank_cd = 0, len(pivots)

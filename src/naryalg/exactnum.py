@@ -8,6 +8,9 @@ primitive integer rows into pivot rows that stay reduced against each
 other, and turn into exact scalars only once reduced, as ints where the
 denominator is 1. Where only ranks are read, stacked_ranks makes no
 Fractions; where only pivots are, echelon_pivots eliminates forward alone.
+Clearing column c against a one-entry pivot row, e_c up to sign, is a
+delete. Rows are validated once, where a SparseMatrix is built (_of_clean
+takes them as clean); the eliminations read them as they are.
 """
 
 from __future__ import annotations
@@ -159,16 +162,30 @@ def _forward(pivot_rows: dict, holders: dict, rows) -> None:
     # each other, so one combine clears each pivot column from a row and
     # brings in no other. holders, a defaultdict(set), maps a column to the
     # leads of the pivot rows that hold it past their lead. In this order a
-    # new pivot is mostly below every lead, so few pivot rows hold it.
+    # new pivot is mostly below every lead, so few pivot rows hold it. Either
+    # way, clearing against a one-entry pivot row is a delete and a division
+    # by the content (the singleton step of structured Gaussian elimination).
     for row in _by_lead(rows):
         r = _primitive(row)
+        deleted = False
         for c in [c for c in r if c in pivot_rows]:
-            _combine(r, c, pivot_rows[c])
+            prow = pivot_rows[c]
+            if len(prow) == 1:
+                del r[c]
+                deleted = True
+            else:
+                _combine(r, c, prow)
         if not r:
             continue
+        if deleted:
+            _divide_content(r)
         c = min(r)
         for lead in holders.pop(c, ()):
             prow = pivot_rows[lead]
+            if len(r) == 1:
+                del prow[c]
+                _divide_content(prow)
+                continue
             held = prow.keys() & r.keys()  # only r's columns enter or leave prow
             _combine(prow, c, r)
             for k in held ^ (prow.keys() & r.keys()):
@@ -216,7 +233,12 @@ def echelon_pivots(m: SparseMatrix) -> list[int]:
         r = _primitive(row)
         c = row[0][0]
         while c in pivot_rows:
-            _combine(r, c, pivot_rows[c])
+            prow = pivot_rows[c]
+            if len(prow) == 1:
+                del r[c]
+                _divide_content(r)
+            else:
+                _combine(r, c, prow)
             if not r:
                 break
             c = min(r)
@@ -225,18 +247,21 @@ def echelon_pivots(m: SparseMatrix) -> list[int]:
     return sorted(pivot_rows)
 
 
-def stacked_ranks(n_cols: int, blocks) -> list[int]:
+def stacked_ranks(blocks) -> list[int]:
     """Rank of each prefix stack of blocks: entry k is the rank of blocks 0..k
-    stacked, each block a list of rows as SparseMatrix takes them.
+    stacked, each block a SparseMatrix, all of one width.
 
     The incremental Gauss-Jordan of rref over all blocks, in order, into one
     set of mutually reduced pivot rows; no Fractions are made.
     """
+    blocks = list(blocks)
+    if len({block.n_cols for block in blocks}) > 1:
+        raise ValueError("blocks of different widths")
     pivot_rows: dict[int, dict] = {}
     holders = defaultdict(set)
     ranks = []
     for block in blocks:
-        _forward(pivot_rows, holders, SparseMatrix(n_cols, block).rows)
+        _forward(pivot_rows, holders, block.rows)
         ranks.append(len(pivot_rows))
     return ranks
 

@@ -886,7 +886,7 @@ def l9_basis_report(rs: RelationSystem | None = None) -> BasisComparison:
     # candidate c in lex quotient coordinates is its normal form (v_f[c]) over f
     coords = [dict(nf.get(c.indices) or _zero_code(rs, c)) for c in candidates]
     matrix = tuple(tuple(row.get(f, 0) for f in rs.basis) for row in coords)
-    (rank,) = stacked_ranks(qdim, [[list(enumerate(row)) for row in matrix]])
+    (rank,) = stacked_ranks([SparseMatrix.from_dense(matrix, qdim)])
     independent = rank == len(candidates)
     return BasisComparison(qdim, candidates, independent, matrix, independent and rank == qdim)
 

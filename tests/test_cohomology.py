@@ -672,9 +672,9 @@ def test_table_rows_match_literal_axiom_rows(mu):
     # the paper's axioms stacked on delta, and its delta block is exactly
     # delta's rows. For even n the table ranks coboundary_image_rows, one row
     # delta(e) per unit cochain e: the transpose of delta's rows, and a
-    # skipped column drops its row. The table passes those rows on
-    # unchecked, so they must already be the sorted, in-range, zero-free
-    # rows SparseMatrix makes
+    # skipped column drops its row. The tables pass the rows of either
+    # parity on unchecked, so they must already be the sorted, in-range,
+    # zero-free rows SparseMatrix makes
     d, n = mu.dim, mu.arity
     for a in [a for a in range(1, 10) if d ** (a + 1) <= 512]:
         space = d ** (a + 1)
@@ -689,7 +689,9 @@ def test_table_rows_match_literal_axiom_rows(mu):
             continue
         constraints, delta = table_rows(mu, a)
         literal = (gprod_operator_rows(d, a, lambda e: gprod_chi_defects(mu, e)), literal_delta)
-        assert stacked_ranks(space, (constraints, delta)) == stacked_ranks(space, literal), a
+        got = [SparseMatrix(space, constraints), SparseMatrix(space, delta)]
+        assert [[tuple(row) for row in block.rows] for block in got] == [constraints, delta], a
+        assert stacked_ranks(got) == stacked_ranks([SparseMatrix(space, b) for b in literal]), a
         assert len(delta) == len(literal_delta) and set(delta) == set(literal_delta), a
 
 
@@ -748,8 +750,8 @@ def test_odd_table_makes_five_insertion_loops_per_unit_cochain(monkeypatch):
 
 def literal_even_table(mu, slot, steps):
     """cohomology_dims' steps from the full delta rows: rank delta at each
-    arity of the row as stacked_ranks(space, ([], rows)), the rows of delta
-    built from gprod by gprod_operator_rows."""
+    arity of the row as stacked_ranks([SparseMatrix(space, rows)]), the rows
+    of delta built from gprod by gprod_operator_rows."""
     d, n = mu.dim, mu.arity
     k0 = 0 if slot >= 1 else 1
     out, prev = [], 0
@@ -757,7 +759,7 @@ def literal_even_table(mu, slot, steps):
         a = slot + k * (n - 1)
         space = d ** (a + 1)
         rows = gprod_operator_rows(d, a, lambda e: (gprod_coboundary(mu, e),))
-        _, rank = stacked_ranks(space, ([], rows))
+        (rank,) = stacked_ranks([SparseMatrix(space, rows)])
         out.append({"arity_in": a, "dim_ker": space - rank, "dim_im_prev": prev,
                     "dim_H": space - rank - prev})
         prev = rank

@@ -17,7 +17,7 @@ from naryalg.exactnum import (
     scalar_to_str,
     stacked_ranks,
 )
-from naryalg import cohomology
+from naryalg import cohomology, exactnum
 from naryalg.freealg import operadic_relations
 from naryalg.identities import matrix2, random_square_zero
 from oracles import (
@@ -382,10 +382,10 @@ def test_rref_matches_oracle_on_cohomology_matrices(monkeypatch):
         pivots_seen.append((m, pivots))
         return pivots
 
-    def recording_stacked_ranks(n_cols, blocks):
-        blocks = [list(block) for block in blocks]
-        ranks = stacked_ranks(n_cols, blocks)
-        ranks_seen.append((n_cols, blocks, ranks))
+    def recording_stacked_ranks(blocks):
+        blocks = list(blocks)
+        ranks = stacked_ranks(blocks)
+        ranks_seen.append((blocks, ranks))
         return ranks
 
     monkeypatch.setattr(cohomology, "echelon_pivots", recording_echelon_pivots)
@@ -397,10 +397,12 @@ def test_rref_matches_oracle_on_cohomology_matrices(monkeypatch):
         assert pivots == rref(m)[1]
     cohomology.cohomology_dims(random_square_zero(2, 3, 1, 1), 0, 2)
     assert len(pivots_seen) == 3 and len(ranks_seen) == 2
-    assert all(blocks[0] for _, blocks, _ in ranks_seen)
-    for n_cols, blocks, ranks in ranks_seen:
+    assert all(len(blocks) == 2 and blocks[0].rows for blocks, _ in ranks_seen)
+    for blocks, ranks in ranks_seen:
+        n_cols = blocks[0].n_cols
+        assert all(block.n_cols == n_cols for block in blocks)
         for k, rank in enumerate(ranks):
-            m = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
+            m = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block.rows])
             assert_matches_oracles(m, dense=False)
             assert rank == rref(m)[0]
 
@@ -415,6 +417,11 @@ def random_blocks(rng, m):
     return blocks
 
 
+def as_blocks(n_cols, blocks):
+    """Each block, a list of rows as SparseMatrix takes them, as a SparseMatrix."""
+    return [SparseMatrix(n_cols, block) for block in blocks]
+
+
 @pytest.mark.parametrize("fractions", [False, True])
 def test_stacked_ranks_match_fraction_oracle(fractions):
     # random sparse rows with repeats, multiples and empty rows, cut into
@@ -426,27 +433,32 @@ def test_stacked_ranks_match_fraction_oracle(fractions):
         n_cols = rng.randint(1, 25)
         m = random_wide(rng, rng.randint(0, 40), n_cols, fractions)
         blocks = random_blocks(rng, m)
-        ranks = stacked_ranks(n_cols, blocks)
+        ranks = stacked_ranks(as_blocks(n_cols, blocks))
         assert len(ranks) == len(blocks)
         for k, rank in enumerate(ranks):
             stack = SparseMatrix(n_cols, [row for block in blocks[: k + 1] for row in block])
             o_rank, o_pivots, _ = fraction_rref(stack)
             assert rank == o_rank
             assert echelon_pivots(stack) == rref(stack)[1] == o_pivots
-    assert stacked_ranks(3, []) == []
-    assert stacked_ranks(0, [[], [[]]]) == [0, 0]
-    assert stacked_ranks(2, [[[(0, 0)], [(1, 0), (0, 0)]], [[(1, 4)]]]) == [0, 1]
-    assert stacked_ranks(2, [[[(0, Fraction(1, 2))]], [[(0, 3)]], [], [[(0, 1), (1, 1)]]]) == [1, 1, 1, 2]
+    assert stacked_ranks([]) == []
+    assert stacked_ranks(as_blocks(0, [[], [[]]])) == [0, 0]
+    assert stacked_ranks(as_blocks(2, [[[(0, 0)], [(1, 0), (0, 0)]], [[(1, 4)]]])) == [0, 1]
+    blocks = [[[(0, Fraction(1, 2))]], [[(0, 3)]], [], [[(0, 1), (1, 1)]]]
+    assert stacked_ranks(as_blocks(2, blocks)) == [1, 1, 1, 2]
 
 
 def test_stacked_ranks_validates_rows():
+    # stacked_ranks and echelon_pivots take SparseMatrix blocks, which reject
+    # a bad row as they are built, before any elimination
     with pytest.raises(ValueError, match="out of range"):
-        stacked_ranks(2, [[[(2, 1)]]])
-    # echelon_pivots takes a SparseMatrix, which rejects the row as it is built
+        stacked_ranks(as_blocks(2, [[[(2, 1)]]]))
     with pytest.raises(ValueError, match="out of range"):
         echelon_pivots(SparseMatrix(2, [[(2, 1)]]))
     with pytest.raises(ValueError, match="duplicate column"):
-        stacked_ranks(2, [[], [[(1, 1), (1, 2)]]])
+        stacked_ranks(as_blocks(2, [[], [[(1, 1), (1, 2)]]]))
+    # blocks of different widths do not stack
+    with pytest.raises(ValueError, match="different widths"):
+        stacked_ranks([SparseMatrix(2, [[(0, 1)]]), SparseMatrix(3, [[(2, 1)]])])
 
 
 def assert_mutually_reduced(pivot_rows, holders):
@@ -498,7 +510,7 @@ def test_stacked_ranks_clear_a_new_pivot_from_an_earlier_block():
     # would reduce to lowest column 1 and replace a pivot row instead of
     # adding one
     blocks = [[[(0, 1), (1, 1)]], [[(1, 1), (2, 1)], [(0, 1), (3, 1)]]]
-    assert stacked_ranks(4, blocks) == [1, 3]
+    assert stacked_ranks(as_blocks(4, blocks)) == [1, 3]
     stack = SparseMatrix(4, [row for block in blocks for row in block])
     assert fraction_rref(stack)[0] == 3
 
@@ -523,3 +535,94 @@ def test_forward_keeps_pivot_rows_mutually_reduced():
             rank, pivots, reduced = fraction_rref(SparseMatrix(n_cols, stack))
             assert sorted(pivot_rows) == pivots
             assert typed_rows(reduced_rows(pivot_rows)) == typed_rows(reduced)
+
+
+def unit_heavy_rows(rng, n_rows, n_cols, fractions):
+    """Rows of which about half hold a single entry, negative ones among
+    them; the rest hold two to four entries from -3..3 (halved, thirded or
+    fifthed at random when fractions is set)."""
+    rows = []
+    for _ in range(n_rows):
+        width = 1 if rng.random() < 0.5 or n_cols < 2 else rng.randint(2, min(n_cols, 4))
+        row = []
+        for c in sorted(rng.sample(range(n_cols), width)):
+            v = rng.choice((-3, -2, -1, 1, 2, 3))
+            if fractions and rng.random() < 0.5:
+                v = Fraction(v, rng.choice((2, 3, 5)))
+            row.append((c, v))
+        rows.append(row)
+    return rows
+
+
+def assert_unit_paths_match_oracle(n_cols, blocks):
+    """rref, kernel_basis and echelon_pivots of every prefix stack, and
+    stacked_ranks and _forward's pivot rows after each block, against the
+    Fraction oracle."""
+    ranks = stacked_ranks(as_blocks(n_cols, blocks))
+    pivot_rows, holders, stack = {}, defaultdict(set), []
+    for k, block in enumerate(blocks):
+        _forward(pivot_rows, holders, SparseMatrix(n_cols, block).rows)
+        stack += block
+        m = SparseMatrix(n_cols, stack)
+        o_rank, o_pivots, o_rows = fraction_rref(m)
+        assert_mutually_reduced(pivot_rows, holders)
+        assert typed_rows(reduced_rows(pivot_rows)) == typed_rows(o_rows)
+        assert ranks[k] == o_rank
+        assert_matches_oracles(m, dense=False)
+        assert echelon_pivots(m) == o_pivots
+        got = kernel_basis(m)
+        want = fraction_kernel(m)
+        assert {f: typed_rows([sorted(v.items())]) for f, v in got.items()} == {
+            f: typed_rows([sorted(v.items())]) for f, v in want.items()
+        }
+
+
+def test_unit_pivot_rows_clear_by_deletion():
+    # [0 1 1 0] is the pivot row of column 1 and holds column 2; [1 0 0 0]
+    # makes a unit pivot row at 0, so [2 0 -3 0] loses column 0 by deletion
+    # and arrives at column 2 as the unit row -e_2, which must then be
+    # deleted from the earlier pivot row of column 1
+    m = SparseMatrix(4, [[(1, 1), (2, 1)], [(0, 1)], [(0, 2), (2, -3)]])
+    pivot_rows, holders = {}, defaultdict(set)
+    _forward(pivot_rows, holders, m.rows)
+    assert pivot_rows == {0: {0: 1}, 1: {1: 1}, 2: {2: -1}}
+    assert_mutually_reduced(pivot_rows, holders)
+    assert_unit_paths_match_oracle(4, [m.rows])
+    # a later block's unit row -e_2 (from -7 e_2) clears the two pivot rows
+    # of the first block that hold column 2; [1 5 0 1] then reduces through
+    # both to lowest column 3, a fourth pivot
+    blocks = [[[(0, 1), (2, 1)], [(1, 1), (2, 3)]], [[(2, -7)]], [[(0, 1), (1, 5), (3, 1)]]]
+    assert stacked_ranks(as_blocks(4, blocks)) == [2, 3, 4]
+    assert_unit_paths_match_oracle(4, blocks)
+    # a unit row at a pivot column held by no other row, and one whose
+    # column is already a unit pivot
+    assert_unit_paths_match_oracle(3, [[[(1, Fraction(-2, 3))], [(1, 5)]], [[(0, 4), (1, -1)]]])
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_unit_heavy_matrices_match_fraction_oracle(fractions):
+    # seeded matrices with many single-entry rows, cut into blocks
+    rng = random.Random(20261020 + fractions)
+    for _ in range(60):
+        n_cols = rng.randint(1, 12)
+        rows = unit_heavy_rows(rng, rng.randint(0, 16), n_cols, fractions)
+        blocks = random_blocks(rng, SparseMatrix(n_cols, rows))
+        assert_unit_paths_match_oracle(n_cols, blocks)
+
+
+def test_no_combine_against_a_unit_pivot_row(monkeypatch):
+    # the rsz231 stack at cochain arity 6: a column is cleared against a
+    # one-entry pivot row by deletion, whether from an incoming row or from
+    # an earlier pivot row, so no _combine is against such a row
+    mu = random_square_zero(2, 3, 1, 1)
+    blocks = [SparseMatrix._of_clean(2 ** 7, rows) for rows in cohomology.table_rows(mu, 6)]
+    pivot_lengths = []
+    original = exactnum._combine
+
+    def counting_combine(r, c, prow):
+        pivot_lengths.append(len(prow))
+        original(r, c, prow)
+
+    monkeypatch.setattr(exactnum, "_combine", counting_combine)
+    assert stacked_ranks(blocks) == [83, 105]
+    assert pivot_lengths and min(pivot_lengths) > 1
