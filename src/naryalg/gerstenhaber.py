@@ -3,15 +3,16 @@
 A MultiMap stores the nonzero structure constants of m: V^{otimes k} -> V
 exactly, as a sparse dict; every kernel below accumulates into such a dict.
 The module implements the comb-insertion f at slot i, the signed insertion
-sum f * g, the partial associativity defect A(mu), the theta operator, the
-shuffle Jacobi sum, and the degree-7 composition identities for ternary
-multiplications. A tensor word of maps composes as a series of insertions.
-Every insertion of one MultiMap into another runs on one loop with the
-comb signs, _insert_into (g's terms into a slot index of f; insert_at, gprod,
-the graded products); cohomology runs its operators on cochain columns with
-loops of its own. The slot index, the pre-Lie symmetry and the
-composition-relation walk also serve the graded calculus in graded.py, which
-adds a Koszul sign; on a space concentrated in degree 0 that sign is +1.
+sum f * g, the partial associativity defect A(mu), the shuffle Jacobi sum,
+and two signed sums of double insertions (f o_a g) o_b g: the composite
+phi o theta_k(mu) with the two-copy operator, and the degree-7 composition
+identities for ternary multiplications. Every insertion of one MultiMap into
+another runs on one loop with the comb signs, _insert_into (g's terms into a
+slot index of f; insert_at, gprod, the graded products); cohomology runs
+its operators on cochain columns with loops of its own. The slot index, the
+pre-Lie symmetry and the composition-relation walk also serve the graded
+calculus in graded.py, which adds a Koszul sign; on a space concentrated in
+degree 0 that sign is +1.
 MultiMap.apply is the one evaluation on sparse coordinate vectors, and
 _permute_into the one argument-permutation kernel.
 """
@@ -322,102 +323,26 @@ def prelie_defect(f: MultiMap, g: MultiMap, h: MultiMap) -> MultiMap:
     return _prelie_symmetry(gprod, f, g, h)
 
 
-def _word_powers(word) -> tuple[int, int]:
-    """(source, target) tensor powers of a word of ("id", m) and ("map", f)
-    segments."""
-    src = tgt = 0
-    for seg in word:
-        kind = seg[0]
-        if kind == "id":
-            m = seg[1]
-            if m < 1:
-                raise ValueError("id segment must have m >= 1")
-            src += m
-            tgt += m
-        elif kind == "map":
-            src += seg[1].arity
-            tgt += 1
-        else:
-            raise ValueError(f"bad segment {seg!r}")
-    return src, tgt
-
-
-class Operator:
-    """Formal sum of tensor words mapping V^{otimes source} -> V^{otimes target}.
-
-    Each word is a tuple of segments: ("id", m) passes m arguments through,
-    ("map", f) consumes arity(f) arguments and emits one. Id_0 segments are
-    simply absent.
-    """
-
-    __slots__ = ("source_power", "target_power", "terms")
-
-    def __init__(self, source_power: int, target_power: int, terms):
-        terms = [(c, tuple(word)) for c, word in terms]
-        for _, word in terms:
-            src, tgt = _word_powers(word)
-            if src != source_power or tgt != target_power:
-                raise ValueError(
-                    f"word arity {src}->{tgt}, operator is {source_power}->{target_power}"
-                )
-        self.source_power = source_power
-        self.target_power = target_power
-        self.terms = terms
-
-    def __repr__(self):
-        return f"Operator({self.source_power}->{self.target_power}, {len(self.terms)} words)"
-
-
-def theta(mu: MultiMap, k: int) -> Operator:
-    """Two-copy insertion operator: sum over p,q >= 0 with p+q <= k-2 of
-    Id_p (x) mu (x) Id_q (x) mu (x) Id_{k-p-q-2}."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    n = mu.arity
-    words = []
-    for p in range(k - 1):
-        for q in range(k - 1 - p):
-            r = k - p - q - 2
-            word = []
-            if p:
-                word.append(("id", p))
-            word.append(("map", mu))
-            if q:
-                word.append(("id", q))
-            word.append(("map", mu))
-            if r:
-                word.append(("id", r))
-            words.append((1, tuple(word)))
-    return Operator(2 * n + k - 2, k, words)
-
-
-def _compose_word(phi: MultiMap, word) -> MultiMap:
-    """phi after one tensor word: each map segment is inserted at the slot its
-    output feeds, right to left, so that the slots to its left stay put."""
-    slots = []
-    pos = 1
-    for seg in word:
-        if seg[0] == "map":
-            slots.append((pos, seg[1]))
-            pos += 1
-        else:
-            pos += seg[1]
-    for pos, f in reversed(slots):
-        phi = insert_at(phi, f, pos)
-    return phi
-
-
-def apply_operator(phi: MultiMap, op: Operator) -> MultiMap:
-    """The composite phi after op as a MultiMap of arity op.source_power."""
-    if phi.arity != op.target_power:
-        raise ValueError(
-            f"phi arity {phi.arity} vs operator target {op.target_power}"
-        )
+def _insertion_sum(f: MultiMap, g: MultiMap, table) -> MultiMap:
+    """The sum of sign times f with g inserted at slot a, then at slot b of
+    the result, over the (a, b, sign) of table."""
     acc: dict = {}
-    for coef, word in op.terms:
-        for key, c in _compose_word(phi, word).terms.items():
-            acc[key] = acc.get(key, 0) + coef * c
-    return MultiMap(phi.dim, op.source_power, acc)
+    for a, b, sign in table:
+        for key, c in insert_at(insert_at(f, g, a), g, b).terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
+    return MultiMap(f.dim, f.arity + 2 * g.arity - 2, acc)
+
+
+def theta_composite(phi: MultiMap, mu: MultiMap) -> MultiMap:
+    """phi o theta_k(mu) for k = arity(phi), where the two-copy operator
+    theta_k(mu) is the sum of Id_p (x) mu (x) Id_q (x) mu (x) Id_r over
+    p + q + r = k - 2: the sum over 1 <= i < j <= k of phi with mu inserted
+    at slot j, then at slot i. For mu of odd arity with A(mu) = 0,
+    (phi * mu) * mu = 2 phi o theta_k(mu)."""
+    k = phi.arity
+    if k < 2:
+        raise ValueError(f"theta_composite needs phi of arity at least 2, not {k}")
+    return _insertion_sum(phi, mu, [(j, i, 1) for i in range(1, k) for j in range(i + 1, k + 1)])
 
 
 def _parity(seq) -> int:
@@ -482,11 +407,9 @@ def jacobi_defect(mu: MultiMap) -> MultiMap:
     return MultiMap(mu.dim, w, acc)
 
 
-def _compose_words(mu: MultiMap, outer_word, inner_word) -> MultiMap:
-    """mu after outer_word after inner_word, composed one word at a time."""
-    if _word_powers(outer_word)[0] != _word_powers(inner_word)[1]:
-        raise ValueError("word powers do not compose")
-    return _compose_word(_compose_word(mu, outer_word), inner_word)
+# the degree-7 identities as signed sums of (mu o_i mu) o_j mu, as (i, j, sign)
+_DEGREE7_FIRST = ((2, 1, 1), (1, 4, 1), (3, 1, 1), (1, 5, 1), (3, 2, 1), (2, 5, 1))
+_DEGREE7_SECOND = ((1, 1, 1), (1, 4, -1), (3, 5, 1), (2, 5, -1))
 
 
 def degree7_defects(mu: MultiMap) -> tuple[MultiMap, MultiMap]:
@@ -495,27 +418,7 @@ def degree7_defects(mu: MultiMap) -> tuple[MultiMap, MultiMap]:
         raise ValueError("degree-7 identities need a ternary map")
     if not partial_assoc_defect(mu).is_zero():
         raise ValueError("degree-7 identities need a partially associative map")
-    m = ("map", mu)
-
-    def w(*segs):
-        return tuple(segs)
-
-    id1, id2, id3, id4 = ("id", 1), ("id", 2), ("id", 3), ("id", 4)
-    first = (
-        _compose_words(mu, w(id1, m, id1), w(m, id4))
-        + _compose_words(mu, w(m, id2), w(id3, m, id1))
-        + _compose_words(mu, w(id2, m), w(m, id4))
-        + _compose_words(mu, w(m, id2), w(id4, m))
-        + _compose_words(mu, w(id2, m), w(id1, m, id3))
-        + _compose_words(mu, w(id1, m, id1), w(id4, m))
-    )
-    second = (
-        _compose_words(mu, w(m, id2), w(m, id4))
-        - _compose_words(mu, w(m, id2), w(id3, m, id1))
-        + _compose_words(mu, w(id2, m), w(id4, m))
-        - _compose_words(mu, w(id2, m), w(id1, m, id3))
-    )
-    return first, second
+    return _insertion_sum(mu, mu, _DEGREE7_FIRST), _insertion_sum(mu, mu, _DEGREE7_SECOND)
 
 
 def _composition_report(name: str, mu, insert, sign: int) -> IdentityReport:

@@ -40,11 +40,10 @@ from naryalg.freealg import (
 )
 from naryalg.gerstenhaber import (
     MultiMap,
-    apply_operator,
     gprod,
     partial_assoc_defect,
     prelie_defect,
-    theta,
+    theta_composite,
 )
 from naryalg.graded import (
     GradedSpace,
@@ -223,7 +222,7 @@ def test_criterion_07_two_copy_factorisation():
             k = rng.randint(2, 4)
             phi = random_multimap(rng, 3, k, density=0.4)
             lhs = gprod(gprod(phi, mu), mu)
-            assert lhs == apply_operator(phi, theta(mu, k)).scale(2)
+            assert lhs == theta_composite(phi, mu).scale(2)
         # even arity: the same composite vanishes outright
         for mu_even in (matrix_algebra(2), square_zero_map(rng, 3, 4, 2)):
             for _ in range(50):

@@ -1,5 +1,6 @@
 """One traced repetition of each of the bench's workloads: checks, the free
-algebra, and the even and odd cohomology tables.
+algebra, and the even and odd cohomology tables; and every request the checks
+workload can send, against its committed reference.
 
 The tracer in perfbench/layertrace.py wraps every binding of the package's
 public functions and fails when one is missed or when a layer the workload
@@ -7,6 +8,7 @@ needs records no span. Running it here makes a refactor of src/ that breaks
 either check fail the test suite, not only a later bench run.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -66,3 +68,22 @@ def test_traced_cli_requests_record_their_command():
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "['cli.cmd_check', 'cli.cmd_selftest']"
+
+
+def test_every_checks_reference_replays(tmp_path, monkeypatch):
+    # a seeded mix reaches only part of the pool; this sends every request
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench stays as committed
+    monkeypatch.delenv("NARY_CAP", raising=False)
+    workloads = importlib.import_module("workloads")
+    refs = json.loads((ROOT / "perfbench" / "references.json").read_text())["checks"]
+    pool = workloads.check_pool()
+    workloads.write_check_files(pool, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    requests = workloads.all_check_requests(pool)
+    assert len(requests) == len(refs)
+    for argv in requests:
+        code, out = workloads.cli_request(argv)
+        ref = refs[" ".join(argv)]
+        assert code == ref["exit"], argv
+        assert workloads.digest({"exit": code, "stdout": out}) == ref["digest"], argv

@@ -379,10 +379,16 @@ def test_check_input_errors(tmp_path, capsys):
     assert run(capsys, "check", "--algebra", str(bad), "--identity", "jacobi")[0] == 2
     shape = write_json(tmp_path / "shape.json", {"dim": 2, "entries": []})
     assert run(capsys, "check", "--algebra", shape, "--identity", "partial-assoc")[0] == 2
+    listed = write_json(tmp_path / "list.json", [1, 2])
+    rc, out, err = run(capsys, "check", "--algebra", listed, "--identity", "partial-assoc")
+    assert (rc, out) == (2, "") and "must hold a JSON object" in err
     # kind mismatches
     assert run(capsys, "check", "--algebra", "filiform5", "--identity", "total-coassoc")[0] == 2
     assert run(capsys, "check", "--algebra", "matrix2", "--identity", "jacobi")[0] == 2
     assert run(capsys, "check", "--algebra", "matrix2", "--identity", "roby")[0] == 2
+    product = write_json(tmp_path / "product.json", builtin_algebra("matrix2").to_json_dict())
+    rc, out, err = run(capsys, "check", "--algebra", product, "--identity", "jacobi")
+    assert (rc, out) == (2, "") and "the identity needs a bracket" in err
     # bracket JSON whose entries break the symmetry law
     broken = write_json(
         tmp_path / "asym.json",
@@ -888,6 +894,9 @@ def test_cohomology_errors(tmp_path, capsys, monkeypatch):
     assert run(capsys, "cohomology", "--algebra", "matrix2", "--steps", "0")[0] == 2
     # a bracket is not partially associative, so the row is rejected
     assert run(capsys, "cohomology", "--algebra", "so3", "--steps", "1")[0] == 2
+    linear = write_json(tmp_path / "linear.json", MultiMap.identity(2).to_json_dict())
+    rc, out, err = run(capsys, "cohomology", "--algebra", linear, "--steps", "1")
+    assert (rc, out) == (2, "") and "cohomology rows need arity at least 2" in err
 
 
 # ------------------------------------------------------------------ selftest

@@ -303,6 +303,9 @@ def test_unital_truncated_polynomials():
     assert unital_check(poly_trunc_algebra(3), 0).holds
     rep = unital_check(poly_trunc_algebra(3), 1)
     assert not rep.holds
+    for e in (-1, 3):
+        with pytest.raises(ValueError, match=f"basis index {e} out of range"):
+            unital_check(poly_trunc_algebra(3), e)
 
 
 def test_unital_matrix_basis_fails():

@@ -1179,6 +1179,10 @@ def test_published_degree_four_basis():
     ]
     rank, _, _ = rref(SparseMatrix.from_dense([list(r) for r in rep.change_of_basis], 5))
     assert rank == 5
+    # only the solved (3, 4) system carries the published codes
+    for rs in (relation_system(3, 4), solved_relations(3, 3)):
+        with pytest.raises(ValueError, match="need the solved degree-4 system"):
+            l9_basis_report(rs)
 
 
 def test_basis_report_tells_independent_from_invertible():

@@ -7,11 +7,11 @@ import pytest
 from naryalg.gerstenhaber import (
     IdentityReport,
     MultiMap,
-    Operator,
+    _DEGREE7_FIRST,
+    _DEGREE7_SECOND,
+    _insertion_sum,
     antisymmetrize,
-    apply_operator,
     composition_relation_defects,
-    _compose_words,
     degree7_defects,
     gprod,
     insert_at,
@@ -19,7 +19,7 @@ from naryalg.gerstenhaber import (
     jacobi_defect,
     partial_assoc_defect,
     prelie_defect,
-    theta,
+    theta_composite,
     total_assoc_check,
 )
 from fixtures import (
@@ -200,50 +200,38 @@ def test_prelie_zero_maps():
 
 
 def test_theta_k2():
+    # one word, mu (x) mu: both copies of mu feed phi
     rng = random.Random(11)
     mu = random_multimap(rng, 2, 3, density=0.4)
-    op = theta(mu, 2)
-    assert op.source_power == 6
-    assert op.target_power == 2
-    assert len(op.terms) == 1
-    (coef, word) = op.terms[0]
-    assert coef == 1
-    assert [seg[0] for seg in word] == ["map", "map"]
+    phi = random_multimap(rng, 2, 2)
+    got = theta_composite(phi, mu)
+    assert got.arity == 6
+    assert got == insert_at(insert_at(phi, mu, 2), mu, 1)
 
 
 def test_theta_k3_words():
     rng = random.Random(12)
     mu = random_multimap(rng, 2, 3, density=0.4)
-    op = theta(mu, 3)
-    assert len(op.terms) == 3
-    assert op.source_power == 7
-    assert op.target_power == 3
+    phi = random_multimap(rng, 2, 3)
+    got = theta_composite(phi, mu)
+    assert got.arity == 7
+    words = [insert_at(insert_at(phi, mu, j), mu, i) for i, j in ((1, 2), (1, 3), (2, 3))]
+    assert got == words[0] + words[1] + words[2]
 
 
 def test_theta_word_count():
+    # mu = Id inserts nothing, so each of the k(k-1)/2 words gives phi
     rng = random.Random(13)
-    mu = random_multimap(rng, 2, 2, density=0.4)
     for k in range(2, 7):
-        assert len(theta(mu, k).terms) == k * (k - 1) // 2
+        phi = random_multimap(rng, 2, k, density=0.4)
+        assert theta_composite(phi, MultiMap.identity(2)) == phi.scale(k * (k - 1) // 2)
 
 
 def test_theta_rejects_small_k():
     with pytest.raises(ValueError):
-        theta(MultiMap.zero(2, 3), 1)
-
-
-def test_apply_operator_identity_word():
-    rng = random.Random(14)
-    phi = random_multimap(rng, 2, 3)
-    op = Operator(3, 3, [(1, (("id", 3),))])
-    assert apply_operator(phi, op) == phi
-
-
-def test_apply_operator_scales():
-    rng = random.Random(15)
-    phi = random_multimap(rng, 2, 2)
-    op = Operator(2, 2, [(Fraction(1, 2), (("id", 2),))])
-    assert apply_operator(phi, op) == phi.scale(Fraction(1, 2))
+        theta_composite(MultiMap.zero(2, 1), MultiMap.zero(2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        theta_composite(MultiMap.zero(2, 2), MultiMap.zero(3, 3))
 
 
 def test_lemma_even_n_matrix_algebra():
@@ -274,47 +262,36 @@ def test_lemma_odd_n_theta_factorization():
         k = rng.randint(2, 4)
         phi = random_multimap(rng, d, k, density=0.25)
         lhs = gprod(gprod(phi, mu), mu)
-        rhs = apply_operator(phi, theta(mu, k)).scale(2)
+        rhs = theta_composite(phi, mu).scale(2)
         assert lhs == rhs, f"trial {trial}"
 
 
-def test_apply_operator_arity_mismatch():
-    rng = random.Random(19)
-    phi = random_multimap(rng, 2, 2)
-    with pytest.raises(ValueError):
-        apply_operator(phi, Operator(3, 3, [(1, (("id", 3),))]))
+def _theta_words(mu, k):
+    """The k(k-1)/2 words Id_p (x) mu (x) Id_q (x) mu (x) Id_r, p + q + r = k - 2."""
+    words = []
+    for p in range(k - 1):
+        for q in range(k - 1 - p):
+            ids = [("id", m) if m else None for m in (p, q, k - 2 - p - q)]
+            word = (ids[0], ("map", mu), ids[1], ("map", mu), ids[2])
+            words.append(tuple(seg for seg in word if seg))
+    return words
 
 
-def _random_word(rng, d, target):
-    """A tensor word with `target` outputs: random id blocks and maps of
-    arity 1-3 with Fraction coefficients."""
-    word = []
-    while len(word) < target:
-        if word and word[-1][0] == "map" and rng.random() < 0.4:
-            word.append(("id", 1))
-        else:
-            f = random_multimap(rng, d, rng.randint(1, 3), density=0.5)
-            word.append(("map", f.scale(Fraction(rng.choice((1, -1, 2)), rng.randint(1, 3)))))
-    return tuple(word)
-
-
-def test_apply_operator_matches_word_oracle():
+def test_theta_composite_matches_word_oracle():
     rng = random.Random(25)
-    for trial in range(30):
-        d = rng.randint(1, 3)
-        target = rng.randint(1, 3)
-        first = _random_word(rng, d, target)
-        src = sum(s[1] if s[0] == "id" else s[1].arity for s in first)
-        # the same segments in other orders keep the source and target powers
-        words = [first] + [tuple(rng.sample(first, len(first))) for _ in range(rng.randint(0, 2))]
-        coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in words]
-        phi = random_multimap(rng, d, target, density=0.6).scale(Fraction(1, 2))
-        got = apply_operator(phi, Operator(src, target, list(zip(coefs, words))))
+    # the oracle expands every dense input tuple, so the composite's arity
+    # 2n + k - 2 stays at most 8
+    for k, n in ((k, n) for k in range(2, 7) for n in (1, 2, 3) if 2 * n + k <= 10):
+        d = 3 if 2 * n + k <= 7 else 2
+        mu = random_multimap(rng, d, n, density=0.5).scale(Fraction(rng.choice((1, -2)), 3))
+        phi = random_multimap(rng, d, k, density=0.5)
         want = {}
-        for c, w in zip(coefs, words):
-            for key, v in compose_word(phi, w).table.items():
-                want[key] = want.get(key, 0) + c * v
-        assert got.terms == {k: v for k, v in want.items() if v}, f"trial {trial}"
+        for word in _theta_words(mu, k):
+            for key, v in compose_word(phi, word).table.items():
+                want[key] = want.get(key, 0) + v
+        got = theta_composite(phi, mu)
+        assert got.arity == 2 * n + k - 2
+        assert got.terms == {key: v for key, v in want.items() if v}, (k, n)
 
 
 # the ten (outer word, inner word) pairs of degree7_defects, with their signs
@@ -338,11 +315,14 @@ def _bind(word, mu):
     return tuple(("map", mu) if seg is _M else seg for seg in word)
 
 
-def _check_two_hops(m, outer, inner):
-    """The oracle's two hops for mu = m, checked against _compose_words."""
-    hops = compose_word(compose_word(m, _bind(outer, m)), _bind(inner, m)).table
-    assert _compose_words(m, _bind(outer, m), _bind(inner, m)).terms == hops
-    return hops
+def _oracle_sum(m, family):
+    """The signed sum of the family's two hops for mu = m, by the oracle."""
+    want = {}
+    for sign, (outer, inner) in family:
+        hops = compose_word(compose_word(m, _bind(outer, m)), _bind(inner, m)).table
+        for key, v in hops.items():
+            want[key] = want.get(key, 0) + sign * v
+    return {k: v for k, v in want.items() if v}
 
 
 def test_degree7_defects_match_word_oracle():
@@ -352,17 +332,15 @@ def test_degree7_defects_match_word_oracle():
     )
     assert partial_assoc_defect(mu).is_zero()
     assert not insert_at(mu, mu, 1).is_zero()
+    for family, defect in zip(_DEGREE7, degree7_defects(mu)):
+        assert defect.terms == _oracle_sum(mu, family)
+    # the insertion tables need no associativity: on a dense random map the
+    # sums do not vanish, so this checks each signed table as a whole
     rng = random.Random(26)
     dense = random_multimap(rng, 2, 3, density=0.7)
-    got = degree7_defects(mu)
-    for family, defect in zip(_DEGREE7, got):
-        want = {}
-        for sign, (outer, inner) in family:
-            # the composition itself needs no associativity: a dense random map
-            _check_two_hops(dense, outer, inner)
-            for key, v in _check_two_hops(mu, outer, inner).items():
-                want[key] = want.get(key, 0) + sign * v
-        assert defect.terms == {k: v for k, v in want.items() if v}
+    for family, table in zip(_DEGREE7, (_DEGREE7_FIRST, _DEGREE7_SECOND)):
+        want = _oracle_sum(dense, family)
+        assert want and _insertion_sum(dense, dense, table).terms == want
 
 
 def test_antisymmetrize_symmetric_dies():
