@@ -307,7 +307,9 @@ def _check_free_component(n: int, p: int, flag: str, cap_flag) -> None:
     """Reject a free-algebra component the degree cap does not admit.
 
     The cap bounds p, and the component may hold no more tree codes than the
-    ternary one at the cap, so that a large n cannot slip under it.
+    ternary one at the cap, so that a large n cannot slip under it. The
+    ternary counts increase with the degree, so they are counted up from
+    degree 1 only until one reaches the component's, never to a large cap.
     """
     cap = _resolve_cap(cap_flag, DEFAULT_DEGREE_CAP)
     if n < 2:
@@ -316,12 +318,18 @@ def _check_free_component(n: int, p: int, flag: str, cap_flag) -> None:
         raise InputError(f"{flag} must be at least 1")
     if p > cap:
         raise InputError(f"{flag} {p} exceeds the degree cap {cap}")
-    codes, limit = fuss_catalan(n, p), fuss_catalan(3, cap)
-    if codes > limit:
-        raise InputError(
-            f"n={n} p={p} has {codes} tree codes, more than the {limit} "
-            f"of the ternary component at the degree cap {cap}"
-        )
+    try:
+        codes = fuss_catalan(n, p)
+    except OverflowError:
+        raise InputError(f"n={n} p={p} has too many tree codes to count") from None
+    k = 1
+    while fuss_catalan(3, k) < codes:
+        if k == cap:
+            raise InputError(
+                f"n={n} p={p} has {codes} tree codes, more than the "
+                f"{fuss_catalan(3, cap)} of the ternary component at the degree cap {cap}"
+            )
+        k += 1
 
 
 def cmd_free_dims(args) -> int:

@@ -18,12 +18,14 @@ relations, and most of them are single codes. Such a result is certified:
 each of its kernel vectors must annihilate every relation row. Only a row
 holding a code of the dual's support can fail, and a code's rows are built
 from the code alone, so the certificate builds each of those rows once and
-reads no other row. operadic_relations lists its codes and builds its rows
-only where they are first read, and the recursion reads neither: it works
-on codes alone, so a recursive solve lists no code of its degree. If the
-certificate fails, the rows are eliminated. Only the read-only rows that
-operadic_relations marks take this path or enter the cache of solved
-degrees.
+reads no other row. Both the recursion's live-code test and the
+certificate take a code as a prefix with one last index appended, and do
+the prefix's work once for every code that shares it. operadic_relations
+lists its codes and builds its rows only where they are first read, and
+the recursion reads neither: it works on codes alone, so a recursive solve
+lists no code of its degree. If the certificate fails, the rows are
+eliminated. Only the read-only rows that operadic_relations marks take
+this path or enter the cache of solved degrees.
 
 Inside the module a code is its index tuple; TreeCode objects are made
 where a code leaves it. A column, a code's place in a system's code list,
@@ -416,24 +418,32 @@ def _operadic_rows(n: int, p: int, codes) -> tuple:
     return tuple(rows)
 
 
-def _rows_through(n: int, idx: tuple, skip=()) -> list:
-    """The operadic rows that hold the code idx, one per non-root node v,
-    as {index tuple: coefficient}; each is in operadic_relations. A row
-    with a code before idx in skip is left out as soon as that code is made:
-    with the codes of a map as skip, a row holding some of them is built
-    once, from the first.
+def _family_rows(n: int, s: tuple, qs, skip=()) -> list:
+    """The operadic rows through each code s + (q,), q in qs, one list per q
+    with one row per non-root node v, as {index tuple: coefficient}; each is
+    in operadic_relations. A row with a code before s + (q,) in skip is left
+    out as soon as that code is made: with the codes of a map as skip, a row
+    holding some of them is built once, from the first.
 
-    A walk down the code finds each node's children's first leaves: a node
-    takes n children in turn, each a node if the next bracket opens at the
-    next leaf and that leaf otherwise, so node k >= 1 opens at idx[k - 1].
-    With v at slot s of its parent u, the row's subtrees B_1..B_{2n-1} are
-    u's children before v, v's children, then u's children after v, and
-    T_i, i = 1..n, is idx with v's index replaced by the first leaf of B_i,
-    with sign (-1)^((i-1)(n-1)); T_s is idx itself.
+    A walk down s finds each node's children's first leaves: a node takes n
+    children in turn, each a node if the next bracket opens at the next leaf
+    and that leaf otherwise, so node k >= 1 opens at s[k - 1]. With v at
+    slot t of its parent u, the row's subtrees B_1..B_{2n-1} are u's
+    children before v, v's children, then u's children after v, and T_i,
+    i = 1..n, is the code with v's index replaced by the first leaf of B_i,
+    with sign (-1)^((i-1)(n-1)); T_t is the code itself.
+
+    s + (q,) is s with a corolla, the new last node, grafted at leaf q,
+    which moves the first leaves past q right by n - 1. So at a node of s,
+    T_i is s's own T_i with q appended when B_i starts at or before q, and
+    s less v's index, then q, then the moved first leaf otherwise; the
+    codes before T_t start before v, so at or before q. The new node's
+    parent is the node holding leaf q, which the walk records.
     """
-    starts = [[] for _ in range(len(idx) + 1)]  # per node, its children's first leaves
-    parents = [None] * (len(idx) + 1)  # per non-root node, (parent, slot)
-    k = q = 0  # the brackets opened and the leaves passed
+    starts = [[] for _ in range(len(s) + 1)]  # per node, its children's first leaves
+    parents = [None] * (len(s) + 1)  # per non-root node, (parent, slot)
+    holders = [None]  # per leaf, from leaf 1, (parent, slot)
+    k = leaf = 0  # the brackets opened and the leaves passed
     stack = [0]  # the nodes still taking children, innermost last
     while stack:
         node = stack[-1]
@@ -441,31 +451,57 @@ def _rows_through(n: int, idx: tuple, skip=()) -> list:
         if len(kids) == n:
             stack.pop()
             continue
-        kids.append(q + 1)
-        if k < len(idx) and idx[k] == q + 1:
+        kids.append(leaf + 1)
+        if k < len(s) and s[k] == leaf + 1:
             k += 1
             parents[k] = node, len(kids) - 1
             stack.append(k)
         else:
-            q += 1
+            leaf += 1
+            holders.append((node, len(kids) - 1))
     signs = [-1 if i * (n - 1) % 2 else 1 for i in range(n)]
-    rows = []
+    # per node of s: s less its index, T_t's sign, and s's T_i before and after T_t
+    nodes = []
     for v in range(1, len(starts)):
-        u, s = parents[v]
-        rest = idx[: v - 1] + idx[v:]
-        row = {}
-        for i, start in enumerate((starts[u][:s] + starts[v])[:n]):
-            if i == s:
-                row[idx] = signs[i]
-                continue
+        u, t = parents[v]
+        rest = s[: v - 1] + s[v:]
+        before, after = [], []
+        for i, start in enumerate((starts[u][:t] + starts[v])[:n]):
             j = bisect(rest, start)
-            code = rest[:j] + (start,) + rest[j:]
-            if i < s and code in skip:
+            if i < t:
+                before.append((rest[:j] + (start,) + rest[j:], signs[i]))
+            elif i > t:
+                after.append((start, rest[:j] + (start,) + rest[j:], signs[i]))
+        nodes.append((rest, signs[t], before, after))
+    out = []
+    for q in qs:
+        code = s + (q,)
+        rows = []
+        for rest, sign_t, before, after in nodes:
+            row = {}
+            for t_s, sign in before:
+                if (t_q := t_s + (q,)) in skip:
+                    break
+                row[t_q] = sign
+            else:
+                row[code] = sign_t
+                for start, t_s, sign in after:
+                    row[t_s + (q,) if start <= q else rest + (q, start + n - 1)] = sign
+                rows.append(row)
+        u, t = holders[q]  # the new node, at slot t of u
+        row = {}
+        for start, sign in zip(starts[u][:t], signs):
+            j = bisect(s, start)
+            if (t_q := s[:j] + (start,) + s[j:]) in skip:
                 break
-            row[code] = signs[i]
+            row[t_q] = sign
         else:
+            row[code] = signs[t]
+            for i in range(t + 1, n):
+                row[s + (q + i - t,)] = signs[i]
             rows.append(row)
-    return rows
+        out.append(rows)
+    return out
 
 
 def paper_rule_relations(p: int) -> RelationSystem:
@@ -563,13 +599,18 @@ def _recursive_dual(rs: RelationSystem, prev: RelationSystem, nf: dict) -> dict:
     core = {}  # over the numbers of live, deduplicated, in order
     for c in nf.keys() - prev.basis.keys():  # the pivots of nonzero class
         # every f in nf[c] lies above c, ascending, and each one-node
-        # operation keeps lex order, so each row comes out sorted
-        terms = [(cols[c], 1)] + [(cols[f], -x) for f, x in nf[c]]
-        for k in range(len(cols[c])):
-            row = tuple((b_cols[k], x) for b_cols, x in terms if b_cols[k] is not None)
+        # operation keeps lex order, so each row comes out sorted, and its
+        # entries are nonzero: the row of operation k takes term k of each
+        rows = [[] if b is None else [(b, 1)] for b in cols[c]]
+        for f, x in nf[c]:
+            x = -x
+            for row, b in zip(rows, cols[f]):
+                if b is not None:
+                    row.append((b, x))
+        for row in rows:
             if row:
-                core[row] = None
-    basis = kernel_basis(SparseMatrix(len(live), core))
+                core[tuple(row)] = None
+    basis = kernel_basis(SparseMatrix._of_clean(len(live), list(core)))
     return {live[f]: {live[c]: x for c, x in v.items()} for f, v in basis.items()}
 
 
@@ -581,15 +622,36 @@ def _live_codes(rs: RelationSystem, nf: dict) -> list:
     support code s with one last bracket put at q = s[-1], ..., the last
     leaf of its first p-1 nodes; taking s in lex order, then q, lists the
     candidates in lex order. A candidate is live when none of its one-node
-    preimages is a zero code of the degree below: a code absent from nf."""
+    preimages is a zero code of the degree below: a code absent from nf.
+    rs.p >= 3, as in every recursive solve, so s is never empty. Each
+    preimage of s + (q,) but s itself is a prefix that s alone fixes with
+    one last index appended, so the prefixes are built once per s: a
+    bracket k of s that a corolla removal takes, whose preimage ends in
+    q - n + 1; the last bracket of s, which one takes once q > s[-1] + n - 1;
+    and the root removal. Every corolla removal of a code is a code, so only
+    the root removal is tested for being one."""
     n = rs.n
     end = (rs.p - 1) * (n - 1) + 2
     live = []
     for s in sorted(nf):
-        for q in range(s[-1] if s else 1, end):
-            code = s + (q,)
-            if all(t in nf or not _is_code(n, t) for t in _one_node_preimages(n, code)):
-                live.append(code)
+        # s + (q,)'s corolla-removal preimages at brackets of s, each less its
+        # last index q - n + 1, and its root-removal preimage less its last
+        heads = [
+            s[:k] + tuple(j - n + 1 for j in s[k + 1 :])
+            for k in range(len(s) - 1)
+            if s[k + 1] > s[k] + n - 1
+        ]
+        tail, root, first = s[:-1], tuple(j - s[0] + 1 for j in s[1:]), s[0] - 1
+        for q in range(s[-1], end):
+            last = (q - n + 1,)
+            for h in heads:
+                if h + last not in nf:
+                    break
+            else:
+                if (q <= s[-1] + n - 1 or tail + last in nf) and (
+                    (t := root + (q - first,)) in nf or not _is_code(n, t)
+                ):
+                    live.append(s + (q,))
     return live
 
 
@@ -600,10 +662,20 @@ def _annihilates(rs: RelationSystem, basis: dict) -> bool:
     once, from the first of its codes in the map.
 
     A row holding no code of the map has a zero image, and a row holding a
-    code c of the map is one of _rows_through c, so no other row can fail.
+    code c of the map is one of the rows through c, so no other row can
+    fail. The map's codes are grouped by all but their last index, and
+    _family_rows walks each such prefix once for its whole group.
     """
     nf = _normal_forms(basis)
-    return not any(_image(nf, row) for code in nf for row in _rows_through(rs.n, code, nf))
+    families = {}  # the map's codes by all but their last index
+    for code in nf:
+        families.setdefault(code[:-1], []).append(code[-1])
+    return not any(
+        _image(nf, row)
+        for s, qs in families.items()
+        for rows in _family_rows(rs.n, s, qs, nf)
+        for row in rows
+    )
 
 
 def solve(rs: RelationSystem) -> RelationSystem:
@@ -631,8 +703,9 @@ def solve(rs: RelationSystem) -> RelationSystem:
     whose images are rows of R. _annihilates reads only the rows through
     the codes of the map, the dual's support: a row without such a code has
     a zero image, and a row with one is among that code's p-1 rows. So the
-    check is exact without the other rows. Otherwise the rows are
-    eliminated, and the kernel's columns are mapped to their codes.
+    check is exact without the other rows. The support codes that share all
+    but their last index share the walk that finds their rows. Otherwise the
+    rows are eliminated, and the kernel's columns are mapped to their codes.
 
     Only results on marked rows enter _solved_cache, so a system with
     edited rows never changes what a later solve reads.

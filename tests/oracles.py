@@ -13,9 +13,12 @@ and checks how the live codes are found: it tests every code of the
 component, not only those built from the support of the degree below.
 fraction_rref is sparse: it is the
 package's earlier eliminator (Fraction entries, rows in input order), kept
-as the differential oracle for the fraction-free one.
+as the differential oracle for the fraction-free one. rows_through is the
+package's earlier certificate builder, one walk per code, kept as the
+differential oracle for freealg._family_rows, which walks a prefix once.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from itertools import product
 
@@ -596,3 +599,53 @@ def scanned_live_codes(rs, nf):
         if code[:-1] not in zero
         and not any(q in zero for q in _one_node_preimages(rs.n, code))
     ]
+
+
+def rows_through(n: int, idx: tuple, skip=()) -> list:
+    """The operadic rows that hold the code idx, one per non-root node v,
+    as {index tuple: coefficient}. A row with a code before idx in skip is
+    left out as soon as that code is made.
+
+    A walk down the code finds each node's children's first leaves: a node
+    takes n children in turn, each a node if the next bracket opens at the
+    next leaf and that leaf otherwise, so node k >= 1 opens at idx[k - 1].
+    With v at slot s of its parent u, the row's subtrees B_1..B_{2n-1} are
+    u's children before v, v's children, then u's children after v, and
+    T_i, i = 1..n, is idx with v's index replaced by the first leaf of B_i,
+    with sign (-1)^((i-1)(n-1)); T_s is idx itself.
+    """
+    starts = [[] for _ in range(len(idx) + 1)]  # per node, its children's first leaves
+    parents = [None] * (len(idx) + 1)  # per non-root node, (parent, slot)
+    k = q = 0  # the brackets opened and the leaves passed
+    stack = [0]  # the nodes still taking children, innermost last
+    while stack:
+        node = stack[-1]
+        kids = starts[node]
+        if len(kids) == n:
+            stack.pop()
+            continue
+        kids.append(q + 1)
+        if k < len(idx) and idx[k] == q + 1:
+            k += 1
+            parents[k] = node, len(kids) - 1
+            stack.append(k)
+        else:
+            q += 1
+    signs = [-1 if i * (n - 1) % 2 else 1 for i in range(n)]
+    rows = []
+    for v in range(1, len(starts)):
+        u, s = parents[v]
+        rest = idx[: v - 1] + idx[v:]
+        row = {}
+        for i, start in enumerate((starts[u][:s] + starts[v])[:n]):
+            if i == s:
+                row[idx] = signs[i]
+                continue
+            j = bisect(rest, start)
+            code = rest[:j] + (start,) + rest[j:]
+            if i < s and code in skip:
+                break
+            row[code] = signs[i]
+        else:
+            rows.append(row)
+    return rows

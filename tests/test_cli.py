@@ -157,6 +157,32 @@ def test_free_component_size_cap(capsys):
     assert rc == 2 and "4 tree codes" in err
 
 
+def test_free_large_degree_cap_is_cheap(capsys, monkeypatch):
+    # the ternary code counts are compared only up to the component's own,
+    # so a large cap, by flag or by NARY_CAP, costs nothing and cannot
+    # overflow: FC(3, 1000000) alone takes half a minute to count
+    huge = str(10**20)
+    for argv in (
+        ("free-dims", "--n", "3", "--p-max", "3", "--cap", "1000000"),
+        ("free-dims", "--n", "3", "--p-max", "3", "--cap", huge),
+        ("free-export", "--n", "4", "--p", "3", "--cap", huge),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert time.perf_counter() - start < 2, argv
+    monkeypatch.setenv("NARY_CAP", huge)
+    rc, out, _ = run(capsys, "free-dims", "--n", "3", "--p-max", "3")
+    assert rc == 0 and out.splitlines()[-1] == "multipliers: 1, 2, 4"
+    # a degree whose code count cannot be computed is unusable input
+    for argv in (
+        ("free-dims", "--n", "3", "--p-max", huge),
+        ("free-export", "--n", "5", "--p", huge),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: n={argv[2]} p={huge} has too many tree codes to count\n"
+
+
 # -------------------------------------------------------------- free-export
 
 

@@ -13,6 +13,7 @@ from naryalg import freealg
 from naryalg.freealg import (
     _annihilates,
     _compositions,
+    _family_rows,
     _graft,
     _image,
     _live_codes,
@@ -20,7 +21,6 @@ from naryalg.freealg import (
     _one_node_images,
     _one_node_preimages,
     _recursive_dual,
-    _rows_through,
     _solved_cache,
     PUBLISHED_L9_CODES,
     BasisComparison,
@@ -56,6 +56,7 @@ from oracles import (
     grafted_code,
     in_row_space,
     operadic_rows,
+    rows_through,
     same_row_space,
     scanned_live_codes,
     tree_value,
@@ -579,6 +580,16 @@ def test_one_node_preimages_invert_the_images():
                 assert found == set(_one_node_preimages(n, idx)) & valid, (n, idx)
 
 
+def test_one_node_preimages_are_codes_but_the_root_removal():
+    # _live_codes tests only the last preimage, the root removal, for being
+    # a code: every corolla removal of a code is one
+    for n in (2, 3, 4, 5):
+        for p in range(2, 8 if n < 4 else 6):
+            for idx in freealg._code_tuples(n, p):
+                *removals, _ = _one_node_preimages(n, idx)
+                assert all(freealg._is_code(n, t) for t in removals), (n, idx)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_node_operations_map_rows_onto_rows(n):
     # the fact the recursion rests on: the images of the degree-(p-1) rows
@@ -610,6 +621,14 @@ def test_one_node_operations_keep_lex_order():
             assert all(a < b for a, b in zip(column, column[1:])), (n, p, k)
 
 
+def _families(codes):
+    # codes by all but their last index, as the certificate groups them
+    families = {}
+    for code in codes:
+        families.setdefault(code[:-1], []).append(code[-1])
+    return families
+
+
 def test_rows_through_a_code_are_the_generated_rows_holding_it():
     # the certificate reads a code's p - 1 rows from the code alone; they are
     # exactly the generated rows that hold it, signs included, and together
@@ -621,13 +640,36 @@ def test_rows_through_a_code_are_the_generated_rows_holding_it():
         for row in rs.rows:
             for c in row:
                 holding[c].append(dict(row))
+        through = {
+            s + (q,): rows
+            for s, qs in _families(rs.codes).items()
+            for q, rows in zip(qs, _family_rows(n, s, qs))
+        }
         union = set()
         for c, code in enumerate(rs.codes):
-            got = [{col[t]: x for t, x in row.items()} for row in _rows_through(n, code)]
+            got = [{col[t]: x for t, x in row.items()} for row in through[code]]
             assert len(got) == p - 1, (n, p, code)
             assert sorted(got, key=sorted) == sorted(holding[c], key=sorted), (n, p, code)
             union.update(frozenset(row.items()) for row in got)
         assert union == {frozenset(row.items()) for row in rs.rows}, (n, p)
+
+
+@pytest.mark.parametrize("n, p", SMALL_DEGREES)
+def test_family_rows_match_the_one_code_walk(n, p):
+    # walking a prefix once gives, code by code, the rows of walking each
+    # code, with no skip, with the map's codes as the certificate skips
+    # them, and with every third code
+    rs = operadic_relations(n, p)
+    dual = kernel_basis(SparseMatrix.from_dicts(len(rs.codes), rs.rows))
+    nf = _normal_forms(_by_code(rs, dual))
+    skips = ((), nf, set(rs.codes[::3]))
+    for s, qs in _families(rs.codes).items():
+        for skip in skips:
+            got = _family_rows(n, s, qs, skip)
+            assert got == [rows_through(n, s + (q,), skip) for q in qs], (n, p, s)
+    for s, qs in _families(nf).items():
+        got = _family_rows(n, s, qs, nf)
+        assert got == [rows_through(n, s + (q,), nf) for q in qs], (n, p, s)
 
 
 def _by_code(rs, dual):
@@ -679,15 +721,21 @@ def test_certificate_builds_each_row_through_the_support_once(monkeypatch):
     # a row is read from the first of its codes in the map, so the rows of
     # any later code are dropped before they are built: 525 rows at p = 6 and
     # 1,488 at p = 7, the generated rows that meet the support, against the
-    # 1,085 and 3,024 of building every support code's p - 1 rows
-    built = []
+    # 1,085 and 3,024 of building every support code's p - 1 rows; at p = 8
+    # the certificate builds 3,969 rows and the recursion's core has 2,066
+    built, core = [], []
 
     def counting(*args, **kwargs):
-        rows = _rows_through(*args, **kwargs)
-        built.extend(rows)
-        return rows
+        families = _family_rows(*args, **kwargs)
+        built.extend(row for rows in families for row in rows)
+        return families
 
-    monkeypatch.setattr(freealg, "_rows_through", counting)
+    def kernel(m):
+        core.extend(m.rows)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(freealg, "_family_rows", counting)
+    monkeypatch.setattr(freealg, "kernel_basis", kernel)
     for p, want in ((6, 525), (7, 1488)):
         rs = operadic_relations(3, p)
         basis = solved_relations(3, p).basis
@@ -698,6 +746,12 @@ def test_certificate_builds_each_row_through_the_support_once(monkeypatch):
         rows = [{rs.codes[c]: x for c, x in row.items()} for row in rs.rows]
         meeting = {frozenset(row.items()) for row in rows if not support.isdisjoint(row)}
         assert {frozenset(row.items()) for row in built} == meeting
+    basis = solved_relations(3, 8).basis
+    built.clear()
+    assert _annihilates(operadic_relations(3, 8), basis)
+    assert len(built) == 3969
+    assert _recursive(3, 8) == basis
+    assert len(core) == 2066
 
 
 def _recursive(n, p):
