@@ -12,6 +12,7 @@ one place that maps an InputError or a library ValueError to exit 2.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -95,6 +96,11 @@ DEFAULT_DEGREE_CAP = 6
 # for printing an int.
 MAX_COEF_DIGITS = 1000
 
+# The longest string coefficient read: a value within MAX_COEF_DIGITS is
+# written in at most MAX_COEF_DIGITS + 2 characters ("-" and "/"), and the
+# slack admits a decimal point, an exponent and padding zeros.
+_MAX_COEF_TEXT = 2 * MAX_COEF_DIGITS
+
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
@@ -141,23 +147,29 @@ def _decimal_text(text: str):
 
 def _load_algebra(ref):
     """Built-in instance by name, or the parsed JSON object from a path that
-    is not a directory (a pipe such as /dev/stdin too); "-" reads stdin. A
+    opens as a file (a pipe such as /dev/stdin too); "-" reads stdin. A
     JSON decimal such as 0.1 is kept as its text, so that it reads as 1/10."""
     if ref in BUILTIN_ALGEBRAS:
         return builtin_algebra(ref)
     if ref == "-":
         if sys.stdin is None:
             raise InputError("cannot read the algebra from stdin: it is closed")
-        read = sys.stdin.read
-    elif os.path.exists(ref) and not os.path.isdir(ref):
-        read = Path(ref).read_text
+        source = contextlib.nullcontext(sys.stdin)  # read, but left open
     else:
-        raise InputError(
-            f"{ref!r} is neither a built-in algebra "
-            f"({', '.join(sorted(BUILTIN_ALGEBRAS))}) nor a file"
-        )
+        try:
+            source = open(ref)
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError):
+            # ValueError: a name with a NUL byte, which no file has
+            raise InputError(
+                f"{ref!r} is neither a built-in algebra "
+                f"({', '.join(sorted(BUILTIN_ALGEBRAS))}) nor a file"
+            ) from None
+        except OSError as e:
+            raise InputError(f"cannot read algebra file {ref}: {e}") from None
     try:
-        data = json.loads(read(), parse_float=_decimal_text)
+        with source as stream:
+            text = stream.read()
+        data = json.loads(text, parse_float=_decimal_text)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read algebra file {ref}: {e}") from None
     except RecursionError:
@@ -209,24 +221,35 @@ def _algebra(ref: str, kind: str, cap: int):
 
 
 def _digits(n: int) -> int:
-    """An upper bound on the decimal digits of |n|, without printing it."""
-    return n.bit_length() * 30103 // 100000 + 1
+    """The number of decimal digits of |n|, without printing it."""
+    n = abs(n)
+    if n < 10:
+        return 1
+    d = n.bit_length() * 30103 // 100000 + 1  # the count, or one more
+    return d - (n < 10 ** (d - 1))
 
 
 def _check_coef_digits(data: dict, ref: str) -> None:
     """Reject a file whose coefficients exceed MAX_COEF_DIGITS, naming the
-    first entry that goes over. A string coefficient is sized from its length
-    and exponent before it is parsed, so "1e10000000" costs nothing."""
+    first entry that goes over. Each value is counted exactly once parsed.
+    Before that, a string coefficient longer than _MAX_COEF_TEXT, or whose
+    exponent alone takes it over, is rejected unread, so "1e10000000" costs
+    nothing."""
     longest = den_digits = 0
     denominators = set()
     for k, e in enumerate(data.get("entries", [])):
         coef = e["coef"]
         if isinstance(coef, str):
-            size = len(coef)
-            exp = _EXPONENT.search(coef) if size <= MAX_COEF_DIGITS else None
-            if exp is not None:
-                size = exp.start() + abs(int(exp[1]))
-            if size > MAX_COEF_DIGITS:
+            if len(coef) > _MAX_COEF_TEXT:
+                raise InputError(
+                    f"{ref}: the coefficient of entry {k} is longer than "
+                    f"{_MAX_COEF_TEXT} characters"
+                )
+            exp = ("e" in coef or "E" in coef) and _EXPONENT.search(coef)
+            # the mantissa's exp.start() characters hold all its digits, so a
+            # nonzero value is >= 10^(E - start), with a denominator above
+            # 10^(-E - start); a zero mantissa is rejected with the rest
+            if exp and abs(int(exp[1])) >= MAX_COEF_DIGITS + exp.start():
                 raise InputError(
                     f"{ref}: the coefficient of entry {k} has more than "
                     f"{MAX_COEF_DIGITS} digits"

@@ -40,7 +40,20 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(s: str) -> Scalar:
-    if isinstance(s, bool):
+    """The exact scalar s writes, normalize_scalar(Fraction(s)); a bool is
+    no coefficient.
+
+    A plain integer string (ASCII digits after at most one leading "-") and
+    an int are read without Fraction's parser. Underscores, other signs,
+    spaces and non-ASCII digits take the Fraction path, so the value, its
+    type and any exception are Fraction's on every interpreter.
+    """
+    if type(s) is str:
+        if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+            return int(s)
+    elif type(s) is int:
+        return s
+    elif isinstance(s, bool):
         raise ValueError(f"coefficient {s!r} is not a number")
     return normalize_scalar(Fraction(s))
 

@@ -195,8 +195,11 @@ class MultiMap:
     def from_json_dict(cls, data: dict):
         entries = {}
         for e in data.get("entries", []):
-            key = tuple(
-                tuple(v) if isinstance(v, list) else v for v in (e["in"], e["out"])
+            a = e["in"]
+            b = e["out"]
+            key = (
+                tuple(a) if isinstance(a, list) else a,
+                tuple(b) if isinstance(b, list) else b,
             )
             entries[key] = entries.get(key, 0) + scalar_from_str(e["coef"])
             if (isinstance(key[0], tuple), isinstance(key[1], tuple)) != cls._json_shape:

@@ -16,6 +16,10 @@ package's earlier eliminator (Fraction entries, rows in input order), kept
 as the differential oracle for the fraction-free one. rows_through is the
 package's earlier certificate builder, one walk per code, kept as the
 differential oracle for freealg._family_rows, which walks a prefix once.
+fraction_read is exactnum.scalar_from_str with every input read by
+Fraction's parser, the oracle of its integer path; it needs only the
+standard library, so read_mismatch over READ_CORPUS runs on an interpreter
+without pytest too.
 """
 
 from bisect import bisect
@@ -649,3 +653,42 @@ def rows_through(n: int, idx: tuple, skip=()) -> list:
         else:
             rows.append(row)
     return rows
+
+
+# Inputs of scalar_from_str around its integer path: plain integers, the
+# spellings next to them that only Fraction reads or that neither does
+# (Python 3.10's Fraction rejects "1_0", which int takes, and "\u00b2" is a
+# digit to str.isdigit), both sides of int's 4300-digit limit, and the
+# inputs that are no string.
+READ_CORPUS = [
+    "0", "-0", "007", "-12", "+1", " 1", "1 ", "1_0",
+    "\u0663", "\u00b2", "\u22121",
+    "--1", "-", "", "1-", "1/2", "0.1", "1e3",
+    "7" * 4300, "7" * 4301, "-" + "7" * 4300, "-" + "7" * 4301,
+    5, Fraction(3, 1), True, None, 1.5,
+]
+
+
+def fraction_read(s):
+    """The exact scalar Fraction(s) is, an int when its denominator is 1; a
+    bool is no coefficient."""
+    if isinstance(s, bool):
+        raise ValueError(f"coefficient {s!r} is not a number")
+    x = Fraction(s)
+    return x.numerator if x.denominator == 1 else x
+
+
+def read_mismatch(read, s):
+    """None when read(s) is fraction_read(s), the same value of the same
+    type, or raises an exception of the same type; else what differs."""
+    try:
+        want = fraction_read(s)
+    except Exception as e:
+        want = type(e)
+    try:
+        got = read(s)
+    except Exception as e:
+        got = type(e)
+    if got == want and type(got) is type(want):
+        return None
+    return f"{s!r:.20}: read gives {got!r:.20}, Fraction {want!r:.20}"

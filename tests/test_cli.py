@@ -641,6 +641,47 @@ def test_check_coefficient_digits_count_every_denominator(tmp_path, capsys):
     assert run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")[0] in (0, 1)
 
 
+def test_check_coefficient_budget_counts_digits_exactly(tmp_path, capsys):
+    # each value has at most 1000 digits, whatever its sign, decimal point
+    # or exponent; 10^999.5 and up is where a bit-length estimate says 1001.
+    # An exponent of 1000 or more is within budget when the mantissa's
+    # digits take it back: 10^999, and 10^-998 (numerator 1, 999-digit denominator)
+    for name, coef in (
+        ("neg-exp", '"-1e999"'),
+        ("neg-long", '"-%s"' % ("9" * 1000)),
+        ("point", '"1.5e998"'),
+        ("json-int", "9" * 1000),
+        ("shifted", '"0.001e1002"'),
+        ("shifted-den", '"1000e-1001"'),
+    ):
+        path = _one_coef_file(tmp_path / f"{name}.json", coef)
+        rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+        assert rc == 1 and err == "", (name, err)
+    path = _one_coef_file(tmp_path / "over.json", '"-%s"' % ("9" * 1001))
+    rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "entry 0" in err and "1000 digits" in err
+    # the longest numerator counts, not the last: 901 + 100 digits
+    entries = [{"in": [0, 0, 0], "out": 0, "coef": str(10**900)},
+               {"in": [0, 0, 1], "out": 0, "coef": f"1/{10**99}"}]
+    path = write_json(tmp_path / "longest.json", {"dim": 2, "arity": 3, "entries": entries})
+    rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "entry 1 " in err
+    # a string too long to read cheaply is rejected unread; Fraction would
+    # first build 10^4000000 for this decimal point
+    path = _one_coef_file(tmp_path / "text.json", '"0.%s"' % ("1" * 4 * 10**6))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "check", "--algebra", path, "--identity", "partial-assoc")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == "" and "entry 0 is longer than 2000 characters" in err
+
+
+def test_digits_is_exact_at_every_power_of_ten():
+    for k in range(1, 1201):
+        for n in (10 ** (k - 1), 10**k - 1):
+            assert cli._digits(n) == cli._digits(-n) == k == len(str(n))
+    assert cli._digits(0) == 1
+
+
 _FUZZ_COEFS = st.one_of(
     st.integers(-(10**12), 10**12),
     st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-1, 99)),
@@ -847,20 +888,38 @@ def test_cohomology_reads_stdin(capsys, monkeypatch):
 
 
 def test_check_reads_a_pipe_path(tmp_path, capsys):
-    # a FIFO, as from process substitution, is read like a file
+    # a FIFO, as from process substitution, is read like a file: the same
+    # exit code and report as the regular file holding the same text
     fifo = tmp_path / "product.fifo"
     os.mkfifo(fifo)
     text = json.dumps(random_square_zero(3, 3, 11, 1).to_json_dict())
+    argv = ("--identity", "roby", "--format", "json")
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
     try:
-        rc, _, err = run(capsys, "check", "--algebra", str(fifo), "--identity", "partial-assoc")
+        rc, out, err = run(capsys, "check", "--algebra", str(fifo), *argv)
     finally:
         writer.join(5)
         if writer.is_alive():  # the pipe was never opened; release the writer
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join()
-    assert rc == 0, err
+    regular = tmp_path / "product.json"
+    regular.write_text(text)
+    expected = run(capsys, "check", "--algebra", str(regular), *argv)
+    assert rc == expected[0] == 1, err
+    assert json.loads(out) == {**json.loads(expected[1]), "algebra": str(fifo)}
+
+
+def test_check_loader_path_errors(tmp_path, capsys):
+    # a path through a regular file names no file; /dev/null opens, but
+    # holds no JSON document
+    (tmp_path / "x.json").write_text("{}")
+    rc, out, err = run(capsys, "check", "--algebra", str(tmp_path / "x.json" / "y"),
+                       "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "neither a built-in algebra" in err
+    rc, out, err = run(capsys, "check", "--algebra", os.devnull, "--identity", "partial-assoc")
+    assert rc == 2 and out == "" and "cannot read algebra file" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- cohomology

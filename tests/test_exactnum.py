@@ -1,9 +1,12 @@
 import random
+import re
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg.exactnum import (
     SparseMatrix,
@@ -19,13 +22,16 @@ from naryalg.exactnum import (
 )
 from naryalg import cohomology, exactnum
 from naryalg.freealg import operadic_relations
+from naryalg.gerstenhaber import MultiMap
 from naryalg.identities import matrix2, random_square_zero
 from oracles import (
+    READ_CORPUS,
     dense_kernel,
     dense_rref,
     fraction_kernel,
     fraction_rref,
     in_row_space,
+    read_mismatch,
     same_row_space,
 )
 
@@ -42,6 +48,33 @@ def test_scalar_normalization():
     assert scalar_to_str(Fraction(8, 4)) == "2"
     assert scalar_from_str("-3/2") == Fraction(-3, 2)
     assert scalar_from_str("5") == 5
+
+
+@pytest.mark.parametrize("s", READ_CORPUS, ids=lambda s: repr(s)[:12])
+def test_scalar_from_str_matches_the_fraction_read(s):
+    assert read_mismatch(scalar_from_str, s) is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    s=st.one_of(
+        st.from_regex(r"-?[0-9]{1,40}", fullmatch=True),
+        st.text(alphabet="0123456789-+_ ./eE\u0663\u00b2\u2212\u00a0", max_size=10),
+        st.text(max_size=6),
+    )
+)
+def test_scalar_from_str_matches_the_fraction_read_on_text(s):
+    assert read_mismatch(scalar_from_str, s) is None
+
+
+def test_written_integer_coefficients_are_plain_integer_strings():
+    # every integer coefficient the package writes takes the integer path
+    terms = {((0, 1), 1): 3, ((1, 0), 1): -3, ((1, 1), 0): Fraction(8, 4),
+             ((0, 0), 0): 10**40, ((0, 0), 1): Fraction(-1, 2)}
+    for e in MultiMap.from_entries(2, 2, terms).to_json_dict()["entries"]:
+        coef = e["coef"]
+        assert (re.fullmatch("-?[0-9]+", coef) is not None) == (coef != "-1/2"), coef
+        assert scalar_from_str(coef) == terms[(tuple(e["in"]), e["out"])]
 
 
 def test_rref_single_row():
