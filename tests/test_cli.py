@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cli_surface import ARGVS, SELFTEST_ARGVS, surface
 from naryalg import cli
 from naryalg.cli import DEFAULT_DEGREE_CAP, main, run_selftest
 from naryalg.coalg import grouplike
@@ -1120,6 +1121,14 @@ def test_help_and_usage_exit_codes(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "free-dims", "--n", "3")[0] == 2  # missing --p-max
+
+
+def test_cli_surface_is_pinned():
+    # help, usage errors and answers, byte for byte at 80 columns
+    pinned = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
+    assert [s["argv"] for s in pinned] == [list(a) for a in ARGVS + SELFTEST_ARGVS]
+    for want in pinned:
+        assert surface(want["argv"]) == want
 
 
 def test_one_parser_serves_a_process(capsys, monkeypatch):
