@@ -724,9 +724,10 @@ def cmd_selftest(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-# built by the first main() call and reused; help width and caps are read later
+# built by the first main() call and reused; help width and caps are read later.
+# Returns the parser and its map from command word to that command's parser.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
     ap = argparse.ArgumentParser(
         prog="nary",
         description="Exact computations with n-ary partially associative algebras.",
@@ -799,13 +800,23 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--format", choices=("json", "table"), default="table")
     st.set_defaults(func=cmd_selftest)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            # what parser.parse_args does with a leading command word, without
+            # its outer pass: the command's parser reads the rest, and the
+            # outer parser reports what is left over
+            namespace = argparse.Namespace(command=argv[0])
+            args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as e:  # --help exits 0, a usage error 2
         return 0 if e.code in (None, 0) else 2
     try:
