@@ -231,10 +231,11 @@ def _digits(n: int) -> int:
 
 def _check_coef_digits(data: dict, ref: str) -> None:
     """Reject a file whose coefficients exceed MAX_COEF_DIGITS, naming the
-    first entry that goes over. Each value is counted exactly once parsed.
-    Before that, a string coefficient longer than _MAX_COEF_TEXT, or whose
-    exponent alone takes it over, is rejected unread, so "1e10000000" costs
-    nothing."""
+    first entry that goes over. Each value is counted exactly once parsed,
+    and written back into its entry, so that from_json_dict reads the int or
+    Fraction and not the text again. Before that, a string coefficient longer
+    than _MAX_COEF_TEXT, or whose exponent alone takes it over, is rejected
+    unread, so "1e10000000" costs nothing."""
     longest = den_digits = 0
     denominators = set()
     for k, e in enumerate(data.get("entries", [])):
@@ -254,7 +255,7 @@ def _check_coef_digits(data: dict, ref: str) -> None:
                     f"{ref}: the coefficient of entry {k} has more than "
                     f"{MAX_COEF_DIGITS} digits"
                 )
-        value = scalar_from_str(coef)
+        e["coef"] = value = scalar_from_str(coef)
         longest = max(longest, _digits(value.numerator))
         den = value.denominator
         if den != 1 and den not in denominators:

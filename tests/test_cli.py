@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from cli_surface import ARGVS, SELFTEST_ARGVS, surface
 from naryalg import cli
 from naryalg.cli import DEFAULT_DEGREE_CAP, main, run_selftest
-from naryalg.coalg import grouplike
+from naryalg.coalg import Comultiplication, grouplike
 from naryalg.freealg import GENERATORS
 from naryalg.gerstenhaber import MultiMap
 from naryalg.identities import (
@@ -591,6 +593,38 @@ def test_check_decimal_coefficient_reads_as_written(tmp_path, capsys):
         )
         assert rc == 1, name
         assert json.loads(out)["witness"] == [[0, 0, 1, 0], "1/10"], name
+
+
+@pytest.mark.parametrize(
+    "kind, a, b",
+    [("product", [0, 1], 1), ("comultiplication", 1, [0, 1])],
+)
+def test_each_coefficient_text_is_parsed_once(tmp_path, monkeypatch, kind, a, b):
+    # the digit budget's reading of a coefficient is the one the map is built
+    # from, so a fraction or decimal goes through Fraction's parser once
+    text = (
+        '{"dim": 2, "arity": 2, "entries": [{"in": %s, "out": %s, "coef": "1/3"}, '
+        '{"in": %s, "out": %s, "coef": "0.25"}, {"in": %s, "out": %s, "coef": 0.5}]}'
+        % ((json.dumps(a), json.dumps(b)) * 3)
+    )
+    path = tmp_path / "mu.json"
+    path.write_text(text)
+    parsed = []
+
+    class CountingFormat:  # Fraction(str) matches its text against this pattern
+        def match(self, text):
+            parsed.append(text)
+            return rational_format.match(text)
+
+    rational_format = fractions._RATIONAL_FORMAT
+    with monkeypatch.context() as patched:
+        patched.setattr(fractions, "_RATIONAL_FORMAT", CountingFormat())
+        got = cli._algebra(str(path), kind, cli.DEFAULT_CAP)
+    assert parsed == ["1/3", "0.25", "0.5"]
+    cls = Comultiplication if kind == "comultiplication" else MultiMap
+    want = cls.from_json_dict(json.loads(text, parse_float=cli._decimal_text))
+    assert got == want
+    assert list(got.terms.values()) == [Fraction(13, 12)]  # 1/3 + 1/4 + 1/2
 
 
 def test_check_deeply_nested_file(tmp_path, capsys):
