@@ -815,6 +815,71 @@ def test_check_loader_fuzz(tmp_path, case):
     assert main([command, "--algebra", path, *flags]) in (0, 1, 2)
 
 
+# what an edit puts in place of a key, an entry, an index or a coefficient
+_ODD_VALUES = (
+    0, 1, 2, 3, 5, -1, 10**6, 10**40, 2.5, -0.0, 1e308, "2", "", "x", "1/3", "-1/0",
+    "0.5", "1e3", "1e-9999", "nan", "inf", True, False, None, [], [0], [0, 1], [1, 0, 1],
+    [[0]], {}, {"in": [0, 0]},
+)
+
+
+def _mutated_algebra(rng):
+    """A small valid product, comultiplication or bracket file, then one to
+    three edits of its top-level keys, its entries' shapes, their indices or
+    their coefficients."""
+    words = [[i, j] for i in range(2) for j in range(2)]
+    data = rng.choice((
+        {"dim": 2, "arity": 2, "entries": [{"in": w, "out": rng.randrange(2), "coef": 1} for w in words]},
+        {"dim": 2, "arity": 2, "entries": [{"in": rng.randrange(2), "out": w, "coef": "1/2"} for w in words]},
+        {"dim": 3, "arity": 2, "antisymmetric": True, "entries": [
+            {"in": [i, j], "out": k, "coef": (j - i) * (1 - 2 * ((i + j + k) % 2))}
+            for i, j, k in ((0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0), (0, 2, 1), (2, 0, 1))
+        ]},
+    ))
+    entries = data["entries"]
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(6)
+        key = rng.choice(("dim", "arity", "entries", "antisymmetric", "degrees"))
+        e = rng.choice([x for x in entries if isinstance(x, dict)] or [{}])
+        if edit == 0:  # a top-level key set to an odd value or dropped
+            if rng.random() < 0.2:
+                data.pop(key, None)
+            else:
+                data[key] = rng.choice(_ODD_VALUES)
+        elif edit == 1:  # a coefficient of another type
+            e["coef"] = rng.choice(_ODD_VALUES)
+        elif edit == 2 and isinstance(e.get("in"), list):  # an input word of another length or type
+            e["in"] = rng.choice((e["in"][:-1], e["in"] + [rng.randrange(-1, 4)], (e["in"] or [0])[0]))
+        elif edit == 3:  # an index out of range or of another type
+            e[rng.choice(("in", "out"))] = rng.choice(_ODD_VALUES[:12])
+        elif edit == 4 and entries:  # an entry that is not an object, or lacks a key
+            k = rng.randrange(len(entries))
+            entries[k] = rng.choice((dict(e), [0, 1], None, "entry"))
+            if isinstance(entries[k], dict):
+                entries[k].pop(rng.choice(("in", "out", "coef")), None)
+        else:  # a repeated entry
+            entries.append(dict(e))
+    return data
+
+
+def test_main_exit_codes_on_mutated_algebra_files(tmp_path, capsys):
+    # every identity and one cohomology step on 300 seeded mutations: each
+    # request answers 0, 1 or 2, and nothing escapes main or prints a traceback
+    rng = random.Random(0)
+    path = tmp_path / "mutated.json"
+    requests = [["check", "--algebra", str(path), "--identity", name] for name in cli.IDENTITY_CHECKS]
+    requests.append(["cohomology", "--algebra", str(path), "--steps", "1"])
+    codes = set()
+    for k in range(300):
+        data = _mutated_algebra(rng)
+        path.write_text(json.dumps(data))
+        for argv in requests:
+            rc, out, err = run(capsys, *argv)
+            assert rc in (0, 1, 2) and "Traceback" not in out + err, (k, data, argv)
+            codes.add(rc)
+    assert codes == {0, 1, 2}
+
+
 def _int_or_none(text):
     try:
         return int(text)
