@@ -602,11 +602,8 @@ def test_check_decimal_coefficient_reads_as_written(tmp_path, capsys):
 def test_each_coefficient_text_is_parsed_once(tmp_path, monkeypatch, kind, a, b):
     # the digit budget's reading of a coefficient is the one the map is built
     # from, so a fraction or decimal goes through Fraction's parser once
-    text = (
-        '{"dim": 2, "arity": 2, "entries": [{"in": %s, "out": %s, "coef": "1/3"}, '
-        '{"in": %s, "out": %s, "coef": "0.25"}, {"in": %s, "out": %s, "coef": 0.5}]}'
-        % ((json.dumps(a), json.dumps(b)) * 3)
-    )
+    entries = [{"in": a, "out": b, "coef": coef} for coef in ("1/3", "0.25", 0.5)]
+    text = json.dumps({"dim": 2, "arity": 2, "entries": entries})
     path = tmp_path / "mu.json"
     path.write_text(text)
     parsed = []
@@ -831,9 +828,10 @@ def _mutated_algebra(rng):
     data = rng.choice((
         {"dim": 2, "arity": 2, "entries": [{"in": w, "out": rng.randrange(2), "coef": 1} for w in words]},
         {"dim": 2, "arity": 2, "entries": [{"in": rng.randrange(2), "out": w, "coef": "1/2"} for w in words]},
-        {"dim": 3, "arity": 2, "antisymmetric": True, "entries": [
-            {"in": [i, j], "out": k, "coef": (j - i) * (1 - 2 * ((i + j + k) % 2))}
-            for i, j, k in ((0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0), (0, 2, 1), (2, 0, 1))
+        {"dim": 3, "arity": 2, "antisymmetric": True, "entries": [  # so(3)
+            {"in": [x, y], "out": k, "coef": c}
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+            for x, y, c in ((i, j, 1), (j, i, -1))
         ]},
     ))
     entries = data["entries"]
